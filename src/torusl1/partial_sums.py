@@ -24,7 +24,6 @@ from .trigsum import cosine_poly_grid, cosine_poly_points
 
 __all__ = [
     "partial_sum",
-    "partial_sum_points",
     "partial_sum_grid",
     "fejer_representation",
     "reference_function_grid",
@@ -42,26 +41,11 @@ def partial_sum(seq, N, t):
     return cosine_poly_points(seq.values(int(N) + 1), canonical(t))
 
 
-partial_sum_points = partial_sum
-
-
-def partial_sum_grid(seq, N, grid_size, fast_path_threshold=512):
-    """S_N at the uniform grid t_k = -1/2 + k/grid_size, k = 0..grid_size-1.
-
-    Uses the folded-FFT path once the grid is larger than
-    fast_path_threshold; below that the direct sum is just as fast and is
-    also the oracle the fast path is validated against.
-    """
+def partial_sum_grid(seq, N, grid_size):
+    """S_N at the uniform grid t_k = -1/2 + k/grid_size, k = 0..grid_size-1."""
     if N != int(N) or N < 0:
         raise ValueError("N must be a nonnegative integer")
-    G = int(grid_size)
-    if G < 1:
-        raise ValueError("grid_size must be >= 1")
-    coeffs = seq.values(int(N) + 1)
-    if G < fast_path_threshold:
-        ts = -0.5 + np.arange(G) / G
-        return cosine_poly_points(coeffs, ts)
-    return cosine_poly_grid(coeffs, G)
+    return cosine_poly_grid(seq.values(int(N) + 1), grid_size)
 
 
 def _sinc_ratio_sq_sum(d2, j_lo, j_hi, u, chunk=4096):

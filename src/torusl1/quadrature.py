@@ -3,13 +3,14 @@
 Two engines.
 
 Cell-aligned Gauss (partial sums and kernels, signed or absolute):
-panels follow the sign cells [k/L, (k+1)/L) of the kernel, all full cells
-are evaluated together through one folded FFT per Gauss offset, and for
-absolute integrands any sign crossing detected inside a piece is located
-by lockstep bisection and promoted to a panel boundary, so |.| is only
-ever integrated on single-signed segments.  The error estimate is the
-difference between two panel-count refinement levels plus a roundoff
-floor.
+panels follow the sign cells [k/L, (k+1)/L) of the kernel, and every cell
+is evaluated at the composite Gauss offsets through one folded FFT per
+offset.  Full cells are summed with the Gauss weights.  Partial remnants,
+and for absolute integrands full cells whose values change sign, are
+integrated from the same values: on each panel they fix a Legendre
+interpolant, which is integrated through its antiderivative and, for
+|.|, split at its real roots.  The error estimate is the difference
+between two panel-count refinement levels plus a roundoff floor.
 
 Uniform-grid trapezoid (residuals |f - S_N|): the reference f carries
 per-point truncation bounds; the integrated bound, the grid-refinement
@@ -24,12 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intervals import IntervalUnion
 from .partial_sums import partial_sum_grid, reference_function_grid
-from .trigsum import cosine_poly_on_cells, cosine_poly_points
+from .trigsum import cosine_poly_on_cells
 
 __all__ = [
-    "IntervalUnion",
     "QuadResult",
     "ResidualResult",
     "TraceEntry",
@@ -97,18 +96,26 @@ class NormTrace:
 
 # -- cell-aligned Gauss engine -----------------------------------------
 
-_GAUSS_CACHE = {}
 
-
+@lru_cache(maxsize=None)
 def _gauss(n):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(int(n))
-    return _GAUSS_CACHE[n]
+    """Gauss-Legendre rule on [-1, 1] and the matrix that maps values at
+    its nodes to the Legendre coefficients of their interpolant.
+
+    The rule is exact to degree 2n-1, so discrete orthogonality gives
+    coefficient j as (j + 1/2) sum_i w_i P_j(x_i) f(x_i).
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    vander = np.polynomial.legendre.legvander(x, n - 1)
+    to_coeffs = (np.arange(n) + 0.5)[:, None] * (vander * w[:, None]).T
+    for arr in (x, w, to_coeffs):
+        arr.setflags(write=False)
+    return x, w, to_coeffs
 
 
 def _unit_composite(panels, nodes):
     """Composite Gauss nodes/weights on [0, 1]."""
-    x, w = _gauss(nodes)
+    x, w, _ = _gauss(nodes)
     edges = np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -118,7 +125,11 @@ def _unit_composite(panels, nodes):
 
 
 def _decompose(E, L):
-    """Split E into full lattice cells [k/L, (k+1)/L) and partial remnants."""
+    """Split E into full lattice cells [k/L, (k+1)/L) and partial remnants.
+
+    A remnant is (k, a, b): its cell index and its ends in that cell's unit
+    coordinates, 0 <= a < b <= 1.
+    """
     full = []
     partial = []
     for lo, hi in E.intervals:
@@ -134,113 +145,85 @@ def _decompose(E, L):
             if p_lo == c_lo and p_hi == c_hi:
                 full.append(k)
             else:
-                partial.append((p_lo, p_hi))
+                partial.append((k, p_lo * L - k, p_hi * L - k))
     return full, partial
 
 
-def _crossings(coeffs, lo, hi, probe_count, iters=48):
-    """Sign-change locations of the cosine polynomial inside each [lo, hi].
+def _interpolated(vals, pieces, L, panels, nodes, absolute):
+    """Integrate cell pieces (k, a, b) from their panel interpolants.
 
-    Scans probe_count+2 equispaced points per piece, then drives every
-    bracket to its root with lockstep bisection.  Returns a list of sorted
-    root arrays, one per piece.
+    Column k % L of vals holds the composite Gauss values of cell k; on
+    each panel they fix the degree nodes-1 Legendre interpolant, which is
+    integrated as differences of its antiderivative, split at its real
+    roots inside the sub-range when |.| is wanted.  Returns (integral, abs
+    mass, panels used).
     """
-    P = lo.size
-    u = np.linspace(0.0, 1.0, probe_count + 2)
-    pts = lo[:, None] + (hi - lo)[:, None] * u[None, :]
-    v = cosine_poly_points(coeffs, pts.ravel()).reshape(P, u.size)
-    sg = np.sign(v)
-    change = sg[:, :-1] * sg[:, 1:] < 0.0
-    rows, gaps = np.nonzero(change)
-    out = [np.empty(0)] * P
-    if rows.size == 0:
-        return out
-    bl = pts[rows, gaps].copy()
-    br = pts[rows, gaps + 1].copy()
-    sl = sg[rows, gaps]
-    for _ in range(iters):
-        mid = 0.5 * (bl + br)
-        fm = cosine_poly_points(coeffs, mid)
-        go_left = np.sign(fm) == sl
-        bl = np.where(go_left, mid, bl)
-        br = np.where(go_left, br, mid)
-    roots = 0.5 * (bl + br)
-    for row in np.unique(rows):
-        out[int(row)] = np.sort(roots[rows == row])
-    return out
+    leg = np.polynomial.legendre
+    by_panel = vals[:, [k % L for k, _, _ in pieces]].T.reshape(
+        len(pieces), panels, nodes)
+    coeffs = by_panel @ _gauss(nodes)[2].T
+    anti = leg.legint(coeffs, scl=0.5 / (panels * L), axis=-1)
+    total = 0.0
+    scale = 0.0
+    used = 0
+    for (_, a, b), c, F in zip(pieces, coeffs, anti):
+        for i in range(int(a * panels), min(math.ceil(b * panels), panels)):
+            lo = max(2.0 * (a * panels - i) - 1.0, -1.0)
+            hi = min(2.0 * (b * panels - i) - 1.0, 1.0)
+            if hi <= lo:
+                continue
+            cuts = [lo, hi]
+            if absolute:
+                r = leg.legroots(c[i])
+                r = r.real[(r.imag == 0.0) & (r.real > lo) & (r.real < hi)]
+                cuts = np.concatenate(([lo], np.sort(r), [hi]))
+            d = np.diff(leg.legval(cuts, F[i]))
+            mass = float(np.abs(d).sum())
+            total += mass if absolute else float(d.sum())
+            scale += mass
+            used += 1
+    return total, scale, used
 
 
-def _segments_from_pieces(coeffs, pieces, probe_count, absolute):
-    arr = np.asarray(pieces, dtype=float).reshape(-1, 2)
-    if not absolute:
-        return arr
-    roots = _crossings(coeffs, arr[:, 0], arr[:, 1], probe_count)
-    segs = []
-    for (lo, hi), rr in zip(arr, roots):
-        cuts = [lo] + [float(r) for r in rr if lo < r < hi] + [hi]
-        segs.extend((a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a)
-    return np.asarray(segs, dtype=float).reshape(-1, 2)
+def _level(coeffs, E, L, panels, nodes, absolute):
+    """One refinement level: (integral, abs mass, panels used).
 
-
-def _integrate_segments(coeffs, segs, panels, nodes, absolute):
-    """Composite Gauss on each segment; returns (integral, abs mass)."""
-    if segs.size == 0:
-        return 0.0, 0.0, 0
-    ux, uw = _unit_composite(panels, nodes)
-    lo = segs[:, 0]
-    ln = segs[:, 1] - segs[:, 0]
-    pts = lo[:, None] + ln[:, None] * ux[None, :]
-    v = cosine_poly_points(coeffs, pts.ravel()).reshape(segs.shape[0], ux.size)
-    av = np.abs(v)
-    scale = float(ln @ (av @ uw))
-    if absolute:
-        return scale, scale, segs.shape[0] * panels
-    return float(ln @ (v @ uw)), scale, segs.shape[0] * panels
-
-
-def _full_cells(coeffs, L, ks, panels, nodes, absolute):
-    """Integrate all full cells at once; flag cells with interior crossings.
-
-    Returns (integral over clean cells, abs mass, list of kinky cell ids).
+    Every value comes from one lattice evaluation at the composite Gauss
+    offsets.  Full cells are summed with the Gauss weights, except, for
+    absolute integrands, cells whose values change sign; those join the
+    remnants on the panel-interpolant path.
     """
+    full, pieces = _decompose(E, L)
     offs, wts = _unit_composite(panels, nodes)
     offs = offs / L
     wts = wts / L
     vals = cosine_poly_on_cells(coeffs, L, offs)
-    cols = np.mod(ks, L)
-    v = vals[:, cols]
-    av = np.abs(v)
-    if not absolute:
-        return float(wts @ v.sum(axis=1)), float(wts @ av.sum(axis=1)), []
-    edges = cosine_poly_on_cells(coeffs, L, np.array([0.0]))[0]
-    stacked = np.vstack([edges[cols], v, edges[np.mod(ks + 1, L)]])
-    # kernel zeros sit exactly on cell edges; rounding noise there must not
-    # read as a sign change, so tiny values count as zero
-    thresh = 64.0 * _EPS * float(np.max(np.abs(stacked)))
-    sg = np.where(np.abs(stacked) <= thresh, 0.0, np.sign(stacked))
-    kinky = (sg[:-1] * sg[1:] < 0.0).any(axis=0)
-    contrib = wts @ av
-    total = float(contrib[~kinky].sum())
-    scale = float(contrib.sum())
-    return total, scale, [int(k) for k, bad in zip(ks, kinky) if bad]
-
-
-def _level(coeffs, E, L, panels, nodes, absolute):
-    full, partial = _decompose(E, L)
     total = 0.0
     scale = 0.0
     n_panels = 0
-    pieces = list(partial)
     if full:
         ks = np.array(sorted(full))
-        t, s, kinky = _full_cells(coeffs, L, ks, panels, nodes, absolute)
-        total += t
-        scale += s
-        n_panels += panels * (len(full) - len(kinky))
-        pieces.extend((k / L, (k + 1) / L) for k in kinky)
+        cols = np.mod(ks, L)
+        v = vals[:, cols]
+        av = np.abs(v)
+        if absolute:
+            edges = cosine_poly_on_cells(coeffs, L, np.array([0.0]))[0]
+            stacked = np.vstack([edges[cols], v, edges[np.mod(ks + 1, L)]])
+            # kernel zeros sit exactly on cell edges; rounding noise there
+            # must not read as a sign change, so tiny values count as zero
+            thresh = 64.0 * _EPS * float(np.max(np.abs(stacked)))
+            sg = np.where(np.abs(stacked) <= thresh, 0.0, np.sign(stacked))
+            kinky = (sg[:-1] * sg[1:] < 0.0).any(axis=0)
+            contrib = (wts @ av)[~kinky]
+            total = scale = float(contrib.sum())
+            n_panels = panels * contrib.size
+            pieces += [(int(k), 0.0, 1.0) for k in ks[kinky]]
+        else:
+            total = float(wts @ v.sum(axis=1))
+            scale = float(wts @ av.sum(axis=1))
+            n_panels = panels * ks.size
     if pieces:
-        segs = _segments_from_pieces(coeffs, pieces, panels * nodes, absolute)
-        t, s, p = _integrate_segments(coeffs, segs, panels, nodes, absolute)
+        t, s, p = _interpolated(vals, pieces, L, panels, nodes, absolute)
         total += t
         scale += s
         n_panels += p

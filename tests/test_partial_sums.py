@@ -48,14 +48,6 @@ def test_grid_matches_pointwise(log_seq):
         assert np.max(np.abs(pv - g[ks])) < 1e-9
 
 
-def test_grid_fast_path_threshold(log_seq):
-    # both branches must produce the same numbers
-    for G in (500, 512, 513):
-        slow = partial_sum_grid(log_seq, 40, G, fast_path_threshold=10**9)
-        fast = partial_sum_grid(log_seq, 40, G, fast_path_threshold=1)
-        assert np.max(np.abs(slow - fast)) < 1e-10
-
-
 def test_representation_tail_honesty(log_seq, log2_seq):
     ts = np.array([0.05, -0.31, 0.25, 0.499])
     for seq in (log_seq, log2_seq):

@@ -6,7 +6,11 @@ from hypothesis import given, strategies as st
 
 from torusl1.coefficients import ConvexSequence
 from torusl1.intervals import IntervalUnion
-from torusl1.kernels import dirichlet_coefficients, fejer_coefficients
+from torusl1.kernels import (
+    dirichlet_coefficients,
+    fejer_coefficients,
+    product_frac,
+)
 from torusl1.quadrature import (
     NormTrace,
     TraceEntry,
@@ -17,8 +21,10 @@ from torusl1.quadrature import (
     origin_window_bound,
     norm_trace,
 )
+from torusl1.trigsum import cosine_poly_points
 
 FULL = IntervalUnion.full_torus()
+EPS = float(np.finfo(float).eps)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +75,80 @@ def test_error_estimate_honesty(log_seq):
                                                   + q8.error_estimate) + 1e-12
     q = integrate_abs_partial_sum(log_seq, 64, FULL)
     assert q.error_estimate <= 1e-6 * q.value
+    # full torus at N=512 has cells with interior sign changes
+    q = integrate_abs_partial_sum(log_seq, 512, FULL)
+    assert q.error_estimate <= 1e-12 * q.value
+
+
+def _lebesgue_constant(N):
+    # Fejer: int |D_N| = 1/L + (2/pi) sum_{k<=N} tan(pi k/L)/k, L = 2N+1;
+    # for k > L/4 the tangent is taken as a cotangent of a small argument
+    L = 2 * N + 1
+    terms = [1.0 / L]
+    for k in range(1, N + 1):
+        if 4 * k > L:
+            t = 1.0 / math.tan(math.pi * (L - 2 * k) / (2 * L))
+        else:
+            t = math.tan(math.pi * k / L)
+        terms.append(2.0 / math.pi * t / k)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("N", [1, 7, 256, 4096, 16384])
+def test_dirichlet_mass_matches_lebesgue_constant(N):
+    q = integrate_cosine_poly(dirichlet_coefficients(N), FULL, 2 * N + 1,
+                              absolute=True)
+    assert abs(q.value - _lebesgue_constant(N)) <= q.error_estimate
+
+
+def _signed_exact(coeffs, lo, hi):
+    """Closed-form integral of the cosine polynomial over [lo, hi] and a
+    bound on its rounding.
+
+    Angles are reduced exactly, so each sine is off by at most 8 eps and
+    term m by at most 16 eps |c_m| / (pi m).
+    """
+    m = np.arange(1, coeffs.size, dtype=float)
+    osc = (np.sin(2 * np.pi * product_frac(m, hi))
+           - np.sin(2 * np.pi * product_frac(m, lo))) / (np.pi * m)
+    value = coeffs[0] * (hi - lo) + float(coeffs[1:] @ osc)
+    scale = (abs(coeffs[0]) * (hi - lo)
+             + float(np.abs(coeffs[1:]) @ (1.0 / (np.pi * m))))
+    return value, 16.0 * EPS * scale
+
+
+def test_remnant_inside_one_cell(log_seq):
+    # a set strictly inside cell k = -32 of L = 81, so there are no full
+    # cells; S_40 changes sign twice inside it
+    N, L, k = 40, 81, -32
+    coeffs = log_seq.values(N + 1)
+    lo, hi = (k + 0.1) / L, (k + 0.9) / L
+    E = IntervalUnion(((lo, hi),))
+    signed = integrate_signed(log_seq, N, E)
+    exact, bar = _signed_exact(coeffs, lo, hi)
+    assert abs(signed.value - exact) <= signed.error_estimate + bar
+    absolute = integrate_abs_partial_sum(log_seq, N, E)
+    assert absolute.value >= abs(signed.value)
+    # exact |.| integral: split at the roots, bracketed on a scan and
+    # located by bisection
+    ts = np.linspace(lo, hi, 201)
+    vs = cosine_poly_points(coeffs, ts)
+    cuts = [lo]
+    for i in np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]:
+        a, b = ts[i], ts[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if cosine_poly_points(coeffs, mid) * vs[i] > 0.0:
+                a = mid
+            else:
+                b = mid
+        cuts.append(a)
+    cuts.append(hi)
+    assert len(cuts) == 4
+    parts = [_signed_exact(coeffs, x, y) for x, y in zip(cuts, cuts[1:])]
+    exact = sum(abs(v) for v, _ in parts)
+    bar = sum(e for _, e in parts)
+    assert abs(absolute.value - exact) <= absolute.error_estimate + bar
 
 
 intervals_strategy = st.lists(
