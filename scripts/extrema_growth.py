@@ -17,13 +17,14 @@ def main():
     args = ap.parse_args()
     orders = [int(tok) for tok in args.orders.split(",")]
 
+    sums = coefficient_sum(orders)
     print("N      c_sum       c_sum/lnN   envelope_err   sandwich")
-    for N, s, ratio in coefficient_sum(orders):
+    for N, s, ratio in sums:
         rep = crossing_check(N)
         print(f"{N:<6d} {s:<11.6f} {ratio:<11.6f} {rep.max_product_error:<14.2e}"
               f" {rep.sandwich_ok}")
 
-    ratios = [r for _, _, r in coefficient_sum(orders) if math.isfinite(r)]
+    ratios = [r for _, _, r in sums if math.isfinite(r)]
     print(f"\nband factor max/min = {max(ratios) / min(ratios):.4f}")
 
     if args.show_table:

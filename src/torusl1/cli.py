@@ -1,6 +1,12 @@
 """Command line driver for norm sweeps, extrema tables, witness sets, and
 identity checks.
 
+Computing and rendering are split.  Each subcommand (`cmd_*`) only
+computes: it returns a `Table` of header fields, JSON body fields and rows,
+and never looks at the output format.  `render` is the one place that lays
+a `Table` out as CSV or JSON, and `main` writes that text to stdout or
+`--out`.
+
 Output is deterministic: no timestamps, floats at 17 significant digits in
 CSV, sorted keys in JSON.  Every file embeds the resolved run config (JSON)
 or a config hash comment line (CSV) so a result can be traced back to the
@@ -25,7 +31,7 @@ from .kernels import canonical
 from .partial_sums import residual_identity_check
 from .quadrature import norm_trace
 
-__all__ = ["RunConfig", "main", "parse_n_values"]
+__all__ = ["RunConfig", "Table", "main", "parse_n_values", "render"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,24 +108,6 @@ def _resolve_set(spec):
     return IntervalUnion.parse(spec)
 
 
-def _g17(x):
-    return f"{float(x):.17g}"
-
-
-def _emit(text, out):
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _csv_head(cfg, extra=()):
-    lines = [f"# config_hash={cfg.hash()}", f"# config={cfg.canonical_json()}"]
-    lines.extend(extra)
-    return lines
-
-
 def _pick_format(fmt, out, default):
     if fmt:
         return fmt
@@ -130,22 +118,61 @@ def _pick_format(fmt, out, default):
     return default
 
 
-def _json_payload(cfg, body):
-    payload = {"config": cfg.resolved(), "config_hash": cfg.hash()}
-    payload.update(body)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+@dataclasses.dataclass(frozen=True)
+class Table:
+    """What one command computed, before a layout is chosen.
+
+    `rows` are dicts.  CSV writes `head` as `# key=value` lines, then the
+    `columns` of each row; a column `x_y` that a row lacks reads the nested
+    `row["x"]["y"]`.  JSON writes the `body` fields at the top level and
+    every field of every row under `key`, or merges the one row into the
+    top level when `key` is None.
+    """
+    columns: tuple
+    rows: list
+    key: str
+    head: dict = dataclasses.field(default_factory=dict)
+    body: dict = dataclasses.field(default_factory=dict)
 
 
-def _verdict_dict(v):
-    return {
-        "verdict": v.verdict,
-        "cauchy_gap": v.cauchy_gap,
-        "tail_window": v.tail_window,
-        "limit_estimate": v.limit_estimate,
-        "uncertainty": v.uncertainty,
-        "window_gaps": list(v.window_gaps),
-        "window_means": list(v.window_means),
-    }
+def _csv_field(value, in_row):
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, bool):
+        return str(int(value)) if in_row else str(value)
+    if isinstance(value, (list, tuple)):
+        return "+".join(value)
+    return str(value)
+
+
+def _column(row, name):
+    if name in row:
+        return row[name]
+    outer, _, inner = name.partition("_")
+    return row[outer][inner]
+
+
+def render(cfg, table):
+    """Lay `table` out as CSV or JSON text, whichever `cfg.fmt` names.
+
+    Both layouts lead with the run config and its hash.  CSV writes floats
+    at 17 significant digits, bools as True/False in the header and 1/0 in
+    rows, and lists joined with '+'.  JSON sorts its keys.
+    """
+    if cfg.fmt == "json":
+        payload = {"config": cfg.resolved(), "config_hash": cfg.hash()}
+        payload.update(table.body)
+        if table.key is None:
+            payload.update(table.rows[0])
+        else:
+            payload[table.key] = table.rows
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    lines = [f"# config_hash={cfg.hash()}", f"# config={cfg.canonical_json()}"]
+    lines += [f"# {k}={_csv_field(v, False)}" for k, v in table.head.items()]
+    lines.append(",".join(table.columns))
+    lines += [",".join([_csv_field(_column(row, c), True) for c in table.columns])
+              for row in table.rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_norms(cfg):
@@ -158,164 +185,84 @@ def cmd_norms(cfg):
                        panels_per_cell=cfg.panels_per_cell,
                        nodes_per_panel=cfg.nodes_per_panel,
                        j_max=cfg.j_max, grid_size=cfg.grid_size)
-    verdict = None
+    rows = [{"N": e.N, "value": e.value, "error": e.error_estimate}
+            for e in trace]
+    head, verdict = {}, None
     if len(trace) >= cfg.tail_window + 2:
-        verdict = analyze_trace(trace, tail_window=cfg.tail_window)
-
-    if cfg.fmt == "json":
-        body = {"trace": [{"N": e.N, "value": e.value, "error": e.error_estimate}
-                          for e in trace],
-                "verdict": _verdict_dict(verdict) if verdict else None}
-        _emit(_json_payload(cfg, body), cfg.out)
-        return
-    extra = []
-    if verdict:
-        extra = [f"# verdict={verdict.verdict}",
-                 f"# limit_estimate={_g17(verdict.limit_estimate)}",
-                 f"# cauchy_gap={_g17(verdict.cauchy_gap)}",
-                 f"# uncertainty={_g17(verdict.uncertainty)}"]
-    lines = _csv_head(cfg, extra) + ["N,value,error"]
-    lines += [f"{e.N},{_g17(e.value)},{_g17(e.error_estimate)}" for e in trace]
-    _emit("\n".join(lines) + "\n", cfg.out)
+        v = analyze_trace(trace, tail_window=cfg.tail_window)
+        head = {"verdict": v.verdict, "limit_estimate": v.limit_estimate,
+                "cauchy_gap": v.cauchy_gap, "uncertainty": v.uncertainty}
+        verdict = dataclasses.asdict(v)
+    return Table(("N", "value", "error"), rows, "trace", head,
+                 {"verdict": verdict})
 
 
 def cmd_extrema(cfg):
     if cfg.Ns is not None:
-        rows = coefficient_sum(cfg.Ns, tol=cfg.tol)
-        if cfg.fmt == "json":
-            body = {"sweep": [{"N": n, "c_sum": s, "c_sum_over_logN": r}
-                              for n, s, r in rows]}
-            _emit(_json_payload(cfg, body), cfg.out)
-            return
-        lines = _csv_head(cfg) + ["N,c_sum,c_sum_over_logN"]
-        lines += [f"{n},{_g17(s)},{_g17(r)}" for n, s, r in rows]
-        _emit("\n".join(lines) + "\n", cfg.out)
-        return
+        rows = [{"N": n, "c_sum": s, "c_sum_over_logN": r}
+                for n, s, r in coefficient_sum(cfg.Ns, tol=cfg.tol)]
+        return Table(("N", "c_sum", "c_sum_over_logN"), rows, "sweep")
     table = find_extrema(cfg.n, tol=cfg.tol)
     report = crossing_check(cfg.n, tol=cfg.tol)
-    if cfg.fmt == "json":
-        body = {"N": table.N,
-                "rows": [{"i": r.i, "t": r.t, "height": r.height, "c": r.c}
-                         for r in table.rows],
-                "crossings": list(table.crossings),
-                "envelope_max_error": report.max_product_error,
-                "sandwich_ok": report.sandwich_ok}
-        _emit(_json_payload(cfg, body), cfg.out)
-        return
-    extra = [f"# N={table.N}",
-             f"# envelope_max_error={_g17(report.max_product_error)}",
-             f"# sandwich_ok={report.sandwich_ok}"]
-    lines = _csv_head(cfg, extra) + ["i,t,height,c"]
-    lines += [f"{r.i},{_g17(r.t)},{_g17(r.height)},{_g17(r.c)}"
-              for r in table.rows]
-    _emit("\n".join(lines) + "\n", cfg.out)
+    head = {"N": table.N, "envelope_max_error": report.max_product_error,
+            "sandwich_ok": report.sandwich_ok}
+    rows = [{"i": r.i, "t": r.t, "height": r.height, "c": r.c}
+            for r in table.rows]
+    return Table(("i", "t", "height", "c"), rows, "rows", head,
+                 {**head, "crossings": list(table.crossings)})
 
 
-def _witness_dict(w, with_cells=True):
-    d = {"N0": w.N0, "b": w.b, "n": w.n, "measure": w.measure,
-         "integral": w.integral, "integral_error": w.integral_error,
-         "feasible": w.feasible}
-    if with_cells:
-        d["cells"] = [list(p) for p in w.Q.intervals]
-        d["trim"] = list(w.trim) if w.trim else None
-    return d
+_WITNESS_COLUMNS = ("N0", "b", "n", "measure", "integral", "integral_error",
+                    "feasible")
 
 
 def cmd_witness(cfg):
     seq = _resolve_sequence(cfg.sequence)
-    single = cfg.b is not None or cfg.n is not None
-    if single:
-        if len(cfg.N0s) != 1:
-            raise ValueError("explicit --b/--n needs exactly one N0")
-        N0 = cfg.N0s[0]
-        w = build_witness(seq, N0, cfg.b if cfg.b is not None else N0, cfg.n,
-                          cfg.panels_per_cell, cfg.nodes_per_panel)
-        if cfg.fmt == "csv":
-            lines = _csv_head(cfg) + ["N0,b,n,measure,integral,integral_error,feasible"]
-            lines.append(f"{w.N0},{w.b},{w.n},{_g17(w.measure)},"
-                         f"{_g17(w.integral)},{_g17(w.integral_error)},{int(w.feasible)}")
-            _emit("\n".join(lines) + "\n", cfg.out)
-            return
-        _emit(_json_payload(cfg, _witness_dict(w)), cfg.out)
-        return
-    cert = uniform_integrability_certificate(seq, cfg.N0s)
-    if cfg.fmt == "csv":
-        extra = [f"# kappa={_g17(cert.kappa)}",
-                 f"# min_integral={_g17(cert.min_integral)}",
-                 f"# max_integral={_g17(cert.max_integral)}",
-                 f"# passed={cert.passed}"]
-        lines = _csv_head(cfg, extra)
-        lines.append("N0,b,n,measure,integral,integral_error,feasible")
-        for w in cert.witnesses:
-            lines.append(f"{w.N0},{w.b},{w.n},{_g17(w.measure)},"
-                         f"{_g17(w.integral)},{_g17(w.integral_error)},{int(w.feasible)}")
-        _emit("\n".join(lines) + "\n", cfg.out)
-        return
-    body = {"N0s": list(cert.N0s),
-            "measures": list(cert.measures),
-            "integrals": list(cert.integrals),
-            "kappa": cert.kappa,
-            "min_integral": cert.min_integral,
-            "max_integral": cert.max_integral,
-            "passed": cert.passed,
-            "witnesses": [_witness_dict(w, with_cells=False)
-                          for w in cert.witnesses]}
-    _emit(_json_payload(cfg, body), cfg.out)
-
-
-def _check_dict(c, note=None):
-    d = {"N": c.N, "t": c.t, "lhs": c.lhs,
-         "rhs": dict(c.rhs), "diff": dict(c.diff),
-         "tolerance": c.tolerance, "f_tail_bound": c.f_tail_bound,
-         "matched": list(c.matched)}
-    if note:
-        d["note"] = note
-    return d
+    if cfg.b is None and cfg.n is None:
+        cert = uniform_integrability_certificate(seq, cfg.N0s)
+        head = {"kappa": cert.kappa, "min_integral": cert.min_integral,
+                "max_integral": cert.max_integral, "passed": cert.passed}
+        body = {**head, "N0s": list(cert.N0s), "measures": list(cert.measures),
+                "integrals": list(cert.integrals)}
+        rows = [{c: getattr(w, c) for c in _WITNESS_COLUMNS}
+                for w in cert.witnesses]
+        return Table(_WITNESS_COLUMNS, rows, "witnesses", head, body)
+    if len(cfg.N0s) != 1:
+        raise ValueError("explicit --b/--n needs exactly one N0")
+    N0 = cfg.N0s[0]
+    w = build_witness(seq, N0, cfg.b if cfg.b is not None else N0, cfg.n,
+                      cfg.panels_per_cell, cfg.nodes_per_panel)
+    row = {c: getattr(w, c) for c in _WITNESS_COLUMNS}
+    row["cells"] = [list(p) for p in w.Q.intervals]
+    row["trim"] = list(w.trim) if w.trim else None
+    return Table(_WITNESS_COLUMNS, [row], None)
 
 
 def cmd_identity(cfg):
     seq = _resolve_sequence(cfg.sequence)
-    checks = []
     if cfg.t is not None:
-        if cfg.n is None:
-            raise ValueError("--t needs --n")
-        note = None
-        u = canonical(cfg.t)
-        if u != cfg.t:
-            note = f"t={cfg.t!r} canonicalized to {u!r}"
-        checks.append(_check_dict(
-            residual_identity_check(seq, cfg.n, cfg.t, cfg.j_max), note))
+        checks = [residual_identity_check(seq, cfg.n, cfg.t, cfg.j_max)]
     else:
         rng = np.random.default_rng(cfg.seed)
+        checks = []
         for _ in range(cfg.samples):
             n = int(rng.integers(2, 65))
             t = float(rng.uniform(0.05, 0.45))
-            checks.append(_check_dict(
-                residual_identity_check(seq, n, t, cfg.j_max)))
-    all_matched = all(c["matched"] for c in checks)
-    common = set(checks[0]["matched"]) if checks else set()
-    for c in checks[1:]:
-        common &= set(c["matched"])
+            checks.append(residual_identity_check(seq, n, t, cfg.j_max))
+    rows = [dataclasses.asdict(c) for c in checks]
+    if cfg.t is not None:
+        u = canonical(cfg.t)
+        if u != cfg.t:
+            rows[0]["note"] = f"t={cfg.t!r} canonicalized to {u!r}"
+    matched = [set(c.matched) for c in checks]
+    common = set.intersection(*matched)
     variant = ("derived" if "derived" in common
                else next(iter(sorted(common)), None))
-    counts = {k: sum(k in c["matched"] for c in checks)
-              for k in ("derived", "alternate")}
-    if cfg.fmt == "csv":
-        extra = [f"# all_matched={all_matched}", f"# matched_variant={variant}"]
-        lines = _csv_head(cfg, extra)
-        lines.append("N,t,lhs,rhs_derived,rhs_alternate,diff_derived,"
-                     "diff_alternate,tolerance,matched")
-        for c in checks:
-            lines.append(",".join([
-                str(c["N"]), _g17(c["t"]), _g17(c["lhs"]),
-                _g17(c["rhs"]["derived"]), _g17(c["rhs"]["alternate"]),
-                _g17(c["diff"]["derived"]), _g17(c["diff"]["alternate"]),
-                _g17(c["tolerance"]), "+".join(c["matched"])]))
-        _emit("\n".join(lines) + "\n", cfg.out)
-        return
-    body = {"checks": checks, "all_matched": all_matched,
-            "matched_variant": variant, "match_counts": counts}
-    _emit(_json_payload(cfg, body), cfg.out)
+    head = {"all_matched": all(matched), "matched_variant": variant}
+    counts = {k: sum(k in m for m in matched) for k in ("derived", "alternate")}
+    return Table(("N", "t", "lhs", "rhs_derived", "rhs_alternate",
+                  "diff_derived", "diff_alternate", "tolerance", "matched"),
+                 rows, "checks", head, {**head, "match_counts": counts})
 
 
 def _build_parser():
@@ -325,11 +272,14 @@ def _build_parser():
                     "convex-coefficient partial sums, and L1 traces.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seq_default="log"):
-        sp.add_argument("--sequence", default=seq_default,
-                        help="family id 'log' or 'log2', or a sequence file path")
+    def output(sp):
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
         sp.add_argument("--out", help="output path, '-' for stdout")
+
+    def common(sp):
+        sp.add_argument("--sequence", default="log",
+                        help="family id 'log' or 'log2', or a sequence file path")
+        output(sp)
 
     sp = sub.add_parser("norms", help="L1 norm trace over an order sweep")
     common(sp)
@@ -350,8 +300,7 @@ def _build_parser():
     sp.add_argument("--n", type=int, help="single kernel order")
     sp.add_argument("--sweep", help="order sweep 'a..bxk' or comma list")
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    sp.add_argument("--out", help="output path, '-' for stdout")
+    output(sp)
 
     sp = sub.add_parser("witness", help="small-measure witness sets")
     common(sp)
@@ -405,6 +354,10 @@ def _config_from_args(args):
     if cmd == "identity":
         if args.samples < 1:
             raise ValueError("--samples must be positive")
+        if args.t is not None and args.n is None:
+            raise ValueError("--t needs --n")
+        if args.n is not None and args.t is None:
+            raise ValueError("--n needs --t")
         return RunConfig(command=cmd, sequence=args.sequence, n=args.n,
                          t=args.t, samples=args.samples, seed=args.seed,
                          j_max=args.j_max,
@@ -422,7 +375,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        _RUNNERS[cfg.command](cfg)
+        text = render(cfg, _RUNNERS[cfg.command](cfg))
+        if cfg.out in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

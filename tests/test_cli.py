@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from torusl1.cli import main, parse_n_values
+from torusl1.cli import RunConfig, Table, main, parse_n_values, render
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +186,8 @@ def test_error_exit_codes(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "identity", "--t", "0.2")
     assert code == 2 and "--t needs --n" in err
+    code, _, err = run_cli(capsys, "identity", "--n", "8", "--samples", "2")
+    assert code == 2 and "--n needs --t" in err
     code, _, err = run_cli(capsys, "norms", "--sequence", "/nonexistent.txt",
                            "--n", "2,4")
     assert code == 2
@@ -192,3 +195,100 @@ def test_error_exit_codes(capsys):
         main(["witness"])  # --n0 is required
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_render_layout_rules():
+    table = Table(columns=("N", "value", "ok", "x_y", "tags"),
+                  rows=[{"N": 3, "value": 0.1, "ok": False,
+                         "x": {"y": 2.5}, "tags": ("a", "b")}],
+                  key="rows",
+                  head={"passed": True, "variant": None, "limit": 0.1},
+                  body={"passed": True, "variant": None})
+    cfg = RunConfig(command="norms", fmt="csv")
+    assert render(cfg, table) == (
+        f"# config_hash={cfg.hash()}\n"
+        '# config={"command": "norms", "fmt": "csv"}\n'
+        "# passed=True\n"
+        "# variant=None\n"
+        "# limit=0.10000000000000001\n"
+        "N,value,ok,x_y,tags\n"
+        "3,0.10000000000000001,0,2.5,a+b\n")
+    cfg = RunConfig(command="norms", fmt="json")
+    head = ('{\n'
+            '  "config": {\n'
+            '    "command": "norms",\n'
+            '    "fmt": "json"\n'
+            '  },\n'
+            f'  "config_hash": "{cfg.hash()}",\n')
+    assert render(cfg, table) == head + (
+        '  "passed": true,\n'
+        '  "rows": [\n'
+        '    {\n'
+        '      "N": 3,\n'
+        '      "ok": false,\n'
+        '      "tags": [\n'
+        '        "a",\n'
+        '        "b"\n'
+        '      ],\n'
+        '      "value": 0.1,\n'
+        '      "x": {\n'
+        '        "y": 2.5\n'
+        '      }\n'
+        '    }\n'
+        '  ],\n'
+        '  "variant": null\n'
+        '}\n')
+    # a single row (key None) is merged into the top level
+    merged = render(cfg, dataclasses.replace(table, key=None))
+    assert merged == '{\n  "N": 3,\n' + head[2:] + (
+        '  "ok": false,\n'
+        '  "passed": true,\n'
+        '  "tags": [\n'
+        '    "a",\n'
+        '    "b"\n'
+        '  ],\n'
+        '  "value": 0.1,\n'
+        '  "variant": null,\n'
+        '  "x": {\n'
+        '    "y": 2.5\n'
+        '  }\n'
+        '}\n')
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("norms", "--n", "2,4,8", "--set", "0.1,0.3"), "trace"),
+    (("extrema", "--n", "4"), "rows"),
+    (("extrema", "--sweep", "1,4"), "sweep"),
+    (("witness", "--n0", "4,8"), "witnesses"),
+    (("witness", "--n0", "4", "--b", "4"), None),
+    (("identity", "--samples", "3", "--seed", "1", "--j-max", "20000"), "checks"),
+])
+def test_csv_and_json_rows_agree(capsys, argv, key):
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    columns, *csv_rows = [ln.split(",") for ln in csv_out.splitlines()
+                          if not ln.startswith("#")]
+    payload = json.loads(json_out)
+    json_rows = [payload] if key is None else payload[key]
+    assert len(csv_rows) == len(json_rows) > 0
+
+    def json_cell(row, column):
+        if column in row:
+            value = row[column]
+        else:
+            outer, _, inner = column.partition("_")
+            value = row[outer][inner]
+        return "+".join(value) if isinstance(value, list) else value
+
+    def csv_cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert len(csv_row) == len(columns)
+        for column, text in zip(columns, csv_row):
+            assert csv_cell(text) == json_cell(json_row, column), column
