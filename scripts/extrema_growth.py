@@ -20,7 +20,7 @@ def main():
     sums = coefficient_sum(orders)
     print("N      c_sum       c_sum/lnN   envelope_err   sandwich")
     for N, s, ratio in sums:
-        rep = crossing_check(N)
+        rep = crossing_check(find_extrema(N))
         print(f"{N:<6d} {s:<11.6f} {ratio:<11.6f} {rep.max_product_error:<14.2e}"
               f" {rep.sandwich_ok}")
 

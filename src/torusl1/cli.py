@@ -203,7 +203,7 @@ def cmd_extrema(cfg):
                 for n, s, r in coefficient_sum(cfg.Ns, tol=cfg.tol)]
         return Table(("N", "c_sum", "c_sum_over_logN"), rows, "sweep")
     table = find_extrema(cfg.n, tol=cfg.tol)
-    report = crossing_check(cfg.n, tol=cfg.tol)
+    report = crossing_check(table)
     head = {"N": table.N, "envelope_max_error": report.max_product_error,
             "sandwich_ok": report.sandwich_ok}
     rows = [{"i": r.i, "t": r.t, "height": r.height, "c": r.c}

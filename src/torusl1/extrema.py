@@ -118,14 +118,15 @@ def find_extrema(N, tol=1e-12):
     return ExtremaTable(N=N, rows=tuple(rows), crossings=crossings)
 
 
-def crossing_check(N, tol=1e-12):
+def crossing_check(table):
     """Verify the envelope identity and the interleaved height sandwich.
 
+    Takes the ExtremaTable of order N = table.N (from find_extrema).
     Checks |D_N(t_i)| * sin(pi t_i) = 1 at every envelope point, and
     |D_N(t_{i+1}^2)| < |D_N(t_i^1)| < |D_N(t_i^2)| with extrema t^2 and
     envelope points t^1 interleaved.
     """
-    table = find_extrema(N, tol)
+    N = table.N
     t1 = np.array(table.crossings)
     vals = np.abs(dirichlet_eval(N, t1))
     products = vals * np.sin(np.pi * t1)

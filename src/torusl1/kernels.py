@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _SPLIT = 2.0 ** 27 + 1.0  # Dekker split constant for doubles
+_N_LIMIT = 2.0 ** 25  # product_frac's n * t_hi stays exact below this
 
 
 def canonical(t):
@@ -49,10 +50,13 @@ def product_frac(n, t):
     """Fractional part of n*t folded into [-1/2, 1/2), with n a small integer.
 
     The product is formed from a hi/lo split of t so that n*t_hi and n*t_lo
-    are exact for n below ~2^25; the returned value is then accurate to a
+    are exact for n below 2^25; the returned value is then accurate to a
     couple of ulp even when n*t itself is large.  Broadcasts over arrays.
+    Raises ValueError when some |n| >= 2^25.
     """
     n = np.asarray(n, dtype=float)
+    if n.size and float(np.max(np.abs(n))) >= _N_LIMIT:
+        raise ValueError("product_frac is exact only for |n| < 2^25")
     t = np.asarray(t, dtype=float)
     s = t * _SPLIT
     hi = s - (s - t)

@@ -4,13 +4,17 @@ Two engines.
 
 Cell-aligned Gauss (partial sums and kernels, signed or absolute):
 panels follow the sign cells [k/L, (k+1)/L) of the kernel, and every cell
-is evaluated at the composite Gauss offsets through one folded FFT per
-offset.  Full cells are summed with the Gauss weights.  Partial remnants,
-and for absolute integrands full cells whose values change sign, are
-integrated from the same values: on each panel they fix a Legendre
-interpolant, which is integrated through its antiderivative and, for
-|.|, split at its real roots.  The error estimate is the difference
-between two panel-count refinement levels plus a roundoff floor.
+is evaluated at the composite Gauss offsets through one real inverse FFT
+of the folded half spectrum per offset (trigsum.cosine_poly_on_cells).
+Each interval contributes one contiguous range of full cells and at most
+two partial remnants.  The Gauss sums are reduced once per lattice column
+and gathered at the full cells.  Partial remnants, and for absolute
+integrands full cells whose values change sign (tested against the
+cell-edge values, evaluated once per call), are integrated from the same
+values: on each panel they fix a Legendre interpolant, which is
+integrated through its antiderivative and, for |.|, split at its real
+roots.  The error estimate is the difference between two panel-count
+refinement levels plus a roundoff floor.
 
 Uniform-grid trapezoid (residuals |f - S_N|): the reference f carries
 per-point truncation bounds; the integrated bound, the grid-refinement
@@ -127,26 +131,33 @@ def _unit_composite(panels, nodes):
 def _decompose(E, L):
     """Split E into full lattice cells [k/L, (k+1)/L) and partial remnants.
 
-    A remnant is (k, a, b): its cell index and its ends in that cell's unit
-    coordinates, 0 <= a < b <= 1.
+    Returns (full, partial): full is an integer array holding, interval by
+    interval, the one contiguous range of cells the interval covers (cell
+    k is full when lo <= k/L and (k+1)/L <= hi; both conditions are
+    monotone in k).  A remnant is (k, a, b): its cell index and its ends in
+    that cell's unit coordinates, 0 <= a < b <= 1.  The cells an interval
+    touches are k0..k1-1 with its ends snapped by 1e-9 cell units, so a
+    sliver thinner than that adds no remnant; only cells outside the full
+    range, normally at most one at each end, are examined one by one.
     """
     full = []
     partial = []
     for lo, hi in E.intervals:
         k0 = math.floor(lo * L + 1e-9)
         k1 = math.ceil(hi * L - 1e-9)
-        for k in range(k0, k1):
-            c_lo = k / L
-            c_hi = (k + 1) / L
-            p_lo = max(lo, c_lo)
-            p_hi = min(hi, c_hi)
-            if p_hi - p_lo <= 0.0:
-                continue
-            if p_lo == c_lo and p_hi == c_hi:
-                full.append(k)
-            else:
+        f0 = k0
+        while f0 < k1 and f0 / L < lo:
+            f0 += 1
+        f1 = k1
+        while f1 > f0 and f1 / L > hi:
+            f1 -= 1
+        full.append(np.arange(f0, f1))
+        for k in (*range(k0, f0), *range(f1, k1)):
+            p_lo = max(lo, k / L)
+            p_hi = min(hi, (k + 1) / L)
+            if p_hi - p_lo > 0.0:
                 partial.append((k, p_lo * L - k, p_hi * L - k))
-    return full, partial
+    return np.concatenate(full or [np.empty(0, dtype=int)]), partial
 
 
 def _interpolated(vals, pieces, L, panels, nodes, absolute):
@@ -185,43 +196,60 @@ def _interpolated(vals, pieces, L, panels, nodes, absolute):
     return total, scale, used
 
 
-def _level(coeffs, E, L, panels, nodes, absolute):
+def _level(coeffs, E, L, panels, nodes, edges):
     """One refinement level: (integral, abs mass, panels used).
 
     Every value comes from one lattice evaluation at the composite Gauss
-    offsets.  Full cells are summed with the Gauss weights, except, for
-    absolute integrands, cells whose values change sign; those join the
-    remnants on the panel-interpolant path.
+    offsets.  The Gauss sums of |.| (and, signed, of the values) and the
+    peak |.| are reduced once per lattice column, a row at a time, then
+    gathered at the full cells.  Full cells are summed with the Gauss
+    weights, except, for absolute integrands (edges = the values at the
+    cell edges x = 0, else None), cells whose values change sign; those
+    join the remnants on the panel-interpolant path.
     """
     full, pieces = _decompose(E, L)
     offs, wts = _unit_composite(panels, nodes)
-    offs = offs / L
+    vals = cosine_poly_on_cells(coeffs, L, offs / L)
     wts = wts / L
-    vals = cosine_poly_on_cells(coeffs, L, offs)
+    absolute = edges is not None
     total = 0.0
     scale = 0.0
     n_panels = 0
-    if full:
-        ks = np.array(sorted(full))
-        cols = np.mod(ks, L)
-        v = vals[:, cols]
-        av = np.abs(v)
+    if full.size:
+        cols = np.mod(full, L)
+        mass = np.zeros(L)
+        peak = np.zeros(L)
+        a = np.empty(L)
+        for wt, row in zip(wts, vals):
+            np.abs(row, out=a)
+            np.maximum(peak, a, out=peak)
+            a *= wt
+            mass += a
+        mass = mass[cols]
         if absolute:
-            edges = cosine_poly_on_cells(coeffs, L, np.array([0.0]))[0]
-            stacked = np.vstack([edges[cols], v, edges[np.mod(ks + 1, L)]])
+            right = np.roll(edges, -1)
             # kernel zeros sit exactly on cell edges; rounding noise there
             # must not read as a sign change, so tiny values count as zero
-            thresh = 64.0 * _EPS * float(np.max(np.abs(stacked)))
-            sg = np.where(np.abs(stacked) <= thresh, 0.0, np.sign(stacked))
-            kinky = (sg[:-1] * sg[1:] < 0.0).any(axis=0)
-            contrib = (wts @ av)[~kinky]
+            thresh = 64.0 * _EPS * max(float(peak[cols].max()),
+                                       float(np.abs(edges[cols]).max()),
+                                       float(np.abs(right[cols]).max()))
+            kinky = np.zeros(L, dtype=bool)
+            pos = edges > thresh
+            neg = edges < -thresh
+            for row in (*vals, right):
+                pos_next = row > thresh
+                neg_next = row < -thresh
+                kinky |= (pos & neg_next) | (neg & pos_next)
+                pos, neg = pos_next, neg_next
+            kinky = kinky[cols]
+            contrib = mass[~kinky]
             total = scale = float(contrib.sum())
             n_panels = panels * contrib.size
-            pieces += [(int(k), 0.0, 1.0) for k in ks[kinky]]
+            pieces += [(int(k), 0.0, 1.0) for k in full[kinky]]
         else:
-            total = float(wts @ v.sum(axis=1))
-            scale = float(wts @ av.sum(axis=1))
-            n_panels = panels * ks.size
+            total = float((wts @ vals)[cols].sum())
+            scale = float(mass.sum())
+            n_panels = panels * full.size
     if pieces:
         t, s, p = _interpolated(vals, pieces, L, panels, nodes, absolute)
         total += t
@@ -248,9 +276,11 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     coeffs = np.asarray(coeffs, dtype=float)
     if E.is_empty:
         return QuadResult(0.0, 0.0, 0)
-    i1, _, _ = _level(coeffs, E, L, panels_per_cell, nodes_per_panel, absolute)
+    # the cell-edge values are the same for both levels
+    edges = cosine_poly_on_cells(coeffs, L, 0.0)[0] if absolute else None
+    i1, _, _ = _level(coeffs, E, L, panels_per_cell, nodes_per_panel, edges)
     i2, s2, p2 = _level(coeffs, E, L, 2 * panels_per_cell, nodes_per_panel,
-                        absolute)
+                        edges)
     err = max(abs(i2 - i1), 64.0 * _EPS * s2)
     return QuadResult(float(i2), float(err), int(p2))
 

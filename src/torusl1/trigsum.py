@@ -9,8 +9,9 @@ real coefficient vector c, in three layouts:
   * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G in O(M + G log G)
     by folding coefficients mod G into one inverse FFT.
   * cosine_poly_on_cells: the lattice t = k/L + x for all residues k at a
-    few offsets x, one inverse FFT of length L per offset.  This is what
-    lets cell-aligned quadrature touch every kernel cell at once.
+    few offsets x, one real inverse FFT of length L per offset over the
+    Hermitian half spectrum, taken a block of offsets at a time.  This is
+    what lets cell-aligned quadrature touch every kernel cell at once.
 """
 
 import numpy as np
@@ -22,6 +23,9 @@ __all__ = [
     "cosine_poly_grid",
     "cosine_poly_on_cells",
 ]
+
+
+_OFFSET_BLOCK = 8  # offsets per inverse FFT batch in cosine_poly_on_cells
 
 
 def _weights(coeffs):
@@ -72,24 +76,38 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
     Returns an array of shape (len(offsets), cell_count); column k holds the
     value at k/cell_count + x (interpreted mod 1), matching numpy FFT index
     order, so torus cell index q maps to column q % cell_count.
+
+    With z_m = w_m e^{2 pi i m x} folded into one-sided bins b_r (r = m mod
+    L), p(k/L + x) = Re sum_r b_r e^{2 pi i r k/L}.  Since p is real this is
+    L * irfft(B) with the Hermitian half spectrum B_r = (b_r + conj b_{-r})/2,
+    r = 0..L//2: terms with m mod L <= L//2 land on B_r, the others conjugated
+    on B_{L-r}, and the self-conjugate bins (r = 0 and, for even L, r = L/2)
+    keep the real part of b_r.  The factor L is folded into the weights.
+    Offsets are taken _OFFSET_BLOCK at a time, so the only complex
+    temporaries are block x len(coeffs) phases and the block x (L//2 + 1)
+    half spectrum.
     """
     L = int(cell_count)
     if L < 1:
         raise ValueError("cell_count must be >= 1")
     w = _weights(coeffs)
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    m = np.arange(w.size)
-    fr = product_frac(m[None, :].astype(float), offsets[:, None])
-    phases = np.exp((2.0j * np.pi) * fr)
-    z = phases * w
-    if w.size <= L:
-        bins = np.zeros((offsets.size, L), dtype=complex)
-        bins[:, : w.size] = z
-    else:
-        cols = m % L
-        bins = np.empty((offsets.size, L), dtype=complex)
-        for i in range(offsets.size):
-            bins[i] = (np.bincount(cols, weights=z[i].real, minlength=L)
-                       + 1j * np.bincount(cols, weights=z[i].imag, minlength=L))
-    vals = L * np.fft.ifft(bins, axis=1)
-    return vals.real.copy()
+    h = L // 2 + 1
+    m = np.arange(w.size, dtype=float)
+    half_w = (0.5 * L) * w
+    out = np.empty((offsets.size, L))
+    for i in range(0, offsets.size, _OFFSET_BLOCK):
+        x = offsets[i:i + _OFFSET_BLOCK, None]
+        z = np.exp((2.0j * np.pi) * product_frac(m, x))
+        z *= half_w
+        half = np.zeros((x.shape[0], h), dtype=complex)
+        for s in range(0, w.size, L):
+            up = z[:, s:s + h]
+            half[:, :up.shape[1]] += up
+            down = z[:, s + h:s + L]  # r = h..L-1 lands on L - r, descending
+            half[:, L - h:L - h - down.shape[1]:-1] += down.conj()
+        half[:, 0] = 2.0 * half[:, 0].real
+        if L % 2 == 0:
+            half[:, -1] = 2.0 * half[:, -1].real
+        out[i:i + x.shape[0]] = np.fft.irfft(half, n=L, axis=1)
+    return out

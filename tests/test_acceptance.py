@@ -104,7 +104,7 @@ def test_04_extrema_structure_and_growth(report):
     ratios = []
     for N in (16, 64, 256, 1024):
         table = find_extrema(N)
-        rep = crossing_check(N)
+        rep = crossing_check(table)
         locs = table.locations()
         cross = np.array(table.crossings)
         interleaved = all(locs[i] < cross[i] < locs[i + 1] for i in range(N))

@@ -65,7 +65,7 @@ def test_stationarity_at_interior_extrema():
 
 def test_envelope_identity_and_sandwich():
     for N in (1, 2, 3, 8, 21, 64):
-        rep = crossing_check(N)
+        rep = crossing_check(find_extrema(N))
         assert rep.max_product_error <= 1e-12
         assert rep.sandwich_ok
         assert rep.violations == ()

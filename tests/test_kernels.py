@@ -56,6 +56,13 @@ def test_product_frac_matches_exact_rational_arithmetic(n, t):
     assert min(gap, 1.0 - gap) < 1e-15
 
 
+def test_product_frac_rejects_orders_beyond_exact_range():
+    for n in (2.0 ** 25, -2.0 ** 25):
+        with pytest.raises(ValueError):
+            product_frac(np.array([n]), 0.1)
+    assert -0.5 <= product_frac(np.array([2.0 ** 25 - 1.0]), 0.1)[0] < 0.5
+
+
 def test_dirichlet_peak_and_symmetry():
     for N in (1, 2, 7, 64):
         assert dirichlet_eval(N, 0.0) == 2 * N + 1

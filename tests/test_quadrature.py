@@ -12,6 +12,7 @@ from torusl1.kernels import (
     product_frac,
 )
 from torusl1.quadrature import (
+    _decompose,
     NormTrace,
     TraceEntry,
     integrate_cosine_poly,
@@ -177,6 +178,79 @@ def test_additivity_over_disjoint_pieces(xs, N):
     signed = integrate_cosine_poly(coeffs, IntervalUnion(tuple(pieces)),
                                    2 * N + 1, absolute=False)
     assert abs(signed.value) <= whole.value + tol
+
+
+def _decompose_per_cell(E, L):
+    # the per-cell loop _decompose replaced, kept as its oracle
+    full = []
+    partial = []
+    for lo, hi in E.intervals:
+        k0 = math.floor(lo * L + 1e-9)
+        k1 = math.ceil(hi * L - 1e-9)
+        for k in range(k0, k1):
+            c_lo = k / L
+            c_hi = (k + 1) / L
+            p_lo = max(lo, c_lo)
+            p_hi = min(hi, c_hi)
+            if p_hi - p_lo <= 0.0:
+                continue
+            if p_lo == c_lo and p_hi == c_hi:
+                full.append(k)
+            else:
+                partial.append((k, p_lo * L - k, p_hi * L - k))
+    return full, partial
+
+
+# offsets from a lattice point, in cell units: on it, inside and just
+# outside the 1e-9 snapping band, one ulp-scale nudge, or anywhere in a cell
+_near_lattice = st.one_of(
+    st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, -5e-10, 1.5e-9, -1.5e-9,
+                     1e-13, -1e-13]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _lattice_unions(draw):
+    """(L, union) with L up to 2^21 + 1 and ends on or near k / L.
+
+    Pieces span at most max_cells cells, so the per-cell oracle stays cheap
+    at large L; small L draws wide pieces as well.
+    """
+    L = draw(st.one_of(st.integers(1, 64), st.integers(1, 2 ** 21 + 1)))
+    max_cells = min(L, 64)
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(-(L // 2) - 1, L // 2))
+        span = draw(st.integers(0, max_cells))
+        lo = min(max((k + draw(_near_lattice)) / L, -0.5), 0.5)
+        hi = min(max((k + span + draw(_near_lattice)) / L, -0.5), 0.5)
+        if lo < hi:
+            pieces.append((lo, hi))
+    kept = []
+    for lo, hi in sorted(pieces):
+        if not kept or lo >= kept[-1][1]:
+            kept.append((lo, hi))
+    return L, IntervalUnion(tuple(kept))
+
+
+@given(_lattice_unions())
+def test_decompose_matches_per_cell_loop(case):
+    L, E = case
+    full, partial = _decompose(E, L)
+    want_full, want_partial = _decompose_per_cell(E, L)
+    assert full.tolist() == want_full
+    assert partial == want_partial
+    # an interval leaves at most one remnant at each end
+    assert len(partial) <= 2 * len(E.intervals)
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 8, 4097])
+def test_decompose_full_torus(L):
+    full, partial = _decompose(FULL, L)
+    want_full, want_partial = _decompose_per_cell(FULL, L)
+    assert full.tolist() == want_full
+    assert partial == want_partial
 
 
 def test_empty_set_is_zero(log_seq):

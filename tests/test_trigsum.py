@@ -57,17 +57,24 @@ def test_grid_matches_points(G, M):
 
 
 def test_on_cells_matches_points_short_and_folded():
+    # every column against the direct sum.  Besides short and folded
+    # coefficient vectors this covers w.size = L//2 + 1, whose top term sits
+    # on the Nyquist bin of the half spectrum when L is even, w.size = L,
+    # and L = 1; 11 offsets span more than one offset block
     rng = np.random.default_rng(11)
-    for L, M in ((7, 4), (7, 40), (33, 33), (5, 128)):
+    cases = [(7, 4), (7, 40), (33, 33), (5, 128)]
+    for L in (1, 2, 8, 9, 16):
+        cases += [(L, L // 2 + 1), (L, L), (L, 3 * L + 2)]
+    for L, M in cases:
         coeffs = rng.normal(size=M)
-        offsets = np.array([0.0, 0.01, 0.5 / L, 0.09])
+        offsets = np.concatenate(([0.0, 0.01, 0.5 / L, 0.09],
+                                  rng.uniform(-1.0, 1.0, 7)))
         vals = cosine_poly_on_cells(coeffs, L, offsets)
-        assert vals.shape == (offsets.size, L)
-        for i, x in enumerate(offsets):
-            for k in (0, 1, L // 2, L - 1):
-                t = k / L + x
-                assert vals[i, k] == pytest.approx(
-                    float(cosine_poly_points(coeffs, t)), abs=1e-9)
+        assert vals.shape == (offsets.size, L) and vals.dtype == float
+        direct = cosine_poly_points(coeffs,
+                                    np.arange(L) / L + offsets[:, None])
+        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+        assert np.max(np.abs(vals - direct)) <= bar, (L, M)
 
 
 def test_on_cells_torus_column_order():
