@@ -35,9 +35,16 @@ def _windows(values, w):
 def analyze_trace(trace, tail_window=4):
     """Label a trace converging / bounded-nonconverging / unbounded / unknown.
 
+    A window gap (max - min of its values) no larger than the largest
+    error_estimate in that window is unresolved, and the rules read it as
+    0.  So values that agree to within their error bars get one verdict
+    whatever their rounding.  `cauchy_gap` and `window_gaps` still report
+    the raw gaps.
+
     Rules, in order:
-      1. relative gap of the last window <= 5% and no wider than 3/4 of
-         the first window's gap -> "converging"
+      1. last window's gap, or its largest error_estimate when that is
+         larger, <= 5% of the limit, and the gap no wider than 3/4 of the
+         first window's gap -> "converging"
       2. quadrature error dominating the gap -> "inconclusive"
       3. window means nondecreasing and total drift exceeding the last
          gap -> "unbounded-signature"
@@ -56,15 +63,19 @@ def analyze_trace(trace, tail_window=4):
     wins = _windows(values, w)
     gaps = tuple(float(win.max() - win.min()) for win in wins)
     means = tuple(float(win.mean()) for win in wins)
-    g_first, g_last = gaps[0], gaps[-1]
     last = values[-w:]
     limit = float(last.mean())
+    err_first = float(errors[:w].max())
     err_last = float(errors[-w:].max())
-    uncertainty = g_last + err_last
+    uncertainty = gaps[-1] + err_last
+    # unresolved gaps, within their window's error bars, compare as 0
+    g_first = gaps[0] if gaps[0] > err_first else 0.0
+    g_last = gaps[-1] if gaps[-1] > err_last else 0.0
     drift = means[-1] - means[0]
     scale = max(abs(limit), 1e-300)
 
-    if g_last <= 0.05 * scale and (g_last <= 0.75 * g_first or g_first == g_last == 0.0):
+    if (max(g_last, err_last) <= 0.05 * scale
+            and (g_last <= 0.75 * g_first or g_first == g_last == 0.0)):
         verdict = "converging"
     elif err_last > g_last:
         verdict = "inconclusive"
@@ -75,7 +86,7 @@ def analyze_trace(trace, tail_window=4):
     else:
         verdict = "inconclusive"
     return ConvergenceVerdict(verdict=verdict,
-                              cauchy_gap=float(g_last),
+                              cauchy_gap=gaps[-1],
                               tail_window=w,
                               limit_estimate=limit,
                               uncertainty=float(uncertainty),

@@ -64,11 +64,14 @@ def _sinc_ratio_sq_sum(d2, j_lo, j_hi, u, chunk=4096):
     return acc / (denom * denom)
 
 
-def _tail_bounds(seq, j_max, u):
-    """Per-point rigorous bound on the dropped tail beyond j_max."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+def _sin2(u):
+    return np.sin(np.pi * u) ** 2
+
+
+def _tail_bounds(seq, j_max, sin2):
+    """Per-point rigorous bound on the dropped tail beyond j_max, given
+    sin^2(pi u) at the points."""
     global_bound = seq.squared_weighted_tail_beyond(j_max)
-    sin2 = np.sin(np.pi * u) ** 2
     with np.errstate(divide="ignore"):
         off = np.where(sin2 > 0.0,
                        seq.first_difference(j_max + 1) / np.where(sin2 > 0.0, sin2, 1.0),
@@ -90,7 +93,7 @@ def fejer_representation(seq, j_max, t):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     d2 = seq.second_differences(j_max + 1)
     value = _sinc_ratio_sq_sum(d2, 0, j_max, u_arr)
-    tail = _tail_bounds(seq, j_max, u_arr)
+    tail = _tail_bounds(seq, j_max, _sin2(u_arr))
     if np.ndim(t) == 0:
         return float(value[0]), float(tail[0])
     return value.reshape(np.shape(t)), tail.reshape(np.shape(t))
@@ -116,14 +119,14 @@ def reference_function_grid(seq, grid_size, j_max):
     cos_part = 0.5 * cosine_poly_grid(coeffs, G)  # sum_j d2_j cos(2 pi (j+1) t)
     W = float(np.sum(d2))
     u = -0.5 + np.arange(G) / G
-    sin2 = np.sin(np.pi * u) ** 2
+    sin2 = _sin2(u)
     at_zero = u == 0.0
     safe = np.where(at_zero, 1.0, 2.0 * sin2)
     values = (W - cos_part) / safe
     if np.any(at_zero):
         j = np.arange(j_max + 1, dtype=float)
         values = np.where(at_zero, float(np.sum((j + 1.0) ** 2 * d2)), values)
-    tails = _tail_bounds(seq, j_max, u)
+    tails = _tail_bounds(seq, j_max, sin2)
     return values, tails
 
 
@@ -168,7 +171,7 @@ def residual_identity_check(seq, N, t, j_max=100000):
     head = _sinc_ratio_sq_sum(d2, 0, N - 2, u_arr) if N >= 2 else 0.0
     tail_sum = _sinc_ratio_sq_sum(d2, N - 1, j_max, u_arr)
     f_val = float(head[0] + tail_sum[0])
-    f_tail = float(_tail_bounds(seq, j_max, u_arr)[0])
+    f_tail = float(_tail_bounds(seq, j_max, _sin2(u_arr))[0])
 
     s_val = partial_sum(seq, N, u)
     lhs = f_val - s_val

@@ -16,11 +16,13 @@ integrated through its antiderivative and, for |.|, split at its real
 roots.  The error estimate is the difference between two panel-count
 refinement levels plus a roundoff floor.
 
-Uniform-grid trapezoid (residuals |f - S_N|): the reference f carries
-per-point truncation bounds; the integrated bound, the grid-refinement
-difference, and end slivers are combined into the error estimate.  Sets
-must stay clear of the origin when the reference tail diverges there; the
-mass of the excluded window is bounded in closed form and reported.
+Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
+come from one real inverse FFT each (trigsum.cosine_poly_grid), and the
+grid must exceed 2N points.  The reference carries per-point truncation
+bounds; the integrated bound, the grid-refinement difference, and end
+slivers are combined into the error estimate.  Sets must stay clear of
+the origin when the reference tail diverges there; the mass of the
+excluded window is bounded in closed form and reported.
 """
 
 import math
@@ -321,7 +323,9 @@ def _grid_trapezoid(y, E, G, stride):
 
     Returns (integral, sliver mass, samples); slivers are the sub-spacing
     leftovers at interval ends, included in the integral as rectangles and
-    reported so the caller can count them toward the error.
+    reported so the caller can count them toward the error.  Each interval
+    is read as a strided view of y; only an interval ending at +1/2 needs
+    a copy, to append the wrapped point y[0].
     """
     h = stride / G
     total = 0.0
@@ -340,10 +344,12 @@ def _grid_trapezoid(y, E, G, stride):
             total += patch
             sliver += abs(patch)
             continue
-        idx = np.arange(i_lo, i_hi + 1, stride)
-        yy = y[idx % G]
-        used += idx.size
-        if idx.size > 1:
+        if i_hi < G:
+            yy = y[i_lo:i_hi + 1:stride]
+        else:  # the upper end is +1/2, grid index G, which wraps to 0
+            yy = np.append(y[i_lo:G:stride], y[0])
+        used += yy.size
+        if yy.size > 1:
             total += h * (float(yy.sum()) - 0.5 * float(yy[0] + yy[-1]))
         w1 = max(i_lo - pos_lo, 0.0) / G
         w2 = max(pos_hi - i_hi, 0.0) / G
@@ -379,7 +385,8 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
 
     E must keep a positive distance >= one grid spacing from the origin
     whenever the reference tail diverges there (both log families); the
-    bound on the mass excluded by that window is reported alongside.
+    bound on the mass excluded by that window is reported alongside.  The
+    grid must resolve S_N: grid_size > 2 N, else ValueError.
     """
     if N != int(N) or N < 0:
         raise ValueError("N must be a nonnegative integer")
@@ -387,6 +394,9 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
     G = int(grid_size)
     if G < 16:
         raise ValueError("grid_size must be >= 16")
+    if 2 * N >= G:
+        raise ValueError(f"grid_size {G} is below Nyquist for order {N}: "
+                         "it must exceed 2 N")
     if E.is_empty:
         return ResidualResult(0.0, 0.0, 0, (0.0, 0.0), 0.0)
     d0 = E.distance_from_zero()
@@ -398,8 +408,9 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
         if d0 < 1.0 / G:
             raise ValueError("origin window is narrower than the grid spacing")
     f_vals, f_tails = _cached_reference(seq, G, j_max)
-    s_vals = partial_sum_grid(seq, N, G)
-    r = np.abs(f_vals - s_vals)
+    r = partial_sum_grid(seq, N, G)  # a fresh buffer; f_vals is cached
+    np.subtract(f_vals, r, out=r)
+    np.abs(r, out=r)
     i_fine, sliver, used = _grid_trapezoid(r, E, G, 1)
     i_coarse, _, _ = _grid_trapezoid(r, E, G, 2)
     tail_int, _, _ = _grid_trapezoid(f_tails, E, G, 1)

@@ -7,7 +7,8 @@ real coefficient vector c, in three layouts:
     fast paths are checked against); angles go through an exact split
     product so per-term error stays near machine level.
   * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G in O(M + G log G)
-    by folding coefficients mod G into one inverse FFT.
+    by folding the coefficients onto the real half spectrum r = 0..G//2
+    and taking one real inverse FFT of length G.
   * cosine_poly_on_cells: the lattice t = k/L + x for all residues k at a
     few offsets x, one real inverse FFT of length L per offset over the
     Hermitian half spectrum, taken a block of offsets at a time.  This is
@@ -58,16 +59,29 @@ def cosine_poly_points(coeffs, ts, m_chunk=2048, t_chunk=2048):
 
 
 def cosine_poly_grid(coeffs, grid_size):
-    """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size-1."""
+    """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size-1.
+
+    At t_k the term m contributes (-1)^m w_m cos(2 pi r k/G) with r = m mod
+    G, and cos(2 pi r k/G) = cos(2 pi (G - r) k/G), so the signed weights
+    fold onto the real half spectrum r = min(m mod G, G - m mod G) =
+    0..G//2.  One real inverse FFT of length G then gives every value:
+    irfft weighs the self-conjugate bins (r = 0 and, for even G, r = G/2)
+    once and the others twice, so those two carry G c_r and the rest
+    G c_r / 2.
+    """
     G = int(grid_size)
     if G < 1:
         raise ValueError("grid_size must be >= 1")
     w = _weights(coeffs)
     m = np.arange(w.size)
     signed = np.where(m % 2 == 0, w, -w)  # e^{2 pi i m t} picks up (-1)^m at t = k/G - 1/2
-    bins = np.bincount(m % G, weights=signed, minlength=G)
-    vals = G * np.fft.ifft(bins)
-    return vals.real.copy()
+    r = m % G
+    half = np.bincount(np.minimum(r, G - r), weights=signed, minlength=G // 2 + 1)
+    half *= 0.5 * G
+    half[0] *= 2.0
+    if G % 2 == 0:
+        half[-1] *= 2.0
+    return np.fft.irfft(half, n=G)
 
 
 def cosine_poly_on_cells(coeffs, cell_count, offsets):

@@ -191,6 +191,9 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "norms", "--sequence", "/nonexistent.txt",
                            "--n", "2,4")
     assert code == 2
+    code, _, err = run_cli(capsys, "norms", "--kind", "residual", "--n", "8",
+                           "--grid-size", "16", "--set", "0.1,0.3")
+    assert code == 2 and "below Nyquist" in err
     with pytest.raises(SystemExit) as exc:
         main(["witness"])  # --n0 is required
     assert exc.value.code == 2

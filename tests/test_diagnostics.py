@@ -51,6 +51,35 @@ def test_error_dominated_trace_is_inconclusive():
     assert v.uncertainty > v.cauchy_gap
 
 
+# `torusl1 norms --sequence log2 --kind abs --n 16..1024x2` from two versions
+# of the cell engine: every value equals a_0 to within 1-3 ulp, far inside
+# the 6.5e-14 error bars.  With raw gaps the first trace reads inconclusive
+# and the second converging, though they differ only in rounding.
+_LOG2_ERR = [6.5185702789511559e-14, 6.5185702789511547e-14,
+             6.5185702789511534e-14, 6.5185702789511559e-14,
+             6.5185702789511559e-14, 6.5185702789511534e-14,
+             6.5185702789511547e-14]
+_LOG2_TRACES = [
+    [4.5870360436363775, 4.5870360436363766, 4.5870360436363757,
+     4.5870360436363775, 4.5870360436363775, 4.5870360436363757,
+     4.5870360436363766],
+    [4.5870360436363784, 4.5870360436363784, 4.5870360436363757,
+     4.5870360436363766, 4.5870360436363775, 4.5870360436363766,
+     4.5870360436363766],
+]
+
+
+@pytest.mark.parametrize("values", _LOG2_TRACES)
+def test_gaps_within_error_bars_do_not_decide(values):
+    v = analyze_trace(_trace(values, _LOG2_ERR))
+    assert v.verdict == "converging"
+    # the raw gaps are still reported
+    gaps = [max(values[i:i + 4]) - min(values[i:i + 4]) for i in range(4)]
+    assert list(v.window_gaps) == gaps
+    assert v.cauchy_gap == gaps[-1] > 0.0
+    assert v.uncertainty == gaps[-1] + max(_LOG2_ERR[-4:])
+
+
 def test_slow_logarithmic_decay_is_not_called_converging():
     # 1/log decay moves too slowly for the gap test but drifts too much
     # for the bounded label at this horizon

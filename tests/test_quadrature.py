@@ -13,6 +13,7 @@ from torusl1.kernels import (
 )
 from torusl1.quadrature import (
     _decompose,
+    _grid_trapezoid,
     NormTrace,
     TraceEntry,
     integrate_cosine_poly,
@@ -278,6 +279,15 @@ def test_residual_constant_tail_exact():
     assert r.value == pytest.approx(1.7792393740034992e-09, rel=1e-6)
 
 
+def test_residual_rejects_grid_below_nyquist():
+    seq = ConvexSequence((3.0, 2.0, 1.0, 1e-9), "constant")
+    for N, G in ((8, 16), (9, 17), (64, 100)):
+        with pytest.raises(ValueError, match="below Nyquist"):
+            residual_l1(seq, N, FULL, j_max=2000, grid_size=G)
+        # the highest order the grid still resolves is accepted
+        residual_l1(seq, (G - 1) // 2, FULL, j_max=2000, grid_size=G)
+
+
 def test_residual_refuses_origin_when_tail_diverges(log_seq):
     with pytest.raises(ValueError, match="exclude a window"):
         residual_l1(log_seq, 8, FULL)
@@ -313,6 +323,76 @@ def test_residual_error_honesty(log_seq):
     assert a.window == (-1e-3, 1e-3)
     assert a.excluded_bound == pytest.approx(
         origin_window_bound(log_seq, 32, 1e-3), rel=1e-12)
+
+
+def _grid_trapezoid_gather(y, E, G, stride):
+    # the index-gathering loop _grid_trapezoid replaced, kept as its oracle
+    h = stride / G
+    total = 0.0
+    sliver = 0.0
+    used = 0
+    for lo, hi in E.intervals:
+        pos_lo = (lo + 0.5) * G
+        pos_hi = (hi + 0.5) * G
+        i_lo = int(math.ceil(pos_lo - 1e-9))
+        i_hi = int(math.floor(pos_hi + 1e-9))
+        i_lo = ((i_lo + stride - 1) // stride) * stride
+        i_hi = (i_hi // stride) * stride
+        if i_lo > i_hi:
+            mid = y[int(round(0.5 * (pos_lo + pos_hi))) % G]
+            patch = (hi - lo) * float(mid)
+            total += patch
+            sliver += abs(patch)
+            continue
+        idx = np.arange(i_lo, i_hi + 1, stride)
+        yy = y[idx % G]
+        used += idx.size
+        if idx.size > 1:
+            total += h * (float(yy.sum()) - 0.5 * float(yy[0] + yy[-1]))
+        w1 = max(i_lo - pos_lo, 0.0) / G
+        w2 = max(pos_hi - i_hi, 0.0) / G
+        patch = w1 * float(yy[0]) + w2 * float(yy[-1])
+        total += patch
+        sliver += abs(patch)
+    return total, sliver, used
+
+
+@st.composite
+def _grid_unions(draw):
+    """(G, union): ends on grid points (including +-1/2), near them, or
+    anywhere; widths below one spacing, a whole number of spacings, or any."""
+    G = draw(st.one_of(st.integers(16, 64), st.integers(16, 2 ** 16 + 1)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.one_of(
+            st.integers(0, G).map(lambda i: i / G - 0.5),
+            st.sampled_from([-0.5, 0.5]),
+            st.floats(-0.5, 0.5)))
+        width = draw(st.one_of(
+            st.floats(1e-6, 0.999).map(lambda f: f / G),
+            st.integers(1, 64).map(lambda k: k / G),
+            st.floats(0.0, 1.0)))
+        lo = min(max(start + draw(st.sampled_from([0.0, 1e-12, -1e-12])), -0.5), 0.5)
+        hi = min(lo + width, 0.5)
+        if lo < hi:
+            pieces.append((lo, hi))
+    kept = []
+    for lo, hi in sorted(pieces):
+        if not kept or lo >= kept[-1][1]:
+            kept.append((lo, hi))
+    return G, IntervalUnion(tuple(kept))
+
+
+@given(_grid_unions())
+def test_grid_trapezoid_matches_gather(case):
+    G, E = case
+    y = np.random.default_rng(G).normal(size=G)
+    for stride in (1, 2):
+        got = _grid_trapezoid(y, E, G, stride)
+        want = _grid_trapezoid_gather(y, E, G, stride)
+        assert got[2] == want[2]
+        assert [float(v).hex() for v in got[:2]] == \
+            [float(v).hex() for v in want[:2]], stride
 
 
 def test_norm_trace_assembly(log_seq):

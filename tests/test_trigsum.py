@@ -56,6 +56,20 @@ def test_grid_matches_points(G, M):
     assert np.allclose(grid, direct, rtol=0, atol=1e-10 * max(1, M))
 
 
+@pytest.mark.parametrize("G", [1, 2, 7, 8, 9, 16, 17])
+def test_grid_half_spectrum_matches_points(G):
+    # M = G//2 + 1 puts the top term on the Nyquist bin when G is even;
+    # M = G fills every residue once and M = 3G + 2 folds three times over
+    rng = np.random.default_rng(G)
+    ts = -0.5 + np.arange(G) / G
+    for M in (1, 2, G // 2 + 1, G, 3 * G + 2):
+        coeffs = rng.normal(size=M)
+        grid = cosine_poly_grid(coeffs, G)
+        assert grid.shape == (G,) and grid.dtype == float
+        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+        assert np.max(np.abs(grid - cosine_poly_points(coeffs, ts))) <= bar, M
+
+
 def test_on_cells_matches_points_short_and_folded():
     # every column against the direct sum.  Besides short and folded
     # coefficient vectors this covers w.size = L//2 + 1, whose top term sits
