@@ -230,8 +230,7 @@ def cmd_witness(cfg):
     if len(cfg.N0s) != 1:
         raise ValueError("explicit --b/--n needs exactly one N0")
     N0 = cfg.N0s[0]
-    w = build_witness(seq, N0, cfg.b if cfg.b is not None else N0, cfg.n,
-                      cfg.panels_per_cell, cfg.nodes_per_panel)
+    w = build_witness(seq, N0, cfg.b if cfg.b is not None else N0, cfg.n)
     row = {c: getattr(w, c) for c in _WITNESS_COLUMNS}
     row["cells"] = [list(p) for p in w.Q.intervals]
     row["trim"] = list(w.trim) if w.trim else None
@@ -307,8 +306,6 @@ def _build_parser():
     sp.add_argument("--n0", required=True, help="comma list of scales N0")
     sp.add_argument("--b", type=int, help="cell-count parameter (single witness)")
     sp.add_argument("--n", type=int, help="kernel order (single witness)")
-    sp.add_argument("--panels-per-cell", type=int, default=2)
-    sp.add_argument("--nodes-per-panel", type=int, default=16)
 
     sp = sub.add_parser("identity", help="summed-by-parts residual checks")
     common(sp)
@@ -347,8 +344,6 @@ def _config_from_args(args):
         n0s = tuple(parse_n_values(args.n0))
         return RunConfig(command=cmd, sequence=args.sequence, N0s=n0s,
                          b=args.b, n=args.n,
-                         panels_per_cell=args.panels_per_cell,
-                         nodes_per_panel=args.nodes_per_panel,
                          fmt=_pick_format(args.fmt, args.out, "json"),
                          out=args.out)
     if cmd == "identity":

@@ -2,12 +2,14 @@
 
 The witness construction fixes a target measure 2/(2 N0 + 1), then walks
 the nonnegative sign cells of D_n outward from the origin (ordered by
-d_i = sup_{t in J_i} |t|), keeping whole cells until the running measure
+d_i = sup_{t in J_i} |t|, which their alternating signs give without a
+sort), keeping whole cells until the running measure
 would overshoot and trimming the last cell on its near-origin side so the
 target is hit exactly.  Over a sweep N0 -> infinity with n ~ N0^2 the
 measures shrink to 0 while the signed integrals of S_n over the witness
 stay bounded away from 0 for slowly decaying coefficients; that
-contrast is the certificate.
+contrast is the certificate.  The signed integrals are exact up to
+rounding (quadrature.integrate_signed).
 
 Note the walk may keep more than b cells: the b-1 nearest cells alone have
 total measure below b/(2 b N0 + 1) < 2/(2 N0 + 1), so stopping at b-1, as
@@ -56,14 +58,23 @@ def nonnegative_cells(n):
     return [p for p, good in zip(pieces, keep) if good]
 
 
-def _distance_key(cell):
-    lo, hi = cell
-    return (max(abs(lo), abs(hi)), lo)
-
-
 def default_witness_order(n):
-    """Nonnegative cells of D_n sorted by distance d_i = sup |t|, then lo."""
-    return sorted(nonnegative_cells(n), key=_distance_key)
+    """Nonnegative cells of D_n by d_i = sup |t|, then lo, as a generator.
+
+    D_n >= 0 on the cells k = -1, -3, ... and k = 0, 2, ..., so no sort is
+    needed: for odd j the pair at d = j/L, then, for even n, the two wrap
+    pieces at d = 1/2.
+    """
+    if n != int(n) or n < 1:
+        raise ValueError("n must be a positive integer")
+    n = int(n)
+    L = 2 * n + 1
+    for j in range(1, n + 1, 2):
+        yield (-j / L, (-j + 1) / L)
+        yield ((j - 1) / L, j / L)
+    if n % 2 == 0:
+        yield (-0.5, -n / L)
+        yield (n / L, 0.5)
 
 
 @dataclass(frozen=True)
@@ -85,14 +96,14 @@ def default_n(N0, b):
     return b * N0 + (N0 + 1) // 2
 
 
-def build_witness(seq, N0, b, n=None, panels_per_cell=2, nodes_per_panel=16):
+def build_witness(seq, N0, b, n=None):
     """Assemble the witness set Q for D_n with measure exactly 2/(2 N0 + 1).
 
     Keeps nonnegative cells nearest the origin, whole, until the next cell
     would overshoot the target; that cell is trimmed on its near-origin
-    side by the exact deficit.  The signed integral of S_n over Q is
-    computed with the cell-aligned engine (Q's edges are cell boundaries
-    except for the trim cut).
+    side by the exact deficit, and the walk stops there.  The signed
+    integral of S_n over Q is integrate_signed's: one lattice row for the
+    whole cells, one direct sum for the trimmed one.
     """
     N0 = int(N0)
     b = int(b)
@@ -102,32 +113,24 @@ def build_witness(seq, N0, b, n=None, panels_per_cell=2, nodes_per_panel=16):
     if not (b * N0 < n <= (b + 1) * N0):
         raise ValueError(f"n must lie in (b*N0, (b+1)*N0], got n={n}")
     target = 2.0 / (2 * N0 + 1)
-    cells = default_witness_order(n)
     selected = []
-    trim = None
+    trim = ()
     acc = 0.0
-    feasible = False
-    for lo, hi in cells:
-        length = hi - lo
-        if acc + length < target:
+    for lo, hi in default_witness_order(n):
+        if acc + (hi - lo) < target:
             selected.append((lo, hi))
-            acc += length
+            acc += hi - lo
             continue
         deficit = target - acc
-        if lo >= 0.0:
-            trim = (lo, lo + deficit)
-        else:
-            trim = (hi - deficit, hi)
-        feasible = True
+        trim = (lo, lo + deficit) if lo >= 0.0 else (hi - deficit, hi)
         break
-    pieces = list(selected) + ([trim] if trim else [])
-    Q = IntervalUnion(tuple(sorted(pieces)))
-    q = integrate_signed(seq, n, Q, panels_per_cell, nodes_per_panel)
-    return WitnessSet(N0=N0, b=b, n=n, selected=tuple(selected),
-                      trim=trim if trim else (), Q=Q,
-                      measure=float(Q.measure()), integral=float(q.value),
+    Q = IntervalUnion(tuple(sorted(selected + ([trim] if trim else []))))
+    q = integrate_signed(seq, n, Q)
+    return WitnessSet(N0=N0, b=b, n=n, selected=tuple(selected), trim=trim,
+                      Q=Q, measure=float(Q.measure()),
+                      integral=float(q.value),
                       integral_error=float(q.error_estimate),
-                      feasible=feasible)
+                      feasible=bool(trim))
 
 
 @dataclass(frozen=True)

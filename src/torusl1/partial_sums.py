@@ -16,6 +16,7 @@ closes numerically is data reported to the caller, not an assumption.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +131,14 @@ def reference_function_grid(seq, grid_size, j_max):
     return values, tails
 
 
+@lru_cache(maxsize=4)
+def _cached_second_differences(seq, j_max):
+    """seq.second_differences(j_max + 1), shared read-only."""
+    d2 = seq.second_differences(j_max + 1)
+    d2.setflags(write=False)
+    return d2
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     N: int
@@ -166,7 +175,7 @@ def residual_identity_check(seq, N, t, j_max=100000):
     if u == 0.0:
         raise ValueError("t = 0 is excluded (f may diverge there)")
 
-    d2 = seq.second_differences(j_max + 1)
+    d2 = _cached_second_differences(seq, j_max)
     u_arr = np.atleast_1d(u)
     head = _sinc_ratio_sq_sum(d2, 0, N - 2, u_arr) if N >= 2 else 0.0
     tail_sum = _sinc_ratio_sq_sum(d2, N - 1, j_max, u_arr)

@@ -2,19 +2,21 @@
 
 Two engines.
 
-Cell-aligned Gauss (partial sums and kernels, signed or absolute):
+Cell-aligned Gauss (|.| of partial sums and kernels):
 panels follow the sign cells [k/L, (k+1)/L) of the kernel, and every cell
 is evaluated at the composite Gauss offsets through one real inverse FFT
 of the folded half spectrum per offset (trigsum.cosine_poly_on_cells).
 Each interval contributes one contiguous range of full cells and at most
 two partial remnants.  The Gauss sums are reduced once per lattice column
-and gathered at the full cells.  Partial remnants, and for absolute
-integrands full cells whose values change sign (tested against the
+and gathered at the full cells.  Partial remnants, and full cells whose
+values change sign (tested against the
 cell-edge values, evaluated once per call), are integrated from the same
 values: on each panel they fix a Legendre interpolant, which is
-integrated through its antiderivative and, for |.|, split at its real
+integrated through its antiderivative and split at its real
 roots.  The error estimate is the difference between two panel-count
-refinement levels plus a roundoff floor.
+refinement levels plus a roundoff floor.  Signed integrals need no
+panels: one lattice row at the cell centres gives every full cell's
+integral, and each partial remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
 come from one real inverse FFT each (trigsum.cosine_poly_grid), and the
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .partial_sums import partial_sum_grid, reference_function_grid
-from .trigsum import cosine_poly_on_cells
+from .trigsum import cosine_poly_on_cells, cosine_poly_points
 
 __all__ = [
     "QuadResult",
@@ -136,17 +138,17 @@ def _decompose(E, L):
     Returns (full, partial): full is an integer array holding, interval by
     interval, the one contiguous range of cells the interval covers (cell
     k is full when lo <= k/L and (k+1)/L <= hi; both conditions are
-    monotone in k).  A remnant is (k, a, b): its cell index and its ends in
-    that cell's unit coordinates, 0 <= a < b <= 1.  The cells an interval
-    touches are k0..k1-1 with its ends snapped by 1e-9 cell units, so a
-    sliver thinner than that adds no remnant; only cells outside the full
-    range, normally at most one at each end, are examined one by one.
+    monotone in k).  A remnant is (k, lo, hi): its cell index and its ends
+    on the torus, k/L <= lo < hi <= (k+1)/L, however thin.  The cells
+    outside the full range, one more at each end than lo * L and hi * L
+    name so that their rounding cannot hide a sliver, are examined one by
+    one; an end on the float k/L adds no remnant.
     """
     full = []
     partial = []
     for lo, hi in E.intervals:
-        k0 = math.floor(lo * L + 1e-9)
-        k1 = math.ceil(hi * L - 1e-9)
+        k0 = math.floor(lo * L) - 1
+        k1 = math.ceil(hi * L) + 1
         f0 = k0
         while f0 < k1 and f0 / L < lo:
             f0 += 1
@@ -158,18 +160,17 @@ def _decompose(E, L):
             p_lo = max(lo, k / L)
             p_hi = min(hi, (k + 1) / L)
             if p_hi - p_lo > 0.0:
-                partial.append((k, p_lo * L - k, p_hi * L - k))
+                partial.append((k, p_lo, p_hi))
     return np.concatenate(full or [np.empty(0, dtype=int)]), partial
 
 
-def _interpolated(vals, pieces, L, panels, nodes, absolute):
-    """Integrate cell pieces (k, a, b) from their panel interpolants.
+def _interpolated(vals, pieces, L, panels, nodes):
+    """Integrate |.| over cell pieces (k, a, b) from their panel interpolants.
 
     Column k % L of vals holds the composite Gauss values of cell k; on
     each panel they fix the degree nodes-1 Legendre interpolant, which is
-    integrated as differences of its antiderivative, split at its real
-    roots inside the sub-range when |.| is wanted.  Returns (integral, abs
-    mass, panels used).
+    split at its real roots inside the sub-range and integrated as
+    differences of its antiderivative.  Returns (integral, panels used).
     """
     leg = np.polynomial.legendre
     by_panel = vals[:, [k % L for k, _, _ in pieces]].T.reshape(
@@ -177,7 +178,6 @@ def _interpolated(vals, pieces, L, panels, nodes, absolute):
     coeffs = by_panel @ _gauss(nodes)[2].T
     anti = leg.legint(coeffs, scl=0.5 / (panels * L), axis=-1)
     total = 0.0
-    scale = 0.0
     used = 0
     for (_, a, b), c, F in zip(pieces, coeffs, anti):
         for i in range(int(a * panels), min(math.ceil(b * panels), panels)):
@@ -185,37 +185,30 @@ def _interpolated(vals, pieces, L, panels, nodes, absolute):
             hi = min(2.0 * (b * panels - i) - 1.0, 1.0)
             if hi <= lo:
                 continue
-            cuts = [lo, hi]
-            if absolute:
-                r = leg.legroots(c[i])
-                r = r.real[(r.imag == 0.0) & (r.real > lo) & (r.real < hi)]
-                cuts = np.concatenate(([lo], np.sort(r), [hi]))
-            d = np.diff(leg.legval(cuts, F[i]))
-            mass = float(np.abs(d).sum())
-            total += mass if absolute else float(d.sum())
-            scale += mass
+            r = leg.legroots(c[i])
+            r = r.real[(r.imag == 0.0) & (r.real > lo) & (r.real < hi)]
+            cuts = np.concatenate(([lo], np.sort(r), [hi]))
+            total += float(np.abs(np.diff(leg.legval(cuts, F[i]))).sum())
             used += 1
-    return total, scale, used
+    return total, used
 
 
 def _level(coeffs, E, L, panels, nodes, edges):
-    """One refinement level: (integral, abs mass, panels used).
+    """One refinement level of the |.| integral: (integral, panels used).
 
     Every value comes from one lattice evaluation at the composite Gauss
-    offsets.  The Gauss sums of |.| (and, signed, of the values) and the
-    peak |.| are reduced once per lattice column, a row at a time, then
-    gathered at the full cells.  Full cells are summed with the Gauss
-    weights, except, for absolute integrands (edges = the values at the
-    cell edges x = 0, else None), cells whose values change sign; those
-    join the remnants on the panel-interpolant path.
+    offsets.  The Gauss sums of |.| and the peak |.| are reduced once per
+    lattice column, a row at a time, then gathered at the full cells.
+    Full cells are summed with the Gauss weights, except cells whose values
+    change sign against their edge values (edges = the values at the cell
+    edges x = 0); those join the remnants on the panel-interpolant path.
     """
     full, pieces = _decompose(E, L)
+    pieces = [(k, lo * L - k, hi * L - k) for k, lo, hi in pieces]
     offs, wts = _unit_composite(panels, nodes)
     vals = cosine_poly_on_cells(coeffs, L, offs / L)
     wts = wts / L
-    absolute = edges is not None
     total = 0.0
-    scale = 0.0
     n_panels = 0
     if full.size:
         cols = np.mod(full, L)
@@ -228,45 +221,71 @@ def _level(coeffs, E, L, panels, nodes, edges):
             a *= wt
             mass += a
         mass = mass[cols]
-        if absolute:
-            right = np.roll(edges, -1)
-            # kernel zeros sit exactly on cell edges; rounding noise there
-            # must not read as a sign change, so tiny values count as zero
-            thresh = 64.0 * _EPS * max(float(peak[cols].max()),
-                                       float(np.abs(edges[cols]).max()),
-                                       float(np.abs(right[cols]).max()))
-            kinky = np.zeros(L, dtype=bool)
-            pos = edges > thresh
-            neg = edges < -thresh
-            for row in (*vals, right):
-                pos_next = row > thresh
-                neg_next = row < -thresh
-                kinky |= (pos & neg_next) | (neg & pos_next)
-                pos, neg = pos_next, neg_next
-            kinky = kinky[cols]
-            contrib = mass[~kinky]
-            total = scale = float(contrib.sum())
-            n_panels = panels * contrib.size
-            pieces += [(int(k), 0.0, 1.0) for k in full[kinky]]
-        else:
-            total = float((wts @ vals)[cols].sum())
-            scale = float(mass.sum())
-            n_panels = panels * full.size
+        right = np.roll(edges, -1)
+        # kernel zeros sit exactly on cell edges; rounding noise there
+        # must not read as a sign change, so tiny values count as zero
+        thresh = 64.0 * _EPS * max(float(peak[cols].max()),
+                                   float(np.abs(edges[cols]).max()),
+                                   float(np.abs(right[cols]).max()))
+        kinky = np.zeros(L, dtype=bool)
+        pos = edges > thresh
+        neg = edges < -thresh
+        for row in (*vals, right):
+            pos_next = row > thresh
+            neg_next = row < -thresh
+            kinky |= (pos & neg_next) | (neg & pos_next)
+            pos, neg = pos_next, neg_next
+        kinky = kinky[cols]
+        contrib = mass[~kinky]
+        total = float(contrib.sum())
+        n_panels = panels * contrib.size
+        pieces += [(int(k), 0.0, 1.0) for k in full[kinky]]
     if pieces:
-        t, s, p = _interpolated(vals, pieces, L, panels, nodes, absolute)
+        t, p = _interpolated(vals, pieces, L, panels, nodes)
         total += t
-        scale += s
         n_panels += p
-    return total, scale, n_panels
+    return total, n_panels
+
+
+def _signed(coeffs, E, L):
+    """Signed integral over E, with `panels` counting the pieces.
+
+    A piece of width w centred at c integrates to the cosine polynomial
+    with coefficients c_m w sinc(m w) at c: one lattice row at offset
+    1/(2L) for the full cells, one direct sum per remnant.
+    Error: 64 eps sum |piece|, plus the FFT's normwise rounding log2(L) eps
+    ||row||_2 (Higham, Accuracy and Stability, 24.1) spread evenly over
+    the cells, plus 4 eps sum |terms| per direct sum.
+    """
+    full, pieces = _decompose(E, L)
+    m = np.arange(coeffs.size)
+    parts = [np.empty(0)]
+    rounding = 0.0
+    if full.size:
+        row = cosine_poly_on_cells(coeffs * np.sinc(m / L) / L, L, 0.5 / L)[0]
+        parts.append(row[np.mod(full, L)])
+        rounding = (math.log2(L + 1) * math.sqrt(full.size / L)
+                    * float(np.linalg.norm(row)))
+    for _, lo, hi in pieces:
+        w = hi - lo
+        c = coeffs * (w * np.sinc(m * w))
+        parts.append([cosine_poly_points(c, 0.5 * (lo + hi))])
+        rounding += 4.0 * (2.0 * float(np.abs(c).sum()) - abs(float(c[0])))
+    vals = np.concatenate(parts)
+    err = (64.0 * _EPS * float(np.abs(vals).sum()) + _EPS * rounding
+           + np.finfo(float).tiny)  # subnormal widths round absolutely
+    return QuadResult(float(vals.sum()), float(err), int(vals.size))
 
 
 def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
                           nodes_per_panel=16, absolute=False):
     """Integrate c_0 + sum 2 c_m cos(2 pi m t) (or its |.|) over E.
 
-    cell_count is the sign-cell modulus the panels align to (2N+1 for a
+    cell_count is the sign-cell modulus the pieces align to (2N+1 for a
     partial sum of order N, j+1 for the order-j nonnegative kernel).  The
-    error estimate is |refined - coarse| with a roundoff floor.
+    |.| error estimate is |refined - coarse| with a roundoff floor.  The
+    signed integral uses no panels, so panels_per_cell and nodes_per_panel
+    do not affect it, and its estimate is a rounding bound.
     """
     L = int(cell_count)
     if L < 1:
@@ -278,12 +297,13 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     coeffs = np.asarray(coeffs, dtype=float)
     if E.is_empty:
         return QuadResult(0.0, 0.0, 0)
+    if not absolute:
+        return _signed(coeffs, E, L)
     # the cell-edge values are the same for both levels
-    edges = cosine_poly_on_cells(coeffs, L, 0.0)[0] if absolute else None
-    i1, _, _ = _level(coeffs, E, L, panels_per_cell, nodes_per_panel, edges)
-    i2, s2, p2 = _level(coeffs, E, L, 2 * panels_per_cell, nodes_per_panel,
-                        edges)
-    err = max(abs(i2 - i1), 64.0 * _EPS * s2)
+    edges = cosine_poly_on_cells(coeffs, L, 0.0)[0]
+    i1, _ = _level(coeffs, E, L, panels_per_cell, nodes_per_panel, edges)
+    i2, p2 = _level(coeffs, E, L, 2 * panels_per_cell, nodes_per_panel, edges)
+    err = max(abs(i2 - i1), 64.0 * _EPS * i2)
     return QuadResult(float(i2), float(err), int(p2))
 
 
@@ -297,14 +317,12 @@ def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
                                  absolute=True)
 
 
-def integrate_signed(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
-    """integral over E of S_N(f, t) dt (no absolute value)."""
+def integrate_signed(seq, N, E):
+    """integral over E of S_N(f, t) dt (no absolute value), to rounding."""
     if N != int(N) or N < 0:
         raise ValueError("N must be a nonnegative integer")
     N = int(N)
-    return integrate_cosine_poly(seq.values(N + 1), E, 2 * N + 1,
-                                 panels_per_cell, nodes_per_panel,
-                                 absolute=False)
+    return integrate_cosine_poly(seq.values(N + 1), E, 2 * N + 1)
 
 
 # -- residual engine ----------------------------------------------------

@@ -159,6 +159,19 @@ def test_witness_sweep(capsys):
     assert code == 2 and "exactly one N0" in err
 
 
+def test_witness_has_no_panel_settings(capsys):
+    # signed integrals use no panels, so the witness config does not
+    # carry panel settings and the flags are gone
+    code, out, _ = run_cli(capsys, "witness", "--n0", "4,8", "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)["config"]) == ["N0s", "command", "fmt",
+                                                 "sequence"]
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--n0", "4", "--panels-per-cell", "4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_identity_sampled(capsys):
     code, out, _ = run_cli(capsys, "identity", "--samples", "5", "--seed", "7",
                            "--j-max", "20000")

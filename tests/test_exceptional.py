@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -42,12 +44,38 @@ def test_cells_are_sign_sound():
 
 def test_order_is_by_distance_from_origin():
     for n in (4, 9, 22):
-        cells = default_witness_order(n)
+        cells = list(default_witness_order(n))
         dists = [max(abs(lo), abs(hi)) for lo, hi in cells]
         assert dists == sorted(dists)
         # the central cell pair around 0 comes first
         lo, hi = cells[0]
         assert lo <= 0.0 <= hi or abs(lo) <= 1.0 / (2 * n + 1)
+
+
+def _sorted_cells(n):
+    # the sort default_witness_order replaced, kept as its oracle
+    return sorted(nonnegative_cells(n),
+                  key=lambda c: (max(abs(c[0]), abs(c[1])), c[0]))
+
+
+def test_witness_order_matches_sorted_cells():
+    for n in (*range(1, 301), 1040, 4128, 16448):
+        assert list(default_witness_order(n)) == _sorted_cells(n), n
+
+
+@pytest.mark.parametrize("N0, b, n, digest", [
+    (8, 8, None, "059094c7c0f7134a"),
+    (16, 16, None, "39fc4f22a5829156"),
+    (32, 32, None, "7b6685c8ef92da37"),
+    (64, 64, None, "8af6849e2a999c2d"),
+    (8, 8, 68, "059094c7c0f7134a"),
+])
+def test_witness_sets_unchanged_at_readme_scales(log_seq, N0, b, n, digest):
+    # digests of repr(Q.intervals) as built by the sort-based walk; the
+    # floats must come out bit-identical
+    w = build_witness(log_seq, N0, b, n)
+    got = hashlib.sha256(repr(w.Q.intervals).encode()).hexdigest()[:16]
+    assert got == digest
 
 
 def test_default_n_in_window():

@@ -4,6 +4,7 @@ import pytest
 from torusl1.coefficients import ConvexSequence
 from torusl1.intervals import IntervalUnion
 from torusl1.partial_sums import (
+    _cached_second_differences,
     partial_sum,
     partial_sum_grid,
     fejer_representation,
@@ -95,6 +96,16 @@ def test_identity_seeded_pairs(log_seq):
         assert "alternate" not in chk.matched
         assert chk.matched_variant == "derived"
         assert chk.diff["derived"] <= chk.tolerance
+
+
+def test_identity_shares_read_only_second_differences(log_seq):
+    first = residual_identity_check(log_seq, 8, 0.2, j_max=5000)
+    d2 = _cached_second_differences(log_seq, 5000)
+    assert not d2.flags.writeable
+    assert np.array_equal(d2, log_seq.second_differences(5001))
+    # a second check reuses the same array and gives the same result
+    assert residual_identity_check(log_seq, 8, 0.2, j_max=5000) == first
+    assert _cached_second_differences(log_seq, 5000) is d2
 
 
 def test_identity_exact_for_constant_tail():

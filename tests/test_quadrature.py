@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torusl1.coefficients import ConvexSequence
+from torusl1.exceptional import build_witness
 from torusl1.intervals import IntervalUnion
 from torusl1.kernels import (
     dirichlet_coefficients,
@@ -181,13 +183,111 @@ def test_additivity_over_disjoint_pieces(xs, N):
     assert abs(signed.value) <= whole.value + tol
 
 
+_PI_LD = np.arccos(np.longdouble(-1.0))
+
+
+def _antiderivative(coeffs, x, L=None):
+    """A(x) = c_0 x + sum c_m sin(2 pi m x) / (pi m) in extended precision.
+
+    With L given, an end that is the float k/L counts as exactly k/L and
+    is summed in longdouble over the integer-reduced angles m k mod L;
+    every other end is summed in mpmath at its exact binary value.  Float
+    differences of A lose about 1e-14 to cancellation; these do not.
+    """
+    k = round(x * L) if L else None
+    if k is not None and k / L == x:
+        m = np.arange(1, coeffs.size)
+        r = ((m * k) % L).astype(np.longdouble)
+        terms = coeffs[1:] * np.sin(2 * _PI_LD * r / L) / (_PI_LD * m)
+        v = np.longdouble(coeffs[0]) * k / L + np.sum(terms)
+        hi = float(v)
+        return mpmath.mpf(hi) + mpmath.mpf(float(v - np.longdouble(hi)))
+    with mpmath.workdps(40):
+        t = mpmath.mpf(x)
+        return +(mpmath.mpf(coeffs[0]) * t + mpmath.fsum(
+            mpmath.mpf(c) * mpmath.sin(2 * mpmath.pi * m * t) / (mpmath.pi * m)
+            for m, c in enumerate(coeffs[1:].tolist(), start=1)))
+
+
+def _exact_integral(coeffs, E, L=None):
+    with mpmath.workdps(40):
+        return mpmath.fsum(_antiderivative(coeffs, hi, L)
+                           - _antiderivative(coeffs, lo, L)
+                           for lo, hi in E.intervals)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="longdouble is no wider than double here")
+@pytest.mark.parametrize("family", ["log", "log2"])
+def test_witness_integrals_match_extended_precision(family):
+    seq = (ConvexSequence.log_reciprocal() if family == "log"
+           else ConvexSequence.log_squared_reciprocal())
+    for N0 in (8, 16, 32, 64):
+        w = build_witness(seq, N0, N0)
+        ref = _exact_integral(seq.values(w.n + 1), w.Q, 2 * w.n + 1)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(w.integral) - ref) <= w.integral_error, N0
+
+
+@st.composite
+def _signed_cases(draw):
+    """(coeffs, L, union): L = 1, 2, 3 or the sign-cell count 2N + 1; ends
+    anywhere, on the lattice k/L, one ulp off it or at +-1/2, and pieces
+    from sub-cell slivers to many cells."""
+    N = draw(st.integers(0, 40))
+    seq = draw(st.sampled_from([ConvexSequence.log_reciprocal(),
+                                ConvexSequence.log_squared_reciprocal()]))
+    L = draw(st.sampled_from([1, 2, 3, 2 * N + 1]))
+    ks = st.integers(-(L // 2), L // 2)
+    ends = st.one_of(
+        st.floats(-0.5, 0.5),
+        ks.map(lambda k: k / L),
+        ks.map(lambda k: float(np.nextafter(k / L, 0.0))),
+        st.sampled_from([-0.5, 0.5]))
+    pieces = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(ends)
+        b = draw(st.one_of(ends, st.floats(1e-9, 1.0).map(lambda f: a + f / L)))
+        lo, hi = min(a, b), min(max(a, b), 0.5)
+        if lo < hi:
+            pieces.append((lo, hi))
+    kept = []
+    for lo, hi in sorted(pieces):
+        if not kept or lo >= kept[-1][1]:
+            kept.append((lo, hi))
+    return seq.values(N + 1), L, IntervalUnion(tuple(kept))
+
+
+_LOG_SEQ = ConvexSequence.log_reciprocal()
+
+
+@settings(deadline=None)
+@given(_signed_cases())
+# one full cell whose integral cancels to 2e-4 of its terms (the FFT term)
+@example((_LOG_SEQ.values(18), 35, IntervalUnion(((13 / 35, 14 / 35),))))
+# a remnant whose integral cancels to 1e-3 of its terms
+@example((_LOG_SEQ.values(12), 23,
+          IntervalUnion((((-6 + 0.19) / 23, (-6 + 0.45) / 23),))))
+# one-ulp slivers just below a lattice point
+@example((_LOG_SEQ.values(19), 37,
+          IntervalUnion(((float(np.nextafter(9 / 37, 0.0)), 9 / 37),))))
+@example((_LOG_SEQ.values(1), 3,
+          IntervalUnion(((float(np.nextafter(1 / 3, 0.0)), 1 / 3),))))
+def test_signed_matches_exact_reference(case):
+    coeffs, L, E = case
+    q = integrate_cosine_poly(coeffs, E, L)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(q.value) - _exact_integral(coeffs, E)) \
+            <= q.error_estimate
+
+
 def _decompose_per_cell(E, L):
     # the per-cell loop _decompose replaced, kept as its oracle
     full = []
     partial = []
     for lo, hi in E.intervals:
-        k0 = math.floor(lo * L + 1e-9)
-        k1 = math.ceil(hi * L - 1e-9)
+        k0 = math.floor(lo * L) - 1
+        k1 = math.ceil(hi * L) + 1
         for k in range(k0, k1):
             c_lo = k / L
             c_hi = (k + 1) / L
@@ -198,12 +298,12 @@ def _decompose_per_cell(E, L):
             if p_lo == c_lo and p_hi == c_hi:
                 full.append(k)
             else:
-                partial.append((k, p_lo * L - k, p_hi * L - k))
+                partial.append((k, p_lo, p_hi))
     return full, partial
 
 
-# offsets from a lattice point, in cell units: on it, inside and just
-# outside the 1e-9 snapping band, one ulp-scale nudge, or anywhere in a cell
+# offsets from a lattice point, in cell units: on it, 0.5e-9 to 1.5e-9
+# off it, one ulp-scale nudge, or anywhere in a cell
 _near_lattice = st.one_of(
     st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, -5e-10, 1.5e-9, -1.5e-9,
                      1e-13, -1e-13]),
