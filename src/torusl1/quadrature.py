@@ -4,19 +4,22 @@ Two engines.
 
 Cell-aligned Gauss (|.| of partial sums and kernels):
 panels follow the sign cells [k/L, (k+1)/L) of the kernel, and every cell
-is evaluated at the composite Gauss offsets through one real inverse FFT
-of the folded half spectrum per offset (trigsum.cosine_poly_on_cells).
+is evaluated at the composite Gauss offsets through the lattice FFT
+(trigsum.cosine_poly_on_cells).  The offsets are symmetric about the
+cell centre and the integrand is even, so only the first half of the
+offsets is evaluated; each other row is a reversed view of its mirror.
 Each interval contributes one contiguous range of full cells and at most
 two partial remnants.  The Gauss sums are reduced once per lattice column
 and gathered at the full cells.  Partial remnants, and full cells whose
-values change sign (tested against the
-cell-edge values, evaluated once per call), are integrated from the same
-values: on each panel they fix a Legendre interpolant, which is
-integrated through its antiderivative and split at its real
-roots.  The error estimate is the difference between two panel-count
-refinement levels plus a roundoff floor.  Signed integrals need no
-panels: one lattice row at the cell centres gives every full cell's
-integral, and each partial remnant is one direct sum.
+values change sign (tested against the cell-edge values, evaluated once
+per call), are integrated from the same values: on each panel they fix a
+Legendre interpolant, which is split at its real roots and integrated
+with Gauss rules exact for its degree.  Remnants are placed on the panels
+from their torus ends, so a thin sliver keeps its width.  The error
+estimate is the difference between two panel-count refinement levels
+plus a roundoff floor.  Signed integrals need no panels: one lattice row
+at the cell centres gives every full cell's integral, and each partial
+remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
 come from one real inverse FFT each (trigsum.cosine_poly_grid), and the
@@ -122,13 +125,18 @@ def _gauss(n):
 
 
 def _unit_composite(panels, nodes):
-    """Composite Gauss nodes/weights on [0, 1]."""
+    """Composite Gauss nodes/weights on [0, 1], symmetric about 1/2 bit
+    for bit: the last n//2 nodes are 1 - x of the first n//2, reversed,
+    and carry their weights."""
     x, w, _ = _gauss(nodes)
     edges = np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * np.broadcast_to(w, (panels, w.size))).ravel()
+    m = pts.size // 2
+    pts[pts.size - m:] = 1.0 - pts[m - 1::-1]
+    wts[wts.size - m:] = wts[m - 1::-1]
     return pts, wts
 
 
@@ -164,31 +172,65 @@ def _decompose(E, L):
     return np.concatenate(full or [np.empty(0, dtype=int)]), partial
 
 
-def _interpolated(vals, pieces, L, panels, nodes):
-    """Integrate |.| over cell pieces (k, a, b) from their panel interpolants.
+def _lattice(coeffs, L, panels, nodes):
+    """The n = panels * nodes composite Gauss rows of the cell lattice and
+    their weights: row i holds every cell's value at offset x_i / L.
 
-    Column k % L of vals holds the composite Gauss values of cell k; on
-    each panel they fix the degree nodes-1 Legendre interpolant, which is
-    split at its real roots inside the sub-range and integrated as
-    differences of its antiderivative.  Returns (integral, panels used).
+    p is even, so the row at offset 1/L - x is the row at x reversed:
+    p((k + 1)/L - x) = p((L - 1 - k)/L + x).  The offsets are symmetric
+    (x_{n-1-i} = 1 - x_i), so only the first ceil(n/2) rows are evaluated
+    and the others are reversed views of them.
+    """
+    offs, wts = _unit_composite(panels, nodes)
+    n = offs.size
+    vals = cosine_poly_on_cells(coeffs, L, offs[:n - n // 2] / L)
+    rows = [*vals, *(vals[j, ::-1] for j in range(n // 2 - 1, -1, -1))]
+    return rows, wts / L
+
+
+def _interpolated(rows, pieces, L, panels, nodes):
+    """Integrate |.| over cell pieces (k, lo, hi) from their panel interpolants.
+
+    Column k % L of the lattice rows holds the composite Gauss values of
+    cell k; on each panel they fix the degree nodes-1 Legendre interpolant
+    q in the panel coordinate s in [-1, 1].  A panel the piece covers is
+    all of [-1, 1].  The part [a, b] of a panel it cuts is mapped from its
+    torus ends: half-width L P (b - a), which keeps a sliver's width to
+    rounding however far from the origin it lies, centred at its offset
+    from the panel centre.  q is split at its real roots there and each
+    root-free range is integrated with ceil(nodes/2)-point Gauss, exact for
+    q's degree.  Returns (integral, panels used).
     """
     leg = np.polynomial.legendre
-    by_panel = vals[:, [k % L for k, _, _ in pieces]].T.reshape(
+    cols = [k % L for k, _, _ in pieces]
+    by_panel = np.array([row[cols] for row in rows]).T.reshape(
         len(pieces), panels, nodes)
     coeffs = by_panel @ _gauss(nodes)[2].T
-    anti = leg.legint(coeffs, scl=0.5 / (panels * L), axis=-1)
+    gx, gw, _ = _gauss((nodes + 1) // 2)
+    LP = L * panels
     total = 0.0
     used = 0
-    for (_, a, b), c, F in zip(pieces, coeffs, anti):
-        for i in range(int(a * panels), min(math.ceil(b * panels), panels)):
-            lo = max(2.0 * (a * panels - i) - 1.0, -1.0)
-            hi = min(2.0 * (b * panels - i) - 1.0, 1.0)
-            if hi <= lo:
+    for (k, lo, hi), c in zip(pieces, coeffs):
+        for i in range(panels):
+            j = k * panels + i
+            e0, e1 = j / LP, (j + 1) / LP
+            a, b = max(lo, e0), min(hi, e1)
+            if b <= a:
                 continue
+            if a == e0 and b == e1:
+                mid, half = 0.0, 1.0
+            else:
+                mid = 2.0 * LP * (0.5 * (a + b) - (2 * j + 1) / (2 * LP))
+                half = LP * (b - a)
             r = leg.legroots(c[i])
-            r = r.real[(r.imag == 0.0) & (r.real > lo) & (r.real < hi)]
-            cuts = np.concatenate(([lo], np.sort(r), [hi]))
-            total += float(np.abs(np.diff(leg.legval(cuts, F[i]))).sum())
+            r = np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real - mid) < half)])
+            cuts = np.concatenate(([mid - half], r, [mid + half]))
+            mids = 0.5 * (cuts[1:] + cuts[:-1])
+            halves = 0.5 * np.diff(cuts)
+            if r.size == 0:  # keep the part's own centre and width
+                mids[0], halves[0] = mid, half
+            q = leg.legval(mids[:, None] + halves[:, None] * gx, c[i])
+            total += float(np.abs(halves * (q @ gw)).sum()) / (2 * LP)
             used += 1
     return total, used
 
@@ -197,17 +239,15 @@ def _level(coeffs, E, L, panels, nodes, edges):
     """One refinement level of the |.| integral: (integral, panels used).
 
     Every value comes from one lattice evaluation at the composite Gauss
-    offsets.  The Gauss sums of |.| and the peak |.| are reduced once per
-    lattice column, a row at a time, then gathered at the full cells.
-    Full cells are summed with the Gauss weights, except cells whose values
-    change sign against their edge values (edges = the values at the cell
-    edges x = 0); those join the remnants on the panel-interpolant path.
+    offsets (_lattice).  The Gauss sums of |.| and the peak |.| are reduced
+    once per lattice column, a row at a time, then gathered at the full
+    cells.  Full cells are summed with the Gauss weights, except cells
+    whose values change sign against their edge values (edges = the values
+    at the cell edges x = 0); those join the remnants on the
+    panel-interpolant path.
     """
     full, pieces = _decompose(E, L)
-    pieces = [(k, lo * L - k, hi * L - k) for k, lo, hi in pieces]
-    offs, wts = _unit_composite(panels, nodes)
-    vals = cosine_poly_on_cells(coeffs, L, offs / L)
-    wts = wts / L
+    rows, wts = _lattice(coeffs, L, panels, nodes)
     total = 0.0
     n_panels = 0
     if full.size:
@@ -215,7 +255,7 @@ def _level(coeffs, E, L, panels, nodes, edges):
         mass = np.zeros(L)
         peak = np.zeros(L)
         a = np.empty(L)
-        for wt, row in zip(wts, vals):
+        for wt, row in zip(wts, rows):
             np.abs(row, out=a)
             np.maximum(peak, a, out=peak)
             a *= wt
@@ -230,7 +270,7 @@ def _level(coeffs, E, L, panels, nodes, edges):
         kinky = np.zeros(L, dtype=bool)
         pos = edges > thresh
         neg = edges < -thresh
-        for row in (*vals, right):
+        for row in (*rows, right):
             pos_next = row > thresh
             neg_next = row < -thresh
             kinky |= (pos & neg_next) | (neg & pos_next)
@@ -239,9 +279,9 @@ def _level(coeffs, E, L, panels, nodes, edges):
         contrib = mass[~kinky]
         total = float(contrib.sum())
         n_panels = panels * contrib.size
-        pieces += [(int(k), 0.0, 1.0) for k in full[kinky]]
+        pieces += [(k, k / L, (k + 1) / L) for k in full[kinky].tolist()]
     if pieces:
-        t, p = _interpolated(vals, pieces, L, panels, nodes)
+        t, p = _interpolated(rows, pieces, L, panels, nodes)
         total += t
         n_panels += p
     return total, n_panels

@@ -10,10 +10,15 @@ real coefficient vector c, in three layouts:
     by folding the coefficients onto the real half spectrum r = 0..G//2
     and taking one real inverse FFT of length G.
   * cosine_poly_on_cells: the lattice t = k/L + x for all residues k at a
-    few offsets x, one real inverse FFT of length L per offset over the
-    Hermitian half spectrum, taken a block of offsets at a time.  This is
-    what lets cell-aligned quadrature touch every kernel cell at once.
+    few offsets x.  Each offset's row is real, so two rows share one
+    complex inverse FFT of length L (one as the real part, one as the
+    imaginary part of the output); the phases come from a split table of
+    about 2 sqrt(len(c)) exponentials per offset, and offsets are taken a
+    block at a time.  This is what lets cell-aligned quadrature touch
+    every kernel cell at once.
 """
+
+import math
 
 import numpy as np
 
@@ -84,6 +89,22 @@ def cosine_poly_grid(coeffs, grid_size):
     return np.fft.irfft(half, n=G)
 
 
+def _phases(size, x):
+    """e^{2 pi i m x} for m = 0..size-1 at each offset x: shape (x.size, size).
+
+    With m = qB + j and B about sqrt(size), the phase is the product of
+    e^{2 pi i qB x} and e^{2 pi i j x}, two tables of about sqrt(size)
+    entries per offset whose angles product_frac reduces exactly; the
+    product costs one complex multiply per term instead of an exp.
+    """
+    B = math.isqrt(size - 1) + 1
+    Q = -(-size // B)
+    x = x[:, None]
+    step = np.exp((2.0j * np.pi) * product_frac(np.arange(B, dtype=float), x))
+    jump = np.exp((2.0j * np.pi) * product_frac(B * np.arange(Q, dtype=float), x))
+    return (jump[:, :, None] * step[:, None, :]).reshape(x.shape[0], Q * B)[:, :size]
+
+
 def cosine_poly_on_cells(coeffs, cell_count, offsets):
     """Values of p at t = k/cell_count + x for every residue k and offset x.
 
@@ -92,14 +113,18 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
     order, so torus cell index q maps to column q % cell_count.
 
     With z_m = w_m e^{2 pi i m x} folded into one-sided bins b_r (r = m mod
-    L), p(k/L + x) = Re sum_r b_r e^{2 pi i r k/L}.  Since p is real this is
-    L * irfft(B) with the Hermitian half spectrum B_r = (b_r + conj b_{-r})/2,
-    r = 0..L//2: terms with m mod L <= L//2 land on B_r, the others conjugated
-    on B_{L-r}, and the self-conjugate bins (r = 0 and, for even L, r = L/2)
-    keep the real part of b_r.  The factor L is folded into the weights.
-    Offsets are taken _OFFSET_BLOCK at a time, so the only complex
-    temporaries are block x len(coeffs) phases and the block x (L//2 + 1)
-    half spectrum.
+    L), p(k/L + x) = Re sum_r b_r e^{2 pi i r k/L} = L ifft(H)_k with the
+    Hermitian extension H_r = (b_r + conj b_{-r})/2.  The half spectrum
+    H_0..H_{L//2} is folded directly: terms with m mod L <= L//2 land on
+    H_r, the others conjugated on H_{L-r}, and the self-conjugate bins
+    (r = 0 and, for even L, r = L/2) keep the real part of b_r; H_{L-r} =
+    conj H_r fills the rest.  Since both rows of a pair are real, one
+    complex inverse FFT of H_a + i H_b returns row a as its real part and
+    row b as its imaginary part; an unpaired last row is paired with a zero
+    row.  The factor L is folded into the weights.  Offsets are taken
+    _OFFSET_BLOCK at a time, so the only complex temporaries are block x
+    len(coeffs) phases, the block x (L//2 + 1) half spectra and the
+    block/2 x L packed spectra.
     """
     L = int(cell_count)
     if L < 1:
@@ -107,21 +132,35 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
     w = _weights(coeffs)
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     h = L // 2 + 1
-    m = np.arange(w.size, dtype=float)
     half_w = (0.5 * L) * w
     out = np.empty((offsets.size, L))
     for i in range(0, offsets.size, _OFFSET_BLOCK):
-        x = offsets[i:i + _OFFSET_BLOCK, None]
-        z = np.exp((2.0j * np.pi) * product_frac(m, x))
+        x = offsets[i:i + _OFFSET_BLOCK]
+        z = _phases(w.size, x)
         z *= half_w
-        half = np.zeros((x.shape[0], h), dtype=complex)
+        half = np.zeros((x.size + x.size % 2, h), dtype=complex)
         for s in range(0, w.size, L):
             up = z[:, s:s + h]
-            half[:, :up.shape[1]] += up
+            half[:x.size, :up.shape[1]] += up
             down = z[:, s + h:s + L]  # r = h..L-1 lands on L - r, descending
-            half[:, L - h:L - h - down.shape[1]:-1] += down.conj()
+            half[:x.size, L - h:L - h - down.shape[1]:-1] += down.conj()
+        del z  # each temporary goes before the next is allocated
         half[:, 0] = 2.0 * half[:, 0].real
         if L % 2 == 0:
             half[:, -1] = 2.0 * half[:, -1].real
-        out[i:i + x.shape[0]] = np.fft.irfft(half, n=L, axis=1)
+        a, b = half[0::2], half[1::2]
+        packed = np.empty((a.shape[0], L), dtype=complex)
+        lower, upper = packed[:, :h], packed[:, h:]
+        np.multiply(b, 1j, out=lower)
+        lower += a
+        # H_{L-r} = conj H_r for r = 1..L-h, stored at h..L-1:
+        # conj(a_r) + i conj(b_r) = conj(a_r - i b_r)
+        np.multiply(b[:, L - h:0:-1], -1j, out=upper)
+        upper += a[:, L - h:0:-1]
+        np.conjugate(upper, out=upper)
+        del half, a, b
+        rows = np.fft.ifft(packed, axis=1)
+        del packed
+        out[i:i + x.size:2] = rows.real
+        out[i + 1:i + x.size:2] = rows.imag[:x.size // 2]
     return out

@@ -16,6 +16,8 @@ from torusl1.kernels import (
 from torusl1.quadrature import (
     _decompose,
     _grid_trapezoid,
+    _lattice,
+    _unit_composite,
     NormTrace,
     TraceEntry,
     integrate_cosine_poly,
@@ -25,7 +27,7 @@ from torusl1.quadrature import (
     origin_window_bound,
     norm_trace,
 )
-from torusl1.trigsum import cosine_poly_points
+from torusl1.trigsum import cosine_poly_on_cells, cosine_poly_points
 
 FULL = IntervalUnion.full_torus()
 EPS = float(np.finfo(float).eps)
@@ -98,11 +100,40 @@ def _lebesgue_constant(N):
     return math.fsum(terms)
 
 
-@pytest.mark.parametrize("N", [1, 7, 256, 4096, 16384])
+@pytest.mark.parametrize("N", [1, 7, 256, 4096, 16384, 65536, 131072])
 def test_dirichlet_mass_matches_lebesgue_constant(N):
     q = integrate_cosine_poly(dirichlet_coefficients(N), FULL, 2 * N + 1,
                               absolute=True)
     assert abs(q.value - _lebesgue_constant(N)) <= q.error_estimate
+
+
+@pytest.mark.parametrize("N", [1024, 2048, 4096, 8192, 16384])
+def test_log2_mass_matches_zeroth_coefficient(N):
+    # S_N of the log2 family is nonnegative on the torus through
+    # N = 16384, so its L1 norm is its mean a_0
+    seq = ConvexSequence.log_squared_reciprocal()
+    q = integrate_abs_partial_sum(seq, N, FULL)
+    assert abs(q.value - seq.values(1)[0]) <= q.error_estimate
+
+
+@pytest.mark.parametrize("L,panels,nodes", [
+    (1, 1, 2), (2, 3, 3), (9, 1, 5), (16, 2, 16), (61, 3, 16),
+    (65537, 4, 16)])
+def test_lattice_mirrored_rows_match_direct(L, panels, nodes):
+    # _lattice evaluates the first ceil(n/2) offsets; row n-1-j must be
+    # the row evaluated directly at offset 1/L - x_j
+    offs, wts = _unit_composite(panels, nodes)
+    n = offs.size
+    m = n // 2
+    assert np.array_equal(offs[n - m:], 1.0 - offs[m - 1::-1])
+    assert np.array_equal(wts[n - m:], wts[m - 1::-1])
+    coeffs = np.random.default_rng(L).normal(size=L // 2 + 3)
+    rows, row_wts = _lattice(coeffs, L, panels, nodes)
+    assert len(rows) == n and np.array_equal(row_wts, wts / L)
+    direct = cosine_poly_on_cells(coeffs, L, 1.0 / L - offs[:n // 2] / L)
+    bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+    for j in range(n // 2):
+        assert np.max(np.abs(rows[n - 1 - j] - direct[j])) <= bar, j
 
 
 def _signed_exact(coeffs, lo, hi):
@@ -227,6 +258,27 @@ def test_witness_integrals_match_extended_precision(family):
         ref = _exact_integral(seq.values(w.n + 1), w.Q, 2 * w.n + 1)
         with mpmath.workdps(40):
             assert abs(mpmath.mpf(w.integral) - ref) <= w.integral_error, N0
+
+
+# thin pieces far from the origin, where converting the ends to cell units
+# (lo * L - k) rounds away most of the width; S_N keeps one sign on each,
+# so the signed extended-precision reference is the |.| value
+@pytest.mark.parametrize("family,N,lo,hi", [
+    ("log", 1, -0.22174763893728844, -0.22174763722122523),
+    ("log", 30, -0.18, -0.18 + 4.3e-8),
+    ("log2", 30, -0.18015110644468804, -0.18015110644468804 + 4.3e-8),
+])
+def test_abs_sliver_matches_exact_reference(family, N, lo, hi):
+    seq = (ConvexSequence.log_reciprocal() if family == "log"
+           else ConvexSequence.log_squared_reciprocal())
+    coeffs = seq.values(N + 1)
+    E = IntervalUnion(((lo, hi),))
+    signs = np.sign(cosine_poly_points(coeffs, np.linspace(lo, hi, 5)))
+    assert abs(signs.sum()) == signs.size
+    q = integrate_cosine_poly(coeffs, E, 2 * N + 1, absolute=True)
+    with mpmath.workdps(40):
+        exact = abs(_exact_integral(coeffs, E))
+        assert abs(mpmath.mpf(q.value) - exact) <= q.error_estimate
 
 
 @st.composite

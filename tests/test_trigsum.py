@@ -71,24 +71,37 @@ def test_grid_half_spectrum_matches_points(G):
 
 
 def test_on_cells_matches_points_short_and_folded():
-    # every column against the direct sum.  Besides short and folded
-    # coefficient vectors this covers w.size = L//2 + 1, whose top term sits
-    # on the Nyquist bin of the half spectrum when L is even, w.size = L,
-    # and L = 1; 11 offsets span more than one offset block
-    rng = np.random.default_rng(11)
-    cases = [(7, 4), (7, 40), (33, 33), (5, 128)]
-    for L in (1, 2, 8, 9, 16):
-        cases += [(L, L // 2 + 1), (L, L), (L, 3 * L + 2)]
-    for L, M in cases:
-        coeffs = rng.normal(size=M)
-        offsets = np.concatenate(([0.0, 0.01, 0.5 / L, 0.09],
-                                  rng.uniform(-1.0, 1.0, 7)))
-        vals = cosine_poly_on_cells(coeffs, L, offsets)
-        assert vals.shape == (offsets.size, L) and vals.dtype == float
-        direct = cosine_poly_points(coeffs,
-                                    np.arange(L) / L + offsets[:, None])
-        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
-        assert np.max(np.abs(vals - direct)) <= bar, (L, M)
+    # the lattice against the direct sum.  Coefficient vectors: short,
+    # w.size = L//2 + 1 (its top term sits on the Nyquist bin of the half
+    # spectrum when L is even), w.size = L and folded up to 25 times over.
+    # Offset counts 1, 3, 9 and 17 leave an unpaired last row, 2 is one
+    # pair, and 9 and 17 span more than one offset block.  At L = 65537
+    # the direct sum is taken at a sample of columns, and the coefficients
+    # decay like 1/m^2: the direct sum sees t = k/L + x rounded to a
+    # double, which moves p by up to eps |t| |p'|, and |p'| must stay small
+    for L in (1, 2, 5, 7, 8, 9, 16, 33, 65537):
+        rng = np.random.default_rng(L)
+        if L < 100:
+            sizes = (4, 40, 128, L // 2 + 1, L, 3 * L + 2)
+            cols = np.arange(L)
+        else:
+            sizes = (40, L // 2 + 1)
+            cols = np.unique(np.concatenate(([0, 1, L // 2, L - 1],
+                                             rng.integers(0, L, 28))))
+        for M in sizes:
+            coeffs = rng.normal(size=M)
+            if L > 100:
+                coeffs /= (1.0 + np.arange(M)) ** 2
+            bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+            for count in (1, 2, 3, 9, 17):
+                offsets = np.concatenate(([0.01, 0.0, 0.5 / L, 0.09],
+                                          rng.uniform(-1.0, 1.0, 13)))[:count]
+                vals = cosine_poly_on_cells(coeffs, L, offsets)
+                assert vals.shape == (count, L) and vals.dtype == float
+                direct = cosine_poly_points(coeffs,
+                                            cols / L + offsets[:, None])
+                err = np.max(np.abs(vals[:, cols] - direct))
+                assert err <= bar, (L, M, count)
 
 
 def test_on_cells_torus_column_order():
