@@ -105,8 +105,9 @@ def reference_function_grid(seq, grid_size, j_max):
 
     Off the origin the truncated sum collapses to
     (W - C(t)) / (2 sin^2(pi t)) with W = sum d2 and C a cosine polynomial,
-    which one folded FFT evaluates on the whole grid; the exact origin
-    point, if the grid hits it, is summed directly (F_j(0) = j+1).
+    which cosine_poly_grid evaluates on the whole grid; the exact origin
+    point, if the grid hits it, is summed directly (F_j(0) = j+1).  The
+    term index goes through product_frac, so j_max + 2 <= 2^25.
     """
     G = int(grid_size)
     if G < 2:
@@ -114,6 +115,9 @@ def reference_function_grid(seq, grid_size, j_max):
     j_max = int(j_max)
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
+    if j_max + 2 > 2 ** 25:  # product_frac's exact range for the term index
+        raise ValueError(f"j_max {j_max} is too large: the grid evaluation "
+                         "needs j_max + 2 <= 2^25")
     d2 = seq.second_differences(j_max + 1)
     coeffs = np.zeros(j_max + 2)
     coeffs[1:] = d2

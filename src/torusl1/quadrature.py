@@ -22,12 +22,13 @@ at the cell centres gives every full cell's integral, and each partial
 remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
-come from one real inverse FFT each (trigsum.cosine_poly_grid), and the
-grid must exceed 2N points.  The reference carries per-point truncation
-bounds; the integrated bound, the grid-refinement difference, and end
-slivers are combined into the error estimate.  Sets must stay clear of
-the origin when the reference tail diverges there; the mass of the
-excluded window is bounded in closed form and reported.
+are each read off a few interleaved rows of the same lattice FFT
+(trigsum.cosine_poly_grid), and the grid must exceed 2N points.  The
+reference carries per-point truncation bounds; the integrated bound, the
+grid-refinement difference, and end slivers are combined into the error
+estimate.  Sets must stay clear of the origin when the reference tail
+diverges there; the mass of the excluded window is bounded in closed form
+and reported.
 """
 
 import math

@@ -1,21 +1,22 @@
 """Fast evaluation of even cosine polynomials.
 
 Everything here evaluates p(t) = c_0 + sum_{m>=1} 2 c_m cos(2 pi m t) for a
-real coefficient vector c, in three layouts:
+real coefficient vector c.  There are two evaluators and one read-out:
 
   * cosine_poly_points: direct sum at scattered points (the slow oracle the
-    fast paths are checked against); angles go through an exact split
+    fast path is checked against); angles go through an exact split
     product so per-term error stays near machine level.
-  * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G in O(M + G log G)
-    by folding the coefficients onto the real half spectrum r = 0..G//2
-    and taking one real inverse FFT of length G.
   * cosine_poly_on_cells: the lattice t = k/L + x for all residues k at a
     few offsets x.  Each offset's row is real, so two rows share one
     complex inverse FFT of length L (one as the real part, one as the
     imaginary part of the output); the phases come from a split table of
-    about 2 sqrt(len(c)) exponentials per offset, and offsets are taken a
-    block at a time.  This is what lets cell-aligned quadrature touch
-    every kernel cell at once.
+    about 2 sqrt(L) exponentials per offset and period of L terms, and
+    offsets are taken a block at a time.  This is what lets cell-aligned
+    quadrature touch every kernel cell at once.
+  * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G, read off P
+    interleaved lattice rows of length G/P; it folds and transforms
+    nothing itself.  An odd G has P = 1, whose row is paired with a zero
+    row: twice the FFT work of one real inverse FFT of length G.
 """
 
 import math
@@ -66,42 +67,34 @@ def cosine_poly_points(coeffs, ts, m_chunk=2048, t_chunk=2048):
 def cosine_poly_grid(coeffs, grid_size):
     """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size-1.
 
-    At t_k the term m contributes (-1)^m w_m cos(2 pi r k/G) with r = m mod
-    G, and cos(2 pi r k/G) = cos(2 pi (G - r) k/G), so the signed weights
-    fold onto the real half spectrum r = min(m mod G, G - m mod G) =
-    0..G//2.  One real inverse FFT of length G then gives every value:
-    irfft weighs the self-conjugate bins (r = 0 and, for even G, r = G/2)
-    once and the others twice, so those two carry G c_r and the rest
-    G c_r / 2.
+    For any P dividing G, t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P,
+    so the grid is P interleaved lattices: row j of cosine_poly_on_cells at
+    offset 1/2 + j/G holds grid values j, j + P, ...  More rows mean shorter
+    FFTs but P phases per term, so P = gcd(G, 8) while len(coeffs) <= G/8
+    and gcd(G, 2) otherwise.
     """
     G = int(grid_size)
     if G < 1:
         raise ValueError("grid_size must be >= 1")
-    w = _weights(coeffs)
-    m = np.arange(w.size)
-    signed = np.where(m % 2 == 0, w, -w)  # e^{2 pi i m t} picks up (-1)^m at t = k/G - 1/2
-    r = m % G
-    half = np.bincount(np.minimum(r, G - r), weights=signed, minlength=G // 2 + 1)
-    half *= 0.5 * G
-    half[0] *= 2.0
-    if G % 2 == 0:
-        half[-1] *= 2.0
-    return np.fft.irfft(half, n=G)
+    P = math.gcd(G, 8 if np.size(coeffs) <= G // 8 else 2)
+    return cosine_poly_on_cells(coeffs, G // P, 0.5 + np.arange(P) / G).T.ravel()
 
 
-def _phases(size, x):
-    """e^{2 pi i m x} for m = 0..size-1 at each offset x: shape (x.size, size).
+def _phases(lo, hi, x):
+    """e^{2 pi i m x} for m = lo..hi-1 at each offset x: shape (x.size, hi - lo).
 
-    With m = qB + j and B about sqrt(size), the phase is the product of
-    e^{2 pi i qB x} and e^{2 pi i j x}, two tables of about sqrt(size)
-    entries per offset whose angles product_frac reduces exactly; the
-    product costs one complex multiply per term instead of an exp.
+    With m = lo + qB + j and B about sqrt(hi - lo), the phase is the product
+    of e^{2 pi i (lo + qB) x} and e^{2 pi i j x}, two tables of about
+    sqrt(hi - lo) entries per offset whose angles product_frac reduces
+    exactly; the product costs one complex multiply per term instead of an
+    exp.
     """
+    size = hi - lo
     B = math.isqrt(size - 1) + 1
     Q = -(-size // B)
     x = x[:, None]
     step = np.exp((2.0j * np.pi) * product_frac(np.arange(B, dtype=float), x))
-    jump = np.exp((2.0j * np.pi) * product_frac(B * np.arange(Q, dtype=float), x))
+    jump = np.exp((2.0j * np.pi) * product_frac(lo + B * np.arange(Q, dtype=float), x))
     return (jump[:, :, None] * step[:, None, :]).reshape(x.shape[0], Q * B)[:, :size]
 
 
@@ -122,9 +115,9 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
     complex inverse FFT of H_a + i H_b returns row a as its real part and
     row b as its imaginary part; an unpaired last row is paired with a zero
     row.  The factor L is folded into the weights.  Offsets are taken
-    _OFFSET_BLOCK at a time, so the only complex temporaries are block x
-    len(coeffs) phases, the block x (L//2 + 1) half spectra and the
-    block/2 x L packed spectra.
+    _OFFSET_BLOCK at a time and terms one period of L at a time, so the
+    only complex temporaries are block x L phases, whatever len(coeffs),
+    the block x (L//2 + 1) half spectra and the block/2 x L packed spectra.
     """
     L = int(cell_count)
     if L < 1:
@@ -136,15 +129,14 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
     out = np.empty((offsets.size, L))
     for i in range(0, offsets.size, _OFFSET_BLOCK):
         x = offsets[i:i + _OFFSET_BLOCK]
-        z = _phases(w.size, x)
-        z *= half_w
         half = np.zeros((x.size + x.size % 2, h), dtype=complex)
-        for s in range(0, w.size, L):
-            up = z[:, s:s + h]
-            half[:x.size, :up.shape[1]] += up
-            down = z[:, s + h:s + L]  # r = h..L-1 lands on L - r, descending
-            half[:x.size, L - h:L - h - down.shape[1]:-1] += down.conj()
-        del z  # each temporary goes before the next is allocated
+        for lo in range(0, w.size, L):
+            z = _phases(lo, min(lo + L, w.size), x)
+            z *= half_w[lo:lo + L]
+            half[:x.size, :z.shape[1]] += z[:, :h]
+            # r = h..L-1 lands on L - r, descending
+            half[:x.size, L - h:L - z.shape[1]:-1] += z[:, h:].conj()
+            del z  # each temporary goes before the next is allocated
         half[:, 0] = 2.0 * half[:, 0].real
         if L % 2 == 0:
             half[:, -1] = 2.0 * half[:, -1].real

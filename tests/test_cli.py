@@ -207,6 +207,9 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "norms", "--kind", "residual", "--n", "8",
                            "--grid-size", "16", "--set", "0.1,0.3")
     assert code == 2 and "below Nyquist" in err
+    code, _, err = run_cli(capsys, "norms", "--kind", "residual", "--n", "8",
+                           "--j-max", str(2 ** 25 - 1), "--set", "0.1,0.3")
+    assert code == 2 and "j_max 33554431" in err
     with pytest.raises(SystemExit) as exc:
         main(["witness"])  # --n0 is required
     assert exc.value.code == 2

@@ -86,6 +86,24 @@ def test_reference_grid_matches_representation(log_seq, log2_seq):
             fejer_representation(seq, J, 0.0)[0], rel=1e-12)
 
 
+def test_reference_grid_rejects_j_max_beyond_exact_range(log_seq):
+    # the top term index j_max + 1 goes through product_frac, exact below
+    # 2^25: j_max = 2^25 - 1 is refused before anything is built, and
+    # 2^25 - 2 passes the check and reaches the second differences
+    with pytest.raises(ValueError, match="j_max 33554431"):
+        reference_function_grid(log_seq, 16, 2 ** 25 - 1)
+
+    class Reached(Exception):
+        pass
+
+    class Probe:
+        def second_differences(self, count):
+            raise Reached(count)
+
+    with pytest.raises(Reached):
+        reference_function_grid(Probe(), 16, 2 ** 25 - 2)
+
+
 def test_identity_seeded_pairs(log_seq):
     rng = np.random.default_rng(7)
     for _ in range(10):

@@ -56,18 +56,39 @@ def test_grid_matches_points(G, M):
     assert np.allclose(grid, direct, rtol=0, atol=1e-10 * max(1, M))
 
 
-@pytest.mark.parametrize("G", [1, 2, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("G", [1, 2, 7, 8, 9, 12, 16, 17, 20, 24])
 def test_grid_half_spectrum_matches_points(G):
-    # M = G//2 + 1 puts the top term on the Nyquist bin when G is even;
-    # M = G fills every residue once and M = 3G + 2 folds three times over
+    # the grid is read off P = gcd(G, 8) lattice rows of length G/P while
+    # M <= G//8, else P = gcd(G, 2): M = G//8 and G//8 + 1 sit on each side
+    # of that rule.  P = 4 at G = 12 (M = 1) and G = 20 (M <= 2), P = 8 at
+    # G = 24 (M <= 3), and an odd G is one row paired with a zero row.
+    # M = G//2 + 1, G and 3G + 2 fold the terms over one or more periods
     rng = np.random.default_rng(G)
     ts = -0.5 + np.arange(G) / G
-    for M in (1, 2, G // 2 + 1, G, 3 * G + 2):
+    for M in (1, 2, G // 8, G // 8 + 1, G // 2 + 1, G, 3 * G + 2):
+        if M == 0:
+            continue
         coeffs = rng.normal(size=M)
         grid = cosine_poly_grid(coeffs, G)
         assert grid.shape == (G,) and grid.dtype == float
         bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
         assert np.max(np.abs(grid - cosine_poly_points(coeffs, ts))) <= bar, M
+
+
+def test_grid_matches_points_at_benchmark_scale():
+    # shaped like the residual benchmark's S_N: G = 2^21 and M = 65537 give
+    # P = 8 rows of length 2^18.  As at L = 65537 below, the coefficients
+    # decay like 1/m^2 and the direct sum is taken at a sample of indices
+    G, M = 2 ** 21, 65537
+    rng = np.random.default_rng(M)
+    coeffs = rng.normal(size=M) / (1.0 + np.arange(M)) ** 2
+    idx = np.unique(np.concatenate(([0, 1, 7, 8, G // 2, G - 1],
+                                    rng.integers(0, G, 26))))
+    grid = cosine_poly_grid(coeffs, G)
+    assert grid.shape == (G,) and grid.dtype == float
+    bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+    direct = cosine_poly_points(coeffs, -0.5 + idx / G)
+    assert np.max(np.abs(grid[idx] - direct)) <= bar
 
 
 def test_on_cells_matches_points_short_and_folded():
