@@ -15,11 +15,13 @@ values change sign (tested against the cell-edge values, evaluated once
 per call), are integrated from the same values: on each panel they fix a
 Legendre interpolant, which is split at its real roots and integrated
 with Gauss rules exact for its degree.  Remnants are placed on the panels
-from their torus ends, so a thin sliver keeps its width.  The error
-estimate is the difference between two panel-count refinement levels
-plus a roundoff floor.  Signed integrals need no panels: one lattice row
-at the cell centres gives every full cell's integral, and each partial
-remnant is one direct sum.
+from their torus ends, so a thin sliver keeps its width.  The lattice is
+evaluated once per call.  The error estimate is an a priori bound
+(Bernstein-ellipse bounds on the Gauss sums and the panel interpolants,
+plus the interpolated rounding of the lattice values) with a roundoff
+floor relative to the value.  Signed integrals need no panels: one
+lattice row at the cell centres gives every full cell's integral, and
+each partial remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
 are each read off a few interleaved rows of the same lattice FFT
@@ -236,22 +238,66 @@ def _interpolated(rows, pieces, L, panels, nodes):
     return total, used
 
 
-def _level(coeffs, E, L, panels, nodes, edges):
-    """One refinement level of the |.| integral: (integral, panels used).
+def _lebesgue(n):
+    """Lebesgue constant of the n Gauss-Legendre nodes.
 
-    Every value comes from one lattice evaluation at the composite Gauss
-    offsets (_lattice).  The Gauss sums of |.| and the peak |.| are reduced
-    once per lattice column, a row at a time, then gathered at the full
-    cells.  Full cells are summed with the Gauss weights, except cells
-    whose values change sign against their edge values (edges = the values
-    at the cell edges x = 0); those join the remnants on the
-    panel-interpolant path.
+    Their Lebesgue function sum_i |l_i(s)| peaks at s = +-1, and
+    P_j(1) = 1 turns l_i(1) into the column sums of the coefficient map.
+    """
+    return float(np.abs(_gauss(n)[2].sum(axis=0)).sum())
+
+
+# Bernstein ellipse parameters the |.| bound is minimised over
+_RHO = 1.0 + np.geomspace(1e-4, 1e4, 321)
+
+
+def _abs_bound(coeffs, L, panels, n, definite_panels, cut):
+    """A priori error bound of the single-level |.| integral.
+
+    On a panel of half-width h = 1/(2 panels L), p is entire and bounded on
+    the Bernstein ellipse E_rho of the panel coordinate by
+    M = sum|w_m| cosh(pi m_max h (rho - 1/rho)).  Each sign-definite Gauss
+    panel errs by at most h (64/15) M rho^(-2(n-1)) / (rho^2 - 1) (Trefethen,
+    ATAP, Thm 19.3); the pieces integrated from panel interpolants, of total
+    measure cut, by (1 + Lambda_n) times the best approximation error
+    2 M rho^(-(n-1)) / (rho - 1) (Thm 8.2 and Lebesgue's lemma) plus the
+    interpolated rounding of lattice values, eps sum|w_m| each.  rho is the
+    best of a fixed grid, worked in logs since cosh overflows.
+    """
+    h = 0.5 / (panels * L)
+    w_sum = 2.0 * float(np.abs(coeffs).sum()) - abs(float(coeffs[0]))
+    amp = 1.0 + _lebesgue(n)
+    x = math.pi * (coeffs.size - 1) * h * (_RHO - 1.0 / _RHO)
+    log_rho = np.log(_RHO)
+    with np.errstate(divide="ignore"):  # log 0 = -inf drops an empty term
+        log_w, log_gauss, log_interp = np.log(
+            [w_sum, definite_panels * h * 64.0 / 15.0, cut * amp * 2.0])
+    gauss = log_gauss - 2 * (n - 1) * log_rho - np.log(_RHO ** 2 - 1.0)
+    interp = log_interp - (n - 1) * log_rho - np.log(_RHO - 1.0)
+    log_m = log_w + np.logaddexp(x, -x) - math.log(2.0)  # log cosh x
+    terms = log_m + np.logaddexp(gauss, interp)
+    return float(np.exp(terms.min())) + cut * amp * _EPS * w_sum
+
+
+def _abs(coeffs, E, L, panels, nodes):
+    """The |.| integral over E from one lattice evaluation (_lattice).
+
+    The Gauss sums of |.| and the peak |.| are reduced once per lattice
+    column, a row at a time, then gathered at the full cells.  Full cells
+    are summed with the Gauss weights, except cells whose values change
+    sign against their edge values; those join the remnants on the
+    panel-interpolant path.  The edge values (x = 0) take a lattice call
+    of their own: in the Gauss rows' call they would be paired with a
+    Gauss row in one FFT whenever panels * nodes / 2 is odd, and change
+    that row's rounding.  The error estimate is _abs_bound with a roundoff
+    floor.
     """
     full, pieces = _decompose(E, L)
     rows, wts = _lattice(coeffs, L, panels, nodes)
     total = 0.0
     n_panels = 0
     if full.size:
+        edges = cosine_poly_on_cells(coeffs, L, 0.0)[0]
         cols = np.mod(full, L)
         mass = np.zeros(L)
         peak = np.zeros(L)
@@ -281,11 +327,14 @@ def _level(coeffs, E, L, panels, nodes, edges):
         total = float(contrib.sum())
         n_panels = panels * contrib.size
         pieces += [(k, k / L, (k + 1) / L) for k in full[kinky].tolist()]
+    definite = n_panels
     if pieces:
         t, p = _interpolated(rows, pieces, L, panels, nodes)
         total += t
         n_panels += p
-    return total, n_panels
+    cut = math.fsum(hi - lo for _, lo, hi in pieces)
+    bound = _abs_bound(coeffs, L, panels, nodes, definite, cut)
+    return QuadResult(total, max(bound, 64.0 * _EPS * total), n_panels)
 
 
 def _signed(coeffs, E, L):
@@ -324,9 +373,12 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
 
     cell_count is the sign-cell modulus the pieces align to (2N+1 for a
     partial sum of order N, j+1 for the order-j nonnegative kernel).  The
-    |.| error estimate is |refined - coarse| with a roundoff floor.  The
-    signed integral uses no panels, so panels_per_cell and nodes_per_panel
-    do not affect it, and its estimate is a rounding bound.
+    |.| integral evaluates the lattice once, with 2 * panels_per_cell
+    Gauss panels of nodes_per_panel nodes per cell; its error estimate is
+    an a priori interpolation, quadrature and rounding bound (_abs_bound)
+    with a roundoff floor of 64 eps times the value.  The signed integral
+    uses no panels, so panels_per_cell and nodes_per_panel do not affect
+    it, and its estimate is a rounding bound.
     """
     L = int(cell_count)
     if L < 1:
@@ -340,12 +392,7 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
         return QuadResult(0.0, 0.0, 0)
     if not absolute:
         return _signed(coeffs, E, L)
-    # the cell-edge values are the same for both levels
-    edges = cosine_poly_on_cells(coeffs, L, 0.0)[0]
-    i1, _ = _level(coeffs, E, L, panels_per_cell, nodes_per_panel, edges)
-    i2, p2 = _level(coeffs, E, L, 2 * panels_per_cell, nodes_per_panel, edges)
-    err = max(abs(i2 - i1), 64.0 * _EPS * i2)
-    return QuadResult(float(i2), float(err), int(p2))
+    return _abs(coeffs, E, L, 2 * panels_per_cell, nodes_per_panel)
 
 
 def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):

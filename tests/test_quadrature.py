@@ -16,7 +16,9 @@ from torusl1.kernels import (
 from torusl1.quadrature import (
     _decompose,
     _grid_trapezoid,
+    _gauss,
     _lattice,
+    _lebesgue,
     _unit_composite,
     NormTrace,
     TraceEntry,
@@ -260,18 +262,28 @@ def test_witness_integrals_match_extended_precision(family):
             assert abs(mpmath.mpf(w.integral) - ref) <= w.integral_error, N0
 
 
+def _family_coeffs(family, N):
+    if family == "dirichlet":
+        return dirichlet_coefficients(N)
+    seq = (ConvexSequence.log_reciprocal() if family == "log"
+           else ConvexSequence.log_squared_reciprocal())
+    return seq.values(N + 1)
+
+
 # thin pieces far from the origin, where converting the ends to cell units
 # (lo * L - k) rounds away most of the width; S_N keeps one sign on each,
-# so the signed extended-precision reference is the |.| value
+# so the signed extended-precision reference is the |.| value.  The D_30
+# sliver lies near the kernel zero at -11/61, where |D_30| = 0.024 is
+# small against sum |w_m| = 61: a bar relative to the value alone misses
+# the absolute rounding of the lattice values.
 @pytest.mark.parametrize("family,N,lo,hi", [
     ("log", 1, -0.22174763893728844, -0.22174763722122523),
     ("log", 30, -0.18, -0.18 + 4.3e-8),
     ("log2", 30, -0.18015110644468804, -0.18015110644468804 + 4.3e-8),
+    ("dirichlet", 30, -0.18039539326738027, -0.18039539326738027 + 4.3e-8),
 ])
 def test_abs_sliver_matches_exact_reference(family, N, lo, hi):
-    seq = (ConvexSequence.log_reciprocal() if family == "log"
-           else ConvexSequence.log_squared_reciprocal())
-    coeffs = seq.values(N + 1)
+    coeffs = _family_coeffs(family, N)
     E = IntervalUnion(((lo, hi),))
     signs = np.sign(cosine_poly_points(coeffs, np.linspace(lo, hi, 5)))
     assert abs(signs.sum()) == signs.size
@@ -279,6 +291,81 @@ def test_abs_sliver_matches_exact_reference(family, N, lo, hi):
     with mpmath.workdps(40):
         exact = abs(_exact_integral(coeffs, E))
         assert abs(mpmath.mpf(q.value) - exact) <= q.error_estimate
+
+
+def _edge_slivers(seed, count):
+    """Seeded one-sign slivers of width 1e-10..1e-5 within 0.01 cells of a
+    sign-cell edge k/L, for D_N and log S_N with N <= 200."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        family = ("dirichlet", "log")[int(rng.integers(2))]
+        N = int(rng.integers(1, 201))
+        L = 2 * N + 1
+        lo = (int(rng.integers(-N, N + 1)) + rng.uniform(-0.01, 0.01)) / L
+        hi = lo + 10.0 ** rng.uniform(-10, -5)
+        coeffs = _family_coeffs(family, N)
+        signs = np.sign(cosine_poly_points(coeffs, np.linspace(lo, hi, 5)))
+        if -0.5 <= lo and hi <= 0.5 and abs(signs.sum()) == signs.size:
+            out.append((coeffs, L, IntervalUnion(((lo, hi),))))
+    return out
+
+
+def test_abs_slivers_near_cell_edges_match_exact_reference():
+    # 19 of these 48 broke a bar made of the relative floor alone (up to
+    # 50x); the interpolated rounding term eps sum|w_m| covers them
+    for coeffs, L, E in _edge_slivers(2011, 48):
+        q = integrate_cosine_poly(coeffs, E, L, absolute=True)
+        with mpmath.workdps(40):
+            exact = abs(_exact_integral(coeffs, E))
+            assert abs(mpmath.mpf(q.value) - exact) <= q.error_estimate, E
+
+
+# seeds 25, 207, 212 and 291 are sets where the difference of two panel
+# counts undershot the true error at 4 or 5 nodes (291: 8x at N = 40)
+@pytest.mark.parametrize("seed", [0, 1, 2, 25, 207, 212, 291])
+def test_low_node_bar_covers_fine_reference(log_seq, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-0.5, 0.5, 2 * int(rng.integers(1, 4))))
+    E = IntervalUnion(tuple(zip(xs[0::2].tolist(), xs[1::2].tolist())))
+    N = int(rng.integers(2, 200))
+    ref = integrate_abs_partial_sum(log_seq, N, E, panels_per_cell=8,
+                                    nodes_per_panel=16)
+    for nodes in (4, 5, 6):
+        q = integrate_abs_partial_sum(log_seq, N, E, nodes_per_panel=nodes)
+        assert abs(q.value - ref.value) <= q.error_estimate, nodes
+
+
+@pytest.mark.parametrize("N", [512, 1024])
+def test_one_panel_per_cell_bar_is_the_floor(log_seq, N):
+    one = integrate_abs_partial_sum(log_seq, N, FULL, panels_per_cell=1)
+    default = integrate_abs_partial_sum(log_seq, N, FULL)
+    assert abs(one.value - default.value) <= min(one.error_estimate,
+                                                 default.error_estimate)
+    assert one.error_estimate == 64.0 * EPS * one.value
+
+
+@pytest.mark.parametrize("family,N", [("dirichlet", 2 ** 17), ("log", 16384)])
+def test_full_torus_bar_is_the_floor(family, N):
+    # the a priori bound sits below the floor, so the reported error bars
+    # of the README and benchmark full-torus runs are 64 eps * value
+    q = integrate_cosine_poly(_family_coeffs(family, N), FULL, 2 * N + 1,
+                              absolute=True)
+    assert q.error_estimate == 64.0 * EPS * q.value
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_lebesgue_constant_matches_dense_grid(n):
+    x = _gauss(n)[0]
+    s = np.linspace(-1.0, 1.0, 20001)
+    diff = s[:, None] - x[None, :]
+    basis = np.ones((s.size, n))
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                basis[:, i] *= diff[:, j] / (x[i] - x[j])
+    assert _lebesgue(n) == pytest.approx(np.abs(basis).sum(axis=1).max(),
+                                         rel=1e-12)
 
 
 @st.composite
