@@ -57,9 +57,6 @@ class IntervalUnion:
     def measure(self):
         return sum(hi - lo for lo, hi in self.intervals)
 
-    def contains_zero(self):
-        return any(lo <= 0.0 < hi for lo, hi in self.intervals)
-
     def distance_from_zero(self):
         """inf_{t in E} |t|; zero when the set meets the origin."""
         if self.is_empty:
@@ -86,7 +83,3 @@ class IntervalUnion:
             if hi > eta:
                 out.append((eta, hi))
         return IntervalUnion(tuple(out))
-
-    def union_with(self, other):
-        merged = sorted(self.intervals + tuple(other.intervals))
-        return IntervalUnion(tuple(merged))

@@ -9,17 +9,20 @@ is evaluated at the composite Gauss offsets through the lattice FFT
 cell centre and the integrand is even, so only the first half of the
 offsets is evaluated; each other row is a reversed view of its mirror.
 Each interval contributes one contiguous range of full cells and at most
-two partial remnants.  The Gauss sums are reduced once per lattice column
-and gathered at the full cells.  Partial remnants, and full cells whose
-values change sign (tested against the cell-edge values, evaluated once
-per call), are integrated from the same values: on each panel they fix a
+two partial remnants.  Every panel's Gauss sum and a sign certificate,
+from the Legendre coefficients of its interpolant and derivative bounds,
+are computed a block of lattice columns at a time, for the first half of
+the panels only, and mirrored.  Certified panels of full cells count
+their Gauss sums.  The other panels of full cells and the partial
+remnants are integrated from the same values: on each panel they fix a
 Legendre interpolant, which is split at its real roots and integrated
 with Gauss rules exact for its degree.  Remnants are placed on the panels
 from their torus ends, so a thin sliver keeps its width.  The lattice is
 evaluated once per call.  The error estimate is an a priori bound
 (Bernstein-ellipse bounds on the Gauss sums and the panel interpolants,
-plus the interpolated rounding of the lattice values) with a roundoff
-floor relative to the value.  Signed integrals need no panels: one
+plus the interpolated rounding of the lattice values, and a charge for
+panels whose certificate reads a kernel zero on a panel end) with a
+roundoff floor relative to the value.  Signed integrals need no panels: one
 lattice row at the cell centres gives every full cell's integral, and
 each partial remnant is one direct sum.
 
@@ -191,51 +194,45 @@ def _lattice(coeffs, L, panels, nodes):
     return rows, wts / L
 
 
-def _interpolated(rows, pieces, L, panels, nodes):
-    """Integrate |.| over cell pieces (k, lo, hi) from their panel interpolants.
+def _interpolated(rows, parts, L, panels, nodes, delta):
+    """Integrate |.| over panel parts (j, lo, hi) from their interpolants.
 
-    Column k % L of the lattice rows holds the composite Gauss values of
-    cell k; on each panel they fix the degree nodes-1 Legendre interpolant
-    q in the panel coordinate s in [-1, 1].  A panel the piece covers is
-    all of [-1, 1].  The part [a, b] of a panel it cuts is mapped from its
-    torus ends: half-width L P (b - a), which keeps a sliver's width to
-    rounding however far from the origin it lies, centred at its offset
-    from the panel centre.  q is split at its real roots there and each
-    root-free range is integrated with ceil(nodes/2)-point Gauss, exact for
-    q's degree.  Returns (integral, panels used).
+    Panel j = k * panels + i is panel i of cell k: rows i*nodes ..
+    (i+1)*nodes - 1 of lattice column k % L hold its Gauss values, which
+    fix the degree nodes-1 Legendre interpolant q in the panel coordinate
+    s in [-1, 1].  A part that is the whole panel is all of [-1, 1].  A
+    part [a, b] that cuts the panel is mapped from its torus ends:
+    half-width L P (b - a), which keeps a sliver's width to rounding
+    however far from the origin it lies, centred at its offset from the
+    panel centre.  q is split at its real roots there, unless _certify
+    finds the panel sign-definite, and each root-free range is integrated
+    with ceil(nodes/2)-point Gauss, exact for q's degree.  Returns the
+    integral and the edge charges of the certified panels.
     """
     leg = np.polynomial.legendre
-    cols = [k % L for k, _, _ in pieces]
-    by_panel = np.array([row[cols] for row in rows]).T.reshape(
-        len(pieces), panels, nodes)
-    coeffs = by_panel @ _gauss(nodes)[2].T
-    gx, gw, _ = _gauss((nodes + 1) // 2)
+    vals = np.array([[rows[(j % panels) * nodes + r][(j // panels) % L]
+                      for r in range(nodes)] for j, _, _ in parts])
+    coeffs = vals @ _gauss(nodes)[2].T
     LP = L * panels
+    certified, charge = _certify(vals.T, delta, 0.5 / LP)
+    gx, gw, _ = _gauss((nodes + 1) // 2)
     total = 0.0
-    used = 0
-    for (k, lo, hi), c in zip(pieces, coeffs):
-        for i in range(panels):
-            j = k * panels + i
-            e0, e1 = j / LP, (j + 1) / LP
-            a, b = max(lo, e0), min(hi, e1)
-            if b <= a:
-                continue
-            if a == e0 and b == e1:
-                mid, half = 0.0, 1.0
-            else:
-                mid = 2.0 * LP * (0.5 * (a + b) - (2 * j + 1) / (2 * LP))
-                half = LP * (b - a)
-            r = leg.legroots(c[i])
-            r = np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real - mid) < half)])
-            cuts = np.concatenate(([mid - half], r, [mid + half]))
-            mids = 0.5 * (cuts[1:] + cuts[:-1])
-            halves = 0.5 * np.diff(cuts)
-            if r.size == 0:  # keep the part's own centre and width
-                mids[0], halves[0] = mid, half
-            q = leg.legval(mids[:, None] + halves[:, None] * gx, c[i])
-            total += float(np.abs(halves * (q @ gw)).sum()) / (2 * LP)
-            used += 1
-    return total, used
+    for (j, a, b), c, sure in zip(parts, coeffs, certified):
+        if a == j / LP and b == (j + 1) / LP:
+            mid, half = 0.0, 1.0
+        else:
+            mid = 2.0 * LP * (0.5 * (a + b) - (2 * j + 1) / (2 * LP))
+            half = LP * (b - a)
+        r = np.empty(0) if sure else leg.legroots(c)
+        r = np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real - mid) < half)])
+        cuts = np.concatenate(([mid - half], r, [mid + half]))
+        mids = 0.5 * (cuts[1:] + cuts[:-1])
+        halves = 0.5 * np.diff(cuts)
+        if r.size == 0:  # keep the part's own centre and width
+            mids[0], halves[0] = mid, half
+        q = leg.legval(mids[:, None] + halves[:, None] * gx, c)
+        total += float(np.abs(halves * (q @ gw)).sum()) / (2 * LP)
+    return total, float(charge.sum())
 
 
 def _lebesgue(n):
@@ -251,90 +248,173 @@ def _lebesgue(n):
 _RHO = 1.0 + np.geomspace(1e-4, 1e4, 321)
 
 
-def _abs_bound(coeffs, L, panels, n, definite_panels, cut):
-    """A priori error bound of the single-level |.| integral.
+def _abs_bound(coeffs, L, panels, n):
+    """A priori error terms of the |.| integral: (gauss, delta).
 
     On a panel of half-width h = 1/(2 panels L), p is entire and bounded on
     the Bernstein ellipse E_rho of the panel coordinate by
-    M = sum|w_m| cosh(pi m_max h (rho - 1/rho)).  Each sign-definite Gauss
-    panel errs by at most h (64/15) M rho^(-2(n-1)) / (rho^2 - 1) (Trefethen,
-    ATAP, Thm 19.3); the pieces integrated from panel interpolants, of total
-    measure cut, by (1 + Lambda_n) times the best approximation error
-    2 M rho^(-(n-1)) / (rho - 1) (Thm 8.2 and Lebesgue's lemma) plus the
-    interpolated rounding of lattice values, eps sum|w_m| each.  rho is the
-    best of a fixed grid, worked in logs since cosh overflows.
+    M = sum|w_m| cosh(pi m_max h (rho - 1/rho)).  A sign-definite Gauss
+    panel errs by at most gauss = h (64/15) M rho^(-2(n-1)) / (rho^2 - 1)
+    (Trefethen, ATAP, Thm 19.3).  delta bounds |p - q| on a panel, q the
+    interpolant of the lattice values: (1 + Lambda_n) times the best
+    approximation error 2 M rho^(-(n-1)) / (rho - 1) (Thm 8.2 and
+    Lebesgue's lemma) plus the interpolated rounding of lattice values,
+    eps sum|w_m| each.  It is the certificate's slack and the error per
+    unit measure of every piece integrated from its interpolant.  Each rho
+    is the best of a fixed grid, worked in logs since cosh overflows.
     """
     h = 0.5 / (panels * L)
     w_sum = 2.0 * float(np.abs(coeffs).sum()) - abs(float(coeffs[0]))
     amp = 1.0 + _lebesgue(n)
     x = math.pi * (coeffs.size - 1) * h * (_RHO - 1.0 / _RHO)
     log_rho = np.log(_RHO)
-    with np.errstate(divide="ignore"):  # log 0 = -inf drops an empty term
-        log_w, log_gauss, log_interp = np.log(
-            [w_sum, definite_panels * h * 64.0 / 15.0, cut * amp * 2.0])
-    gauss = log_gauss - 2 * (n - 1) * log_rho - np.log(_RHO ** 2 - 1.0)
-    interp = log_interp - (n - 1) * log_rho - np.log(_RHO - 1.0)
-    log_m = log_w + np.logaddexp(x, -x) - math.log(2.0)  # log cosh x
-    terms = log_m + np.logaddexp(gauss, interp)
-    return float(np.exp(terms.min())) + cut * amp * _EPS * w_sum
+    with np.errstate(divide="ignore"):  # log 0 = -inf for a zero polynomial
+        log_m = np.log(w_sum) + np.logaddexp(x, -x) - math.log(2.0)
+    gauss = (math.log(h * 64.0 / 15.0) - 2 * (n - 1) * log_rho
+             - np.log(_RHO ** 2 - 1.0))
+    interp = math.log(2.0) - (n - 1) * log_rho - np.log(_RHO - 1.0)
+    return (float(np.exp((log_m + gauss).min())),
+            amp * (float(np.exp((log_m + interp).min())) + _EPS * w_sum))
+
+
+@lru_cache(maxsize=None)
+def _certificate_maps(n):
+    """The gap ends [-1, x_1, .., x_n, 1] of an n-node panel, the map from
+    Legendre coefficients to q and q' there, and the weights of the
+    derivative bounds max|q'| <= sum|c_j| P_j'(1) and max|q''| <=
+    sum|c_j| P_j''(1), with P_j'(1) = j(j+1)/2 and P_j''(1) =
+    (j-1) j (j+1) (j+2)/8."""
+    leg = np.polynomial.legendre
+    ends = np.concatenate(([-1.0], _gauss(n)[0], [1.0]))
+    val = leg.legvander(ends, n - 1)
+    der = leg.legvander(ends, max(n - 2, 0)) @ leg.legder(np.eye(n))
+    j = np.arange(n, dtype=float)
+    bounds = np.stack([j * (j + 1) / 2, (j - 1) * j * (j + 1) * (j + 2) / 8],
+                      axis=1)
+    maps = (ends, np.concatenate([val, der]), bounds.T)
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps
+
+
+def _certify(vals, delta, h):
+    """Certify panels sign-definite from their Gauss values.
+
+    Column t of vals holds the n node values of panel t; q is their
+    Legendre interpolant with coefficients c, and |p - q| <= delta on the
+    panel.  Every gap between neighbouring gap ends (_certificate_maps)
+    must pass one of two tests, which keep p's sign on it:
+      1. |q(a)| + |q(b)| - D1 (b - a) > 2 delta, D1 = sum|c_j| P_j'(1)
+         bounding |q'|: then |q| > delta on [a, b];
+      2. q is monotone there, m = max(|q'(a)|, |q'(b)|) - D2 (b - a) > 0
+         with D2 = sum|c_j| P_j''(1), and its ends agree in sign beyond
+         delta.
+    A panel end with |q| <= delta counts as a zero (the kernel zeros on
+    cell edges) and agrees with either sign, but only under test 2: p can
+    then take the wrong sign only where |q| <= delta, within 2 delta / m
+    of the end, so |sum w p| errs from the integral of |p| by at most
+    8 h delta^2 / m more, h the panel half-width in t.
+    Returns (certified, charge), one entry per panel.
+    """
+    n = vals.shape[0]
+    ends, to_values, bounds = _certificate_maps(n)
+    c = _gauss(n)[2] @ vals
+    at = to_values @ c  # q at the gap ends, then q'
+    q, dq = np.abs(at[:n + 2]), np.abs(at[n + 2:])
+    pos, neg = at[:n + 2] > delta, at[:n + 2] < -delta
+    d1, d2 = bounds @ np.abs(c)
+    width = np.diff(ends)[:, None]
+    zero_lo = ~(pos[0] | neg[0])
+    zero_hi = ~(pos[-1] | neg[-1])
+    agree = (pos[:-1] & pos[1:]) | (neg[:-1] & neg[1:])
+    agree[0] |= zero_lo & (pos[1] | neg[1])
+    agree[-1] |= zero_hi & (pos[-2] | neg[-2])
+    slope = np.maximum(dq[:-1], dq[1:])
+    slope -= d2 * width
+    lipschitz = q[:-1] + q[1:]
+    lipschitz -= d1 * width
+    lipschitz = lipschitz > 2.0 * delta
+    lipschitz[0] &= ~zero_lo
+    lipschitz[-1] &= ~zero_hi
+    certified = (lipschitz | (agree & (slope > 0.0))).all(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = (np.where(zero_lo, 1.0 / slope[0], 0.0)
+               + np.where(zero_hi, 1.0 / slope[-1], 0.0))
+        charge = np.where(certified, 8.0 * h * delta ** 2 * inv, 0.0)
+    return certified, charge
+
+
+_COLUMN_BLOCK = 8192  # lattice columns per certificate batch
+
+
+def _panel_table(rows, wts, L, panels, nodes, delta):
+    """Gauss sum, certificate and edge charge (_certify) of every panel.
+
+    Returns three (L, panels) arrays: entry (k, i) is panel i of lattice
+    column k.  Only the first ceil(panels/2) panels are computed, a block
+    of columns at a time; p is even, so panel panels-1-i of column k is
+    panel i of column L-1-k reversed, and the rest are mirrored from them.
+    """
+    half = (panels + 1) // 2
+    w = wts[:half * nodes].reshape(half, nodes)
+    h = 0.5 / (panels * L)
+    sums = np.empty((L, panels))
+    certified = np.empty((L, panels), dtype=bool)
+    charge = np.empty((L, panels))
+    for c0 in range(0, L, _COLUMN_BLOCK):
+        c1 = min(c0 + _COLUMN_BLOCK, L)
+        vals = np.stack([row[c0:c1] for row in rows[:half * nodes]])
+        for i in range(half):
+            v = vals[i * nodes:(i + 1) * nodes]
+            sums[c0:c1, i] = w[i] @ v
+            certified[c0:c1, i], charge[c0:c1, i] = _certify(v, delta, h)
+    for arr in (sums, certified, charge):
+        for i in range(panels // 2):
+            arr[:, panels - 1 - i] = arr[::-1, i]
+    return sums, certified, charge
 
 
 def _abs(coeffs, E, L, panels, nodes):
     """The |.| integral over E from one lattice evaluation (_lattice).
 
-    The Gauss sums of |.| and the peak |.| are reduced once per lattice
-    column, a row at a time, then gathered at the full cells.  Full cells
-    are summed with the Gauss weights, except cells whose values change
-    sign against their edge values; those join the remnants on the
-    panel-interpolant path.  The edge values (x = 0) take a lattice call
-    of their own: in the Gauss rows' call they would be paired with a
-    Gauss row in one FFT whenever panels * nodes / 2 is odd, and change
-    that row's rounding.  The error estimate is _abs_bound with a roundoff
-    floor.
+    Every panel of the full cells that _certify finds sign-definite
+    contributes |sum w p|.  The other panels of full cells and every panel
+    part of a remnant are integrated from their interpolants
+    (_interpolated).  The error estimate is gauss per certified full-cell
+    panel, delta per unit measure interpolated and the edge charges
+    (_abs_bound, _certify), with a roundoff floor.
     """
     full, pieces = _decompose(E, L)
+    gauss, delta = _abs_bound(coeffs, L, panels, nodes)
     rows, wts = _lattice(coeffs, L, panels, nodes)
-    total = 0.0
-    n_panels = 0
+    LP = L * panels
+    parts = []
+    for k, lo, hi in pieces:
+        for j in range(k * panels, (k + 1) * panels):
+            a, b = max(lo, j / LP), min(hi, (j + 1) / LP)
+            if a < b:
+                parts.append((j, a, b))
+    total = edge = 0.0
+    definite = 0
     if full.size:
-        edges = cosine_poly_on_cells(coeffs, L, 0.0)[0]
+        sums, certified, charge = _panel_table(rows, wts, L, panels, nodes,
+                                               delta)
         cols = np.mod(full, L)
-        mass = np.zeros(L)
-        peak = np.zeros(L)
-        a = np.empty(L)
-        for wt, row in zip(wts, rows):
-            np.abs(row, out=a)
-            np.maximum(peak, a, out=peak)
-            a *= wt
-            mass += a
-        mass = mass[cols]
-        right = np.roll(edges, -1)
-        # kernel zeros sit exactly on cell edges; rounding noise there
-        # must not read as a sign change, so tiny values count as zero
-        thresh = 64.0 * _EPS * max(float(peak[cols].max()),
-                                   float(np.abs(edges[cols]).max()),
-                                   float(np.abs(right[cols]).max()))
-        kinky = np.zeros(L, dtype=bool)
-        pos = edges > thresh
-        neg = edges < -thresh
-        for row in (*rows, right):
-            pos_next = row > thresh
-            neg_next = row < -thresh
-            kinky |= (pos & neg_next) | (neg & pos_next)
-            pos, neg = pos_next, neg_next
-        kinky = kinky[cols]
-        contrib = mass[~kinky]
-        total = float(contrib.sum())
-        n_panels = panels * contrib.size
-        pieces += [(k, k / L, (k + 1) / L) for k in full[kinky].tolist()]
-    definite = n_panels
-    if pieces:
-        t, p = _interpolated(rows, pieces, L, panels, nodes)
+        sure = certified[cols]
+        total = float(np.abs(sums[cols][sure]).sum())
+        edge = float(charge[cols].sum())  # zero on uncertified panels
+        definite = int(np.count_nonzero(sure))
+        cell, i = np.nonzero(~sure)
+        parts += [(j, j / LP, (j + 1) / LP)
+                  for j in (full[cell] * panels + i).tolist()]
+    if parts:
+        t, e = _interpolated(rows, parts, L, panels, nodes, delta)
         total += t
-        n_panels += p
-    cut = math.fsum(hi - lo for _, lo, hi in pieces)
-    bound = _abs_bound(coeffs, L, panels, nodes, definite, cut)
-    return QuadResult(total, max(bound, 64.0 * _EPS * total), n_panels)
+        edge += e
+    cut = math.fsum(b - a for _, a, b in parts)
+    bound = definite * gauss + cut * delta + edge
+    return QuadResult(total, max(bound, 64.0 * _EPS * total),
+                      definite + len(parts))
 
 
 def _signed(coeffs, E, L):
@@ -373,12 +453,12 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
 
     cell_count is the sign-cell modulus the pieces align to (2N+1 for a
     partial sum of order N, j+1 for the order-j nonnegative kernel).  The
-    |.| integral evaluates the lattice once, with 2 * panels_per_cell
-    Gauss panels of nodes_per_panel nodes per cell; its error estimate is
-    an a priori interpolation, quadrature and rounding bound (_abs_bound)
-    with a roundoff floor of 64 eps times the value.  The signed integral
-    uses no panels, so panels_per_cell and nodes_per_panel do not affect
-    it, and its estimate is a rounding bound.
+    |.| integral evaluates the lattice once, with panels_per_cell Gauss
+    panels of nodes_per_panel nodes per cell; its error estimate is an a
+    priori interpolation, quadrature and rounding bound (_abs_bound,
+    _certify) with a roundoff floor of 64 eps times the value.  The signed
+    integral uses no panels, so panels_per_cell and nodes_per_panel do not
+    affect it, and its estimate is a rounding bound.
     """
     L = int(cell_count)
     if L < 1:
@@ -392,7 +472,7 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
         return QuadResult(0.0, 0.0, 0)
     if not absolute:
         return _signed(coeffs, E, L)
-    return _abs(coeffs, E, L, 2 * panels_per_cell, nodes_per_panel)
+    return _abs(coeffs, E, L, panels_per_cell, nodes_per_panel)
 
 
 def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
@@ -465,10 +545,10 @@ def _grid_trapezoid(y, E, G, stride):
     return total, sliver, used
 
 
-def origin_window_bound(seq, N, eta, j_star=None):
+def origin_window_bound(seq, N, eta):
     """Closed-form bound on the residual mass inside (-eta, eta).
 
-    Splits f at order J: the kept part is below sum (j+1)^2 d2_j pointwise,
+    Splits f at order J = round(1/(2 eta)), at least 2: the kept part is below sum (j+1)^2 d2_j pointwise,
     the dropped kernels contribute at most their full-torus mass, and |S_N|
     is below its coefficient sum; everything is then integrated over the
     window of width 2 eta.
@@ -476,7 +556,7 @@ def origin_window_bound(seq, N, eta, j_star=None):
     eta = float(eta)
     if eta <= 0.0:
         return 0.0
-    J = int(j_star) if j_star is not None else max(2, int(round(0.5 / eta)))
+    J = max(2, int(round(0.5 / eta)))
     d2 = seq.second_differences(J + 1)
     j = np.arange(J + 1, dtype=float)
     f_peak = float(((j + 1.0) ** 2) @ d2)
