@@ -321,8 +321,10 @@ def _config_from_args(args):
     cmd = args.command
     if cmd == "norms":
         ns = tuple(parse_n_values(args.ns))
-        if args.eta <= 0 or args.panels_per_cell < 1 or args.nodes_per_panel < 2:
-            raise ValueError("quadrature settings must be positive")
+        if (args.eta <= 0 or args.panels_per_cell < 1
+                or not 2 <= args.nodes_per_panel <= 64):
+            raise ValueError("quadrature settings must be positive, with "
+                             "2..64 nodes per panel")
         if args.tail_window < 3:
             raise ValueError("tail window must be >= 3")
         return RunConfig(command=cmd, sequence=args.sequence, Ns=ns,

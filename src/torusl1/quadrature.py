@@ -16,7 +16,10 @@ the panels only, and mirrored.  Certified panels of full cells count
 their Gauss sums.  The other panels of full cells and the partial
 remnants are integrated from the same values: on each panel they fix a
 Legendre interpolant, which is split at its real roots and integrated
-with Gauss rules exact for its degree.  Remnants are placed on the panels
+with Gauss rules exact for its degree.  This path works on arrays: the
+roots of all panels of one degree come from one stacked eigenvalue solve
+of their companion matrices, and one legval call (Clenshaw on arrays)
+evaluates every root-free range.  Remnants are placed on the panels
 from their torus ends, so a thin sliver keeps its width.  The lattice is
 evaluated once per call.  The error estimate is an a priori bound
 (Bernstein-ellipse bounds on the Gauss sums and the panel interpolants,
@@ -194,45 +197,101 @@ def _lattice(coeffs, L, panels, nodes):
     return rows, wts / L
 
 
-def _interpolated(rows, parts, L, panels, nodes, delta):
-    """Integrate |.| over panel parts (j, lo, hi) from their interpolants.
+def _interpolated(rows, j, lo, hi, L, panels, nodes, delta):
+    """Integrate |.| over panel parts [lo, hi] of panels j from their
+    interpolants.
 
     Panel j = k * panels + i is panel i of cell k: rows i*nodes ..
     (i+1)*nodes - 1 of lattice column k % L hold its Gauss values, which
     fix the degree nodes-1 Legendre interpolant q in the panel coordinate
     s in [-1, 1].  A part that is the whole panel is all of [-1, 1].  A
-    part [a, b] that cuts the panel is mapped from its torus ends:
-    half-width L P (b - a), which keeps a sliver's width to rounding
-    however far from the origin it lies, centred at its offset from the
-    panel centre.  q is split at its real roots there, unless _certify
+    part that cuts the panel is mapped from its torus ends: half-width
+    L P (hi - lo), which keeps a sliver's width to rounding however far
+    from the origin it lies, centred at its offset from the panel centre.
+    q is split at its real roots there (_real_roots), unless _certify
     finds the panel sign-definite, and each root-free range is integrated
-    with ceil(nodes/2)-point Gauss, exact for q's degree.  Returns the
-    integral and the edge charges of the certified panels.
+    with ceil(nodes/2)-point Gauss, exact for q's degree; one legval call
+    evaluates every range of a block.  The parts go a block at a time, so
+    that a block's companion matrices hold no more values than a block of
+    the panel table.  Returns the integral, summed in part order, and the
+    edge charges of the certified panels.
     """
-    leg = np.polynomial.legendre
-    vals = np.array([[rows[(j % panels) * nodes + r][(j // panels) % L]
-                      for r in range(nodes)] for j, _, _ in parts])
-    coeffs = vals @ _gauss(nodes)[2].T
     LP = L * panels
+    panel, col = j % panels, (j // panels) % L
+    vals = np.empty((j.size, nodes))
+    for i in range(panels):  # one fancy index per lattice row
+        at = np.flatnonzero(panel == i)
+        for r in range(nodes):
+            vals[at, r] = rows[i * nodes + r][col[at]]
+    coeffs = vals @ _gauss(nodes)[2].T
     certified, charge = _certify(vals.T, delta, 0.5 / LP)
+    whole = (lo == j / LP) & (hi == (j + 1) / LP)
+    mid = np.where(whole, 0.0,
+                   2.0 * LP * (0.5 * (lo + hi) - (2 * j + 1) / (2 * LP)))
+    half = np.where(whole, 1.0, LP * (hi - lo))
     gx, gw, _ = _gauss((nodes + 1) // 2)
-    total = 0.0
-    for (j, a, b), c, sure in zip(parts, coeffs, certified):
-        if a == j / LP and b == (j + 1) / LP:
-            mid, half = 0.0, 1.0
-        else:
-            mid = 2.0 * LP * (0.5 * (a + b) - (2 * j + 1) / (2 * LP))
-            half = LP * (b - a)
-        r = np.empty(0) if sure else leg.legroots(c)
-        r = np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real - mid) < half)])
-        cuts = np.concatenate(([mid - half], r, [mid + half]))
-        mids = 0.5 * (cuts[1:] + cuts[:-1])
-        halves = 0.5 * np.diff(cuts)
-        if r.size == 0:  # keep the part's own centre and width
-            mids[0], halves[0] = mid, half
-        q = leg.legval(mids[:, None] + halves[:, None] * gx, c)
-        total += float(np.abs(halves * (q @ gw)).sum()) / (2 * LP)
-    return total, float(charge.sum())
+    step = max(1, _COLUMN_BLOCK * nodes // (nodes - 1) ** 2)
+    part = np.empty(j.size)
+    for s0 in range(0, j.size, step):
+        b = slice(s0, s0 + step)
+        c, m, h = coeffs[b], mid[b], half[b]
+        roots = np.full((len(c), nodes - 1), np.nan)
+        todo = ~certified[b]
+        roots[todo] = _real_roots(c[todo])
+        inside = np.abs(roots - m[:, None]) < h[:, None]
+        count = np.count_nonzero(inside, axis=1)
+        cuts = np.column_stack([m - h, np.where(inside, roots, np.nan), m + h])
+        cuts = np.sort(cuts, axis=1)[:, :count.max() + 2]  # NaN sorts last
+        mids = 0.5 * (cuts[:, 1:] + cuts[:, :-1])
+        halves = 0.5 * np.diff(cuts, axis=1)
+        none = count == 0  # keep the part's own centre and width
+        mids[none, 0], halves[none, 0] = m[none], h[none]
+        keep = np.arange(mids.shape[1]) <= count[:, None]
+        owner = np.nonzero(keep)[0]
+        halves = halves[keep]
+        x = mids[keep][:, None] + halves[:, None] * gx
+        q = np.polynomial.legendre.legval(x.T, c[owner].T, tensor=False)
+        piece = np.abs(halves * (q.T @ gw))
+        part[b] = np.bincount(owner, piece, len(c)) / (2 * LP)
+    return float(np.cumsum(part)[-1]), float(charge.sum())
+
+
+def _companions(c):
+    """legcompanion(c)[::-1, ::-1] of every row of c, stacked: the same
+    scaled Legendre colleague matrix, built in the same operation order,
+    so eigvals returns legroots' roots bit for bit."""
+    n = c.shape[1] - 1
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat = np.zeros((c.shape[0], n, n))
+    i = np.arange(n - 1)
+    mat[:, i, i + 1] = off
+    mat[:, i + 1, i] = off
+    mat[:, :, -1] -= ((c[:, :-1] / c[:, -1:]) * (scl / scl[-1])
+                      * (n / (2 * n - 1)))
+    return mat[:, ::-1, ::-1]
+
+
+def _real_roots(c):
+    """The real roots legroots finds for the Legendre series in each row
+    of c, unsorted, NaN-padded to c.shape[1] - 1 columns.
+
+    Each row is trimmed of its trailing zero coefficients, as legroots
+    does.  A trimmed degree of at most 1 takes the closed form; the rows
+    of each higher degree share one stacked eigvals over their companion
+    matrices (Trefethen, ATAP, Ch. 18).
+    """
+    roots = np.full((c.shape[0], c.shape[1] - 1), np.nan)
+    deg = np.max((c != 0.0) * np.arange(c.shape[1]), axis=1, initial=0)
+    one = deg == 1
+    roots[one, 0] = -c[one, 0] / c[one, 1]
+    for d in range(2, c.shape[1]):
+        at = deg == d
+        if not at.any():
+            continue
+        w = np.linalg.eigvals(_companions(c[at, :d + 1]))
+        roots[at, :d] = np.where(np.imag(w) == 0.0, np.real(w), np.nan)
+    return roots
 
 
 def _lebesgue(n):
@@ -388,12 +447,12 @@ def _abs(coeffs, E, L, panels, nodes):
     gauss, delta = _abs_bound(coeffs, L, panels, nodes)
     rows, wts = _lattice(coeffs, L, panels, nodes)
     LP = L * panels
-    parts = []
-    for k, lo, hi in pieces:
-        for j in range(k * panels, (k + 1) * panels):
-            a, b = max(lo, j / LP), min(hi, (j + 1) / LP)
-            if a < b:
-                parts.append((j, a, b))
+    k, lo, hi = np.array(pieces, dtype=float).reshape(-1, 3).T
+    j = (k.astype(int)[:, None] * panels + np.arange(panels)).ravel()
+    lo = np.maximum(np.repeat(lo, panels), j / LP)
+    hi = np.minimum(np.repeat(hi, panels), (j + 1) / LP)
+    keep = lo < hi
+    j, lo, hi = j[keep], lo[keep], hi[keep]
     total = edge = 0.0
     definite = 0
     if full.size:
@@ -405,16 +464,18 @@ def _abs(coeffs, E, L, panels, nodes):
         edge = float(charge[cols].sum())  # zero on uncertified panels
         definite = int(np.count_nonzero(sure))
         cell, i = np.nonzero(~sure)
-        parts += [(j, j / LP, (j + 1) / LP)
-                  for j in (full[cell] * panels + i).tolist()]
-    if parts:
-        t, e = _interpolated(rows, parts, L, panels, nodes, delta)
+        more = full[cell] * panels + i
+        j = np.concatenate([j, more])
+        lo = np.concatenate([lo, more / LP])
+        hi = np.concatenate([hi, (more + 1) / LP])
+    if j.size:
+        t, e = _interpolated(rows, j, lo, hi, L, panels, nodes, delta)
         total += t
         edge += e
-    cut = math.fsum(b - a for _, a, b in parts)
+    cut = math.fsum((hi - lo).tolist())
     bound = definite * gauss + cut * delta + edge
     return QuadResult(total, max(bound, 64.0 * _EPS * total),
-                      definite + len(parts))
+                      definite + int(j.size))
 
 
 def _signed(coeffs, E, L):
@@ -458,15 +519,18 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     priori interpolation, quadrature and rounding bound (_abs_bound,
     _certify) with a roundoff floor of 64 eps times the value.  The signed
     integral uses no panels, so panels_per_cell and nodes_per_panel do not
-    affect it, and its estimate is a rounding bound.
+    affect it, and its estimate is a rounding bound.  nodes_per_panel must
+    lie in 2..64.
     """
     L = int(cell_count)
     if L < 1:
         raise ValueError("cell_count must be >= 1")
     panels_per_cell = int(panels_per_cell)
     nodes_per_panel = int(nodes_per_panel)
-    if panels_per_cell < 1 or nodes_per_panel < 2:
-        raise ValueError("need panels_per_cell >= 1 and nodes_per_panel >= 2")
+    if panels_per_cell < 1 or not 2 <= nodes_per_panel <= 64:
+        # checked before _gauss, whose rule solves an n x n eigenproblem
+        raise ValueError("need panels_per_cell >= 1 and "
+                         "2 <= nodes_per_panel <= 64")
     coeffs = np.asarray(coeffs, dtype=float)
     if E.is_empty:
         return QuadResult(0.0, 0.0, 0)

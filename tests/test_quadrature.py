@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from torusl1.coefficients import ConvexSequence
 from torusl1.exceptional import build_witness
 from torusl1.intervals import IntervalUnion
+from torusl1 import quadrature
 from torusl1.kernels import (
     dirichlet_coefficients,
     fejer_coefficients,
@@ -15,12 +16,14 @@ from torusl1.kernels import (
 )
 from torusl1.quadrature import (
     _abs_bound,
+    _certify,
     _decompose,
     _grid_trapezoid,
     _gauss,
     _lattice,
     _lebesgue,
     _panel_table,
+    _real_roots,
     _unit_composite,
     NormTrace,
     TraceEntry,
@@ -413,6 +416,148 @@ def test_dirichlet_certifies_every_cell_edge_panel():
     _, _, (sums, ok, charge) = _certified_table(coeffs, 2 * N + 1, 2, 16)
     assert ok.all()
     assert charge.sum() < 64.0 * EPS * np.abs(sums).sum()
+
+
+def _oracle_interpolated(rows, j, lo, hi, L, panels, nodes, delta):
+    """Per-panel reference for _interpolated: one legroots and one legval
+    per part.  Returns the integral, the parts' Legendre coefficients and
+    their certificates."""
+    leg = np.polynomial.legendre
+    LP = L * panels
+    vals = np.array([[rows[(jj % panels) * nodes + r][(jj // panels) % L]
+                      for r in range(nodes)] for jj in j.tolist()])
+    coeffs = vals @ _gauss(nodes)[2].T
+    certified, _ = _certify(vals.T, delta, 0.5 / LP)
+    gx, gw, _ = _gauss((nodes + 1) // 2)
+    total = 0.0
+    for jj, a, b, c, sure in zip(j.tolist(), lo.tolist(), hi.tolist(),
+                                 coeffs, certified):
+        if a == jj / LP and b == (jj + 1) / LP:
+            mid, half = 0.0, 1.0
+        else:
+            mid = 2.0 * LP * (0.5 * (a + b) - (2 * jj + 1) / (2 * LP))
+            half = LP * (b - a)
+        r = np.empty(0) if sure else leg.legroots(c)
+        r = np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real - mid) < half)])
+        cuts = np.concatenate(([mid - half], r, [mid + half]))
+        mids = 0.5 * (cuts[1:] + cuts[:-1])
+        halves = 0.5 * np.diff(cuts)
+        if r.size == 0:
+            mids[0], halves[0] = mid, half
+        q = leg.legval(mids[:, None] + halves[:, None] * gx, c)
+        total += float(np.abs(halves * (q @ gw)).sum()) / (2 * LP)
+    return total, coeffs, certified
+
+
+def _assert_roots_match_legroots(coeffs):
+    leg = np.polynomial.legendre
+    for c, r in zip(coeffs, _real_roots(coeffs)):
+        ref = leg.legroots(c)
+        assert np.array_equal(np.sort(r[~np.isnan(r)]),
+                              np.sort(ref.real[ref.imag == 0.0])), c
+
+
+@pytest.fixture
+def interpolated_calls(monkeypatch):
+    """Record the arguments and integral of every _interpolated call."""
+    calls = []
+    real = quadrature._interpolated
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out[0]))
+        return out
+
+    monkeypatch.setattr(quadrature, "_interpolated", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["log", "log2", "dirichlet"])
+def test_batched_root_step_matches_per_panel_oracle(family, monkeypatch,
+                                                    interpolated_calls):
+    # full cells, the remnants of a union and a thin sliver at every node
+    # count 2..16 and 1, 2 and 4 panels per cell: the batched roots of
+    # every uncertified part are legroots' bit for bit, and each integral
+    # over the interpolated parts lies within 0.1 of the bar of the oracle;
+    # a small block size splits the parts into many blocks
+    monkeypatch.setattr(quadrature, "_COLUMN_BLOCK", 64)
+    rng = np.random.default_rng(("log", "log2", "dirichlet").index(family))
+    uncertified = 0
+    for nodes in range(2, 17):
+        for panels in (1, 2, 4):
+            N = int(rng.integers(1, 200))
+            coeffs = _family_coeffs(family, N)
+            xs = np.sort(rng.uniform(-0.5, 0.5, 4)).tolist()
+            lo = float(rng.uniform(-0.5, 0.49))
+            sets = (FULL, IntervalUnion(((xs[0], xs[1]), (xs[2], xs[3]))),
+                    IntervalUnion(((lo, lo + 10.0 ** rng.uniform(-12, -6)),)))
+            for E in sets:
+                interpolated_calls.clear()
+                q = integrate_cosine_poly(coeffs, E, 2 * N + 1, panels, nodes,
+                                          absolute=True)
+                for args, got in interpolated_calls:
+                    want, parts, certified = _oracle_interpolated(*args)
+                    assert abs(got - want) <= 0.1 * q.error_estimate, \
+                        (nodes, panels, N, E)
+                    _assert_roots_match_legroots(parts[~certified])
+                    uncertified += int(np.count_nonzero(~certified))
+    assert uncertified >= 2000
+
+
+def test_real_roots_trim_zero_top_coefficients():
+    # rows whose top coefficients are exactly 0 drop to a lower degree,
+    # down to the closed form of degree 1 and the root-free zero series,
+    # inside one stack with untrimmed rows of every degree
+    c = np.random.default_rng(6).standard_normal((10, 7))
+    c[1, -1] = 0.0
+    c[2, -1] = -0.0
+    c[3, -3:] = 0.0
+    c[4, 2:] = 0.0
+    c[5, 1:] = 0.0
+    c[6] = 0.0
+    _assert_roots_match_legroots(c)
+    assert np.isnan(_real_roots(c)[5:7]).all()
+    # a part whose node values all vanish: every coefficient is 0
+    rows = [np.zeros(1) for _ in range(4)]
+    args = (rows, np.array([0]), np.array([0.0]), np.array([1.0]), 1, 1, 4,
+            0.0)
+    assert quadrature._interpolated(*args)[0] == 0.0
+    assert _oracle_interpolated(*args)[0] == 0.0
+
+
+def test_low_node_union_takes_no_per_panel_root_solve(log_seq, monkeypatch,
+                                                      interpolated_calls):
+    # at 5 nodes few panels certify; their roots come from stacked
+    # eigen-solves, not from one legroots per panel
+    E = IntervalUnion(((-0.41, -0.13), (0.02, 0.37)))
+    ref = integrate_abs_partial_sum(log_seq, 1024, E)
+
+    def refuse(c):
+        raise AssertionError("per-panel legroots")
+
+    monkeypatch.setattr(np.polynomial.legendre, "legroots", refuse)
+    q = integrate_abs_partial_sum(log_seq, 1024, E, nodes_per_panel=5)
+    assert abs(q.value - ref.value) <= q.error_estimate
+    parts = interpolated_calls[-1][0][1]
+    assert parts.size >= 1000
+
+
+def test_nodes_per_panel_limit_checked_before_gauss(monkeypatch):
+    # a Gauss rule of n nodes solves an n x n eigenproblem, so 10^5 nodes
+    # would allocate 80 GB: the limit must reject it before any rule
+    def refuse(n):
+        raise AssertionError(f"Gauss rule of {n} nodes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_gauss", refuse)
+        for nodes in (1, 65, 100000):
+            with pytest.raises(ValueError, match="nodes_per_panel"):
+                integrate_cosine_poly(np.ones(3), FULL, 5,
+                                      nodes_per_panel=nodes, absolute=True)
+    top = integrate_cosine_poly(np.ones(3), FULL, 5, nodes_per_panel=64,
+                                absolute=True)
+    ref = integrate_cosine_poly(np.ones(3), FULL, 5, absolute=True)
+    assert abs(top.value - ref.value) <= top.error_estimate + ref.error_estimate
 
 
 @pytest.mark.parametrize("n", range(2, 33))
