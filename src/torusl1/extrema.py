@@ -8,6 +8,10 @@ grows like log N.  Between consecutive extrema sit the envelope points
 t = (2i-1)/(4N+2), where |D_N| equals 1/sin(pi t) exactly under this
 normalization (some sources carry an extra factor 2 from a different
 kernel convention; the product check below pins the factor at 1).
+
+Interior locations are solved to rounding by safeguarded Newton on the
+closed form of D_N'(t) = 0, so the location tolerance tol is a bound that
+every location meets, not a stopping rule.
 """
 
 import math
@@ -62,38 +66,20 @@ class CrossingReport:
     violations: tuple
 
 
-def _golden_max(fn, lo, hi, tol):
-    """Lockstep golden-section maximization on a batch of brackets.
+def _interior(N, tol):
+    """Validated order N with the locations and heights of D_N's interior extrema.
 
-    fn must accept a vector of points; all brackets shrink together until
-    every width is below tol.  Returns bracket midpoints.
-    """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    if lo.size == 0:
-        return lo
-    r = 0.5 * (math.sqrt(5.0) - 1.0)
-    width = float(np.max(hi - lo))
-    iters = max(1, int(math.ceil(math.log(max(width, tol) / tol)
-                                 / -math.log(r))) + 1)
-    for _ in range(iters):
-        d = r * (hi - lo)
-        x1 = hi - d
-        x2 = lo + d
-        f1 = fn(x1)
-        f2 = fn(x2)
-        take_left = f1 >= f2
-        hi = np.where(take_left, x2, hi)
-        lo = np.where(take_left, lo, x1)
-    return 0.5 * (lo + hi)
-
-
-def find_extrema(N, tol=1e-12):
-    """Locate the N+1 extrema of D_N on [0, 1/2] plus the envelope points.
-
-    Interior extrema are found by golden-section search inside the zero
-    brackets, to a location tolerance tol; the endpoint rows at t = 0 and
-    t = 1/2 are exact.
+    Extremum k (1 <= k <= N-1) sits at t = (k + s)/L, L = 2N+1, where s in
+    (0, 1) solves phi(s) = L cos(pi s) sin(pi t) - sin(pi s) cos(pi t) = 0;
+    this is D_N'(t) = 0 times sin^2(pi t) (-1)^k / pi.  phi falls strictly
+    from phi(0) > 0 to phi(1) < 0, with
+    phi'(s) = -pi (L - 1/L) sin(pi s) sin(pi t), so each bracket holds one
+    root.  All roots are solved at once by Newton from s = 1/2, bisecting
+    whenever a step leaves the bracket known so far; a step onto a bracket
+    end counts as inside.  The loop ends once every step repeats the
+    current or the previous iterate, which leaves each s within rounding of
+    its root.  Bisection alone reaches one ulp of (0, 1) within the
+    64-step cap.
     """
     if N != int(N) or N < 1:
         raise ValueError("N must be a positive integer")
@@ -101,18 +87,38 @@ def find_extrema(N, tol=1e-12):
         raise ValueError("tol must lie in (0, 1e-6]")
     N = int(N)
     L = 2 * N + 1
+    k = np.arange(1, N, dtype=float)
+    s = prev = np.full(k.shape, 0.5)
+    lo, hi = np.zeros(k.shape), np.ones(k.shape)
+    for _ in range(64):
+        ps, pt = np.pi * s, np.pi * ((k + s) / L)
+        sin_t = np.sin(pt)
+        phi = L * np.cos(ps) * sin_t - np.sin(ps) * np.cos(pt)
+        lo = np.where(phi > 0.0, s, lo)
+        hi = np.where(phi < 0.0, s, hi)
+        step = s + phi / (np.pi * (L - 1.0 / L) * np.sin(ps) * sin_t)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        settled = np.all((step == s) | (step == prev))
+        prev, s = s, step
+        if settled:
+            break
+    t = (k + s) / L
+    return N, t, dirichlet_eval(N, t)
+
+
+def find_extrema(N, tol=1e-12):
+    """Locate the N+1 extrema of D_N on [0, 1/2] plus the envelope points.
+
+    Interior extrema are solved to rounding from the closed form of
+    D_N'(t) = 0 inside their zero brackets, so every location lies within
+    tol of the true extremum; tol is a bound, not a stopping rule.  The
+    endpoint rows at t = 0 and t = 1/2 are exact.
+    """
+    N, locs, heights = _interior(N, tol)
+    L = 2 * N + 1
     rows = [ExtremaRow(1, 0.0, float(L), float(L) / N)]
-    if N >= 2:
-        k = np.arange(1, N)
-        signs = np.where(k % 2 == 0, 1.0, -1.0)
-
-        def height(ts):
-            return signs * dirichlet_eval(N, ts)
-
-        locs = _golden_max(height, k / L, (k + 1) / L, tol)
-        heights = dirichlet_eval(N, locs)
-        for j, (t, h) in enumerate(zip(locs, heights)):
-            rows.append(ExtremaRow(j + 2, float(t), float(h), abs(float(h)) / N))
+    rows += [ExtremaRow(i, t, h, abs(h) / N) for i, t, h
+             in zip(range(2, N + 1), locs.tolist(), heights.tolist())]
     rows.append(ExtremaRow(N + 1, 0.5, float((-1) ** N), 1.0 / N))
     crossings = tuple((2 * i - 1) / (2.0 * L) for i in range(1, N + 2))
     return ExtremaTable(N=N, rows=tuple(rows), crossings=crossings)
@@ -132,21 +138,24 @@ def crossing_check(table):
     products = vals * np.sin(np.pi * t1)
     max_err = float(np.max(np.abs(products - 1.0)))
     h = np.abs(table.heights())
-    violations = []
-    for i in range(N):
-        if not (h[i + 1] < vals[i] < h[i]):
-            violations.append(i + 1)
+    inside = (h[1:] < vals[:N]) & (vals[:N] < h[:N])
+    violations = tuple((np.flatnonzero(~inside) + 1).tolist())
     return CrossingReport(N=int(N), max_product_error=max_err,
                           sandwich_ok=not violations,
-                          violations=tuple(violations))
+                          violations=violations)
 
 
 def coefficient_sum(Ns, tol=1e-12):
-    """Rows (N, sum of c_i, sum / ln N) for a sweep of orders."""
+    """Rows (N, sum of c_i, sum / ln N) for a sweep of orders.
+
+    Each sum adds the c_i of find_extrema(N, tol) in row order, so it
+    equals that table's coefficient_sum() bit for bit; no table is built.
+    """
     out = []
     for N in Ns:
-        table = find_extrema(int(N), tol)
-        s = table.coefficient_sum()
+        N, _, heights = _interior(N, tol)
+        c = [float(2 * N + 1) / N] + (np.abs(heights) / N).tolist() + [1.0 / N]
+        s = sum(c)
         ratio = s / math.log(N) if N > 1 else math.inf
-        out.append((int(N), s, ratio))
+        out.append((N, s, ratio))
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,69 @@ def test_envelope_identity_and_sandwich():
         assert rep.max_product_error <= 1e-12
         assert rep.sandwich_ok
         assert rep.violations == ()
+
+
+def test_sandwich_violations_of_swapped_heights():
+    # a table with two interior heights swapped breaks the sandwich at both
+    # rows; the report must name the same rows as a plain loop does
+    N = 12
+    table = find_extrema(N)
+    rows = list(table.rows)
+    a, b = rows[2], rows[6]
+    rows[2] = dataclasses.replace(a, height=b.height, c=b.c)
+    rows[6] = dataclasses.replace(b, height=a.height, c=a.c)
+    crafted = dataclasses.replace(table, rows=tuple(rows))
+    h = np.abs(crafted.heights())
+    vals = np.abs(dirichlet_eval(N, np.array(crafted.crossings)))
+    expected = tuple(i + 1 for i in range(N)
+                     if not (h[i + 1] < vals[i] < h[i]))
+    rep = crossing_check(crafted)
+    assert expected == (3, 6)
+    assert rep.violations == expected
+    assert all(type(i) is int for i in rep.violations)
+    assert not rep.sandwich_ok
+
+
+def test_interior_locations_match_mpmath_roots():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    def root(N, k, t):
+        # the root of phi(s) = L cos(pi s) sin(pi t) - sin(pi s) cos(pi t),
+        # t = (k + s)/L, started from the float location; phi decreases
+        # strictly on (0, 1), so a root found there is the extremum
+        L = 2 * N + 1
+
+        def phi(s):
+            u = (k + s) / L
+            return (L * mp.cos(mp.pi * s) * mp.sin(mp.pi * u)
+                    - mp.sin(mp.pi * s) * mp.cos(mp.pi * u))
+
+        s = mp.findroot(phi, mp.mpf(t) * L - k)
+        assert 0 < s < 1
+        return (k + s) / L
+
+    rng = np.random.default_rng(0)
+    cases = [(N, range(1, N)) for N in range(2, 65)]
+    for N in (1024, 65536):
+        ks = {1, 2, 3, N // 2, N - 2, N - 1} | set(rng.integers(1, N, 20).tolist())
+        cases.append((N, sorted(ks)))
+    tol = 1e-12
+    for N, ks in cases:
+        locs = find_extrema(N, tol=tol).locations()
+        for k in ks:
+            t = float(locs[k])
+            exact = root(N, k, t)
+            err = float(abs(mp.mpf(t) - exact))
+            assert err <= 2 * np.spacing(float(exact)), (N, k, err)
+            assert err <= tol
+
+
+def test_sweep_sums_equal_table_sums():
+    Ns = list(range(1, 41)) + [1000, 4097, 65536]
+    for N, s, _ in coefficient_sum(Ns):
+        assert s == find_extrema(N).coefficient_sum()
 
 
 def test_normalized_sum_growth_rows():
