@@ -8,19 +8,24 @@ nonnegative-kernel representation
 truncated at a caller-chosen order with a rigorous per-point tail bound
 (min of a global weighted-tail sum and the off-origin envelope
 d a_{J+1} / sin^2(pi t)).  f is never obtained as a limit of S_M, which
-need not converge in L1.
+need not converge in L1.  At points, each term (j+1) F_j(t) is
+sin^2(pi (j+1) t) / sin^2(pi t), and the sum over j is three matrix
+products of split angle tables with a table of the d2 (_fejer_sum); on a
+uniform grid it is a cosine polynomial (reference_function_grid).  The
+term index goes through product_frac, so j_max + 2 <= 2^25.
 
 residual_identity_check probes the twice-summed-by-parts form of
 f - S_N in two index variants ("derived" and "alternate"); which variant
 closes numerically is data reported to the caller, not an assumption.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import canonical, dirichlet_eval, fejer_eval
+from .kernels import canonical, dirichlet_eval, fejer_eval, product_frac
 from .trigsum import cosine_poly_grid, cosine_poly_points
 
 __all__ = [
@@ -33,6 +38,9 @@ __all__ = [
     "UniformConvergenceReport",
     "uniform_convergence_check",
 ]
+
+# values per work array in _fejer_sum: (Q + B) x points
+_SUM_BLOCK = 2 ** 16
 
 
 def partial_sum(seq, N, t):
@@ -49,20 +57,62 @@ def partial_sum_grid(seq, N, grid_size):
     return cosine_poly_grid(seq.values(int(N) + 1), grid_size)
 
 
-def _sinc_ratio_sq_sum(d2, j_lo, j_hi, u, chunk=4096):
-    """sum_{j=j_lo}^{j_hi} d2[j] * ((j+1) sinc((j+1)u) / sinc(u))^2.
+def _check_term_range(j_max):
+    """The top term index j_max + 1 goes through product_frac, exact below
+    2^25; refuse larger orders before anything is built."""
+    if j_max + 2 > 2 ** 25:
+        raise ValueError(f"j_max {j_max} is too large: the term index "
+                         "j_max + 1 needs j_max + 2 <= 2^25")
 
-    Each term equals (j+1) * d2[j] * F_j(u); the sinc form is finite and
-    cancellation-free at every point including u = 0.
+
+def _fejer_sum(d2, j_lo, j_hi, u):
+    """sum_{j=j_lo}^{j_hi} d2[j] * sin^2(pi m u) / sin^2(pi u), m = j + 1.
+
+    Each term equals (j+1) * d2[j] * F_j(u); at u = 0 the ratio is m^2.
+    With m = m0 + qB + r, B = ceil(sqrt(M)) for M terms, the angle pi m |u|
+    splits into a_q = pi (m0 + qB) |u| and b_r = pi r |u|, each reduced mod
+    pi by product_frac (the split-table idea of trigsum._phases), and
+
+        sin^2(a + b) = s_a^2 c_b^2 + 2 s_a c_a s_b c_b + c_a^2 s_b^2.
+
+    So for S points the numerator is three products of S x B tables of the
+    b-parts with the B x Q table of d2 (one stacked matrix product), each
+    weighted by an S x Q table of a-parts and summed over q: about three
+    multiply-adds per term and 2 sqrt(M) sines and cosines per point.  For
+    convex sequences d2 >= 0, and while both angles lie below pi/2 all
+    three parts are nonnegative, so small u keeps its relative accuracy.
+    Points are taken in chunks so that the work arrays hold about
+    _SUM_BLOCK values, whatever M and S.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    denom = np.sinc(u)
-    acc = np.zeros_like(u)
-    for lo in range(j_lo, j_hi + 1, chunk):
-        j = np.arange(lo, min(lo + chunk, j_hi + 1), dtype=float)
-        s = (j[:, None] + 1.0) * np.sinc((j[:, None] + 1.0) * u[None, :])
-        acc += d2[lo: lo + j.size] @ (s * s)
-    return acc / (denom * denom)
+    size = j_hi - j_lo + 1
+    B = math.isqrt(size - 1) + 1
+    Q = -(-size // B)
+    table = np.zeros(Q * B)
+    table[:size] = d2[j_lo:j_hi + 1]
+    table = table.reshape(Q, B).T
+    r = np.arange(B, dtype=float)
+    heads = j_lo + 1 + B * np.arange(Q, dtype=float)
+    out = np.empty_like(u)
+    step = max(1, _SUM_BLOCK // (Q + B))
+    for i in range(0, u.size, step):
+        # the sum is even in u; product_frac keeps relative accuracy for
+        # small products only when they are nonnegative
+        x = np.abs(u[i:i + step])[:, None]
+        n = x.shape[0]
+        b = np.pi * product_frac(r, x)
+        sb, cb = np.sin(b), np.cos(b)
+        parts = np.vstack((cb * cb, sb * cb, sb * sb)) @ table
+        a = np.pi * product_frac(heads, x)
+        sa, ca = np.sin(a), np.cos(a)
+        # rows are contiguous, so the sum over q is pairwise
+        out[i:i + n] = np.sum(sa * sa * parts[:n] + 2.0 * sa * ca * parts[n:2 * n]
+                              + ca * ca * parts[2 * n:], axis=1)
+    at_zero = u == 0.0
+    if np.any(at_zero):
+        m = np.arange(j_lo + 1, j_hi + 2, dtype=float)
+        out[at_zero] = np.dot(m * m, d2[j_lo:j_hi + 1])
+    return out / np.where(at_zero, 1.0, _sin2(u))
 
 
 def _sin2(u):
@@ -85,15 +135,17 @@ def fejer_representation(seq, j_max, t):
 
     Returns (value, tail_bound); arrays in, arrays out.  tail_bound is +inf
     where neither the global nor the off-origin bound is finite (only at
-    t = 0 for sequences whose weighted tail diverges).
+    t = 0 for sequences whose weighted tail diverges).  The value is
+    _fejer_sum's three-product sum; j_max + 2 must not exceed 2^25.
     """
     j_max = int(j_max)
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
+    _check_term_range(j_max)
     u = canonical(t)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     d2 = seq.second_differences(j_max + 1)
-    value = _sinc_ratio_sq_sum(d2, 0, j_max, u_arr)
+    value = _fejer_sum(d2, 0, j_max, u_arr)
     tail = _tail_bounds(seq, j_max, _sin2(u_arr))
     if np.ndim(t) == 0:
         return float(value[0]), float(tail[0])
@@ -115,9 +167,7 @@ def reference_function_grid(seq, grid_size, j_max):
     j_max = int(j_max)
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
-    if j_max + 2 > 2 ** 25:  # product_frac's exact range for the term index
-        raise ValueError(f"j_max {j_max} is too large: the grid evaluation "
-                         "needs j_max + 2 <= 2^25")
+    _check_term_range(j_max)
     d2 = seq.second_differences(j_max + 1)
     coeffs = np.zeros(j_max + 2)
     coeffs[1:] = d2
@@ -165,7 +215,9 @@ def residual_identity_check(seq, N, t, j_max=100000):
     "derived": sum_{j>=N-1} (j+1) d2_j F_j - N (a_{N-1} - a_N) F_{N-1} - a_N D_N
     "alternate": same sum - N F_{N-1} (a_{N-1} - a_{N-2}) + a_N D_N
 
-    Both use the tail sum truncated at j_max.  Mismatch is data: the result
+    Both use the tail sum truncated at j_max, and f(t) is the head
+    j < N - 1 plus that tail, each summed by _fejer_sum's three matrix
+    products; j_max + 2 must not exceed 2^25.  Mismatch is data: the result
     records per-variant differences and which variants close within the
     combined tail tolerance.
     """
@@ -175,14 +227,15 @@ def residual_identity_check(seq, N, t, j_max=100000):
     j_max = int(j_max)
     if j_max < N + 2:
         raise ValueError("j_max must exceed N")
+    _check_term_range(j_max)
     u = canonical(t)
     if u == 0.0:
         raise ValueError("t = 0 is excluded (f may diverge there)")
 
     d2 = _cached_second_differences(seq, j_max)
     u_arr = np.atleast_1d(u)
-    head = _sinc_ratio_sq_sum(d2, 0, N - 2, u_arr) if N >= 2 else 0.0
-    tail_sum = _sinc_ratio_sq_sum(d2, N - 1, j_max, u_arr)
+    head = _fejer_sum(d2, 0, N - 2, u_arr)
+    tail_sum = _fejer_sum(d2, N - 1, j_max, u_arr)
     f_val = float(head[0] + tail_sum[0])
     f_tail = float(_tail_bounds(seq, j_max, _sin2(u_arr))[0])
 

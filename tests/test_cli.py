@@ -210,6 +210,8 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "norms", "--kind", "residual", "--n", "8",
                            "--j-max", str(2 ** 25 - 1), "--set", "0.1,0.3")
     assert code == 2 and "j_max 33554431" in err
+    code, _, err = run_cli(capsys, "identity", "--j-max", str(2 ** 25 - 1))
+    assert code == 2 and "j_max 33554431" in err
     code, _, err = run_cli(capsys, "norms", "--n", "4",
                            "--nodes-per-panel", "100000")
     assert code == 2 and "2..64 nodes per panel" in err

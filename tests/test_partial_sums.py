@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torusl1.coefficients import ConvexSequence
+from torusl1 import partial_sums
 from torusl1.intervals import IntervalUnion
 from torusl1.partial_sums import (
     _cached_second_differences,
@@ -86,13 +87,15 @@ def test_reference_grid_matches_representation(log_seq, log2_seq):
             fejer_representation(seq, J, 0.0)[0], rel=1e-12)
 
 
-def test_reference_grid_rejects_j_max_beyond_exact_range(log_seq):
+@pytest.mark.parametrize("evaluate", [
+    lambda seq, j_max: reference_function_grid(seq, 16, j_max),
+    lambda seq, j_max: fejer_representation(seq, j_max, 0.2),
+    lambda seq, j_max: residual_identity_check(seq, 8, 0.2, j_max),
+], ids=["grid", "representation", "identity"])
+def test_j_max_beyond_exact_range_is_refused(evaluate):
     # the top term index j_max + 1 goes through product_frac, exact below
     # 2^25: j_max = 2^25 - 1 is refused before anything is built, and
     # 2^25 - 2 passes the check and reaches the second differences
-    with pytest.raises(ValueError, match="j_max 33554431"):
-        reference_function_grid(log_seq, 16, 2 ** 25 - 1)
-
     class Reached(Exception):
         pass
 
@@ -100,8 +103,59 @@ def test_reference_grid_rejects_j_max_beyond_exact_range(log_seq):
         def second_differences(self, count):
             raise Reached(count)
 
+    with pytest.raises(ValueError, match="j_max 33554431"):
+        evaluate(Probe(), 2 ** 25 - 1)
     with pytest.raises(Reached):
-        reference_function_grid(Probe(), 16, 2 ** 25 - 2)
+        evaluate(Probe(), 2 ** 25 - 2)
+
+
+def _sinc_form(d2, j_lo, j_hi, u, chunk=512):
+    # the per-term sinc sum _fejer_sum replaced, kept as its oracle
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    acc = np.zeros_like(u)
+    for lo in range(j_lo, j_hi + 1, chunk):
+        j = np.arange(lo, min(lo + chunk, j_hi + 1), dtype=float)
+        s = (j[:, None] + 1.0) * np.sinc((j[:, None] + 1.0) * u[None, :])
+        acc += d2[lo: lo + j.size] @ (s * s)
+    return acc / np.sinc(u) ** 2
+
+
+def test_fejer_sum_matches_sinc_form(log_seq, monkeypatch):
+    # the window grid of test_residual_window_bound_dominates_brute_mass
+    ts = np.linspace(-1e-3, 1e-3, 4001)
+    ts = ts[ts != 0.0]
+    value, _ = fejer_representation(log_seq, 30000, ts)
+    rng = np.random.default_rng(2024)
+    draws = [(int(rng.integers(2, 65)), float(rng.uniform(0.05, 0.45)))
+             for _ in range(50)]
+    checks = [residual_identity_check(log_seq, N, t) for N, t in draws]
+
+    monkeypatch.setattr(partial_sums, "_fejer_sum", _sinc_form)
+    old_value, _ = fejer_representation(log_seq, 30000, ts)
+    assert np.max(np.abs(value - old_value) / old_value) <= 1e-13
+    for (N, t), chk in zip(draws, checks):
+        old = residual_identity_check(log_seq, N, t)
+        assert chk.lhs == pytest.approx(old.lhs, rel=1e-13, abs=0)
+        assert chk.matched == old.matched == ("derived",)
+
+
+@pytest.mark.parametrize("u", [0.0, 1e-12, 1e-7, -1e-7, 1e-4, 3e-3, 0.05,
+                               0.2, -0.3, 0.4999])
+def test_fejer_sum_against_mpmath(log_seq, log2_seq, u):
+    mpmath = pytest.importorskip("mpmath")
+    J = 2000
+    with mpmath.workdps(40):
+        uu = mpmath.mpf(u)
+        for seq in (log_seq, log2_seq):
+            d2 = [mpmath.mpf(float(x)) for x in seq.second_differences(J + 1)]
+            if u == 0.0:
+                exact = mpmath.fsum(d * (j + 1) ** 2 for j, d in enumerate(d2))
+            else:
+                exact = mpmath.fsum(d * mpmath.sin(mpmath.pi * (j + 1) * uu) ** 2
+                                    for j, d in enumerate(d2))
+                exact /= mpmath.sin(mpmath.pi * uu) ** 2
+            value, _ = fejer_representation(seq, J, u)
+            assert abs(value - exact) <= 1e-15 * exact
 
 
 def test_identity_seeded_pairs(log_seq):
