@@ -49,10 +49,14 @@ def canonical(t):
 def product_frac(n, t):
     """Fractional part of n*t folded into [-1/2, 1/2), with n a small integer.
 
-    The product is formed from a hi/lo split of t so that n*t_hi and n*t_lo
-    are exact for n below 2^25; the returned value is then accurate to a
-    couple of ulp even when n*t itself is large.  Broadcasts over arrays.
-    Raises ValueError when some |n| >= 2^25.
+    The product is formed from a hi/lo split of t so that n*t_hi is exact
+    for n below 2^25; for |t| <= 1 the returned value is then within
+    2^-52, one ulp of 1, of the exact fractional part, even when n*t itself
+    is large.  That bound is absolute, not relative to the result: a small
+    negative product is reduced through 1 - |n*t|, so n*t = -5e-7 comes
+    back with a relative error near 1e-10.  A caller that needs relative
+    accuracy near 0 must fold the sign first, as _fejer_sum does.
+    Broadcasts over arrays.  Raises ValueError when some |n| >= 2^25.
     """
     n = np.asarray(n, dtype=float)
     if n.size and float(np.max(np.abs(n))) >= _N_LIMIT:

@@ -219,7 +219,7 @@ def residual_identity_check(seq, N, t, j_max=100000):
     j < N - 1 plus that tail, each summed by _fejer_sum's three matrix
     products; j_max + 2 must not exceed 2^25.  Mismatch is data: the result
     records per-variant differences and which variants close within the
-    combined tail tolerance.
+    combined tail tolerance.  t must be finite and must not reduce to 0.
     """
     if N != int(N) or N < 2:
         raise ValueError("N must be an integer >= 2")
@@ -228,6 +228,8 @@ def residual_identity_check(seq, N, t, j_max=100000):
     if j_max < N + 2:
         raise ValueError("j_max must exceed N")
     _check_term_range(j_max)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     u = canonical(t)
     if u == 0.0:
         raise ValueError("t = 0 is excluded (f may diverge there)")

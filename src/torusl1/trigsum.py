@@ -13,10 +13,12 @@ real coefficient vector c.  There are two evaluators and one read-out:
     about 2 sqrt(L) exponentials per offset and period of L terms, and
     offsets are taken a block at a time.  This is what lets cell-aligned
     quadrature touch every kernel cell at once.
-  * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G, read off P
-    interleaved lattice rows of length G/P; it folds and transforms
-    nothing itself.  An odd G has P = 1, whose row is paired with a zero
-    row: twice the FFT work of one real inverse FFT of length G.
+  * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G, read off P <= 32
+    interleaved lattice rows of length G/P.  The grid is symmetric, so
+    only rows 0..P/2 are evaluated and the others are their mirrors;
+    coefficients running past G terms are first folded onto degree G//2.
+    It transforms nothing itself.  An odd G has P = 1, whose row is paired
+    with a zero row: twice the FFT work of one real inverse FFT of length G.
 """
 
 import math
@@ -33,6 +35,7 @@ __all__ = [
 
 
 _OFFSET_BLOCK = 8  # offsets per inverse FFT batch in cosine_poly_on_cells
+_GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
 
 
 def _weights(coeffs):
@@ -64,20 +67,67 @@ def cosine_poly_points(coeffs, ts, m_chunk=2048, t_chunk=2048):
     return out.reshape(np.shape(ts))
 
 
+def _fold_to_grid(c, G):
+    """Coefficients of degree <= G//2 with the same values on the G-grid.
+
+    At t_k = -1/2 + k/G, cos(2 pi (m + G) t_k) and cos(2 pi (G - m) t_k)
+    are both (-1)^G cos(2 pi m t_k).  So whole periods of G terms are
+    summed, with alternating sign for odd G, and bin G - r is added to
+    bin r.  An aliased term keeps its weight 2 on bin 0, where c_0 has
+    weight 1: bin 0 is 2 acc - c_0.
+    """
+    h = G // 2 + 1
+    sign = -1.0 if G % 2 else 1.0
+    whole = c.size // G
+    periods = c[:whole * G].reshape(whole, G)
+    acc = periods[0::2].sum(axis=0)
+    acc += sign * periods[1::2].sum(axis=0)
+    rest = c[whole * G:]
+    acc[:rest.size] += sign ** whole * rest
+    out = acc[:h].copy()
+    out[1:G - h + 1] += sign * acc[:h - 1:-1]
+    out[0] = 2.0 * out[0] - c[0]
+    return out
+
+
 def cosine_poly_grid(coeffs, grid_size):
     """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size-1.
 
-    For any P dividing G, t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P,
-    so the grid is P interleaved lattices: row j of cosine_poly_on_cells at
-    offset 1/2 + j/G holds grid values j, j + P, ...  More rows mean shorter
-    FFTs but P phases per term, so P = gcd(G, 8) while len(coeffs) <= G/8
-    and gcd(G, 2) otherwise.
+    Coefficients spanning more than one period of G are first folded onto
+    degree <= G//2 (_fold_to_grid), which leaves the grid values alone;
+    shorter ones go to the lattice as they are, whose period loop then
+    runs at most three times.  For P dividing G,
+    t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P, so the grid is P
+    interleaved lattices: row j of cosine_poly_on_cells at offset
+    1/2 + j/G holds grid values j, j + P, ...  P is the largest power of
+    two that divides G, is at most _GRID_ROWS and keeps len(coeffs) <= L,
+    and at least 2 for even G, whose two rows then share one complex FFT
+    of length G/2.  p is even and t_{G-i} = -t_i, so g[G-i] = g[i]: row
+    P - j is row j reversed for 0 < j < P, and only rows 0..P/2 are
+    evaluated.  Rows 0 and P/2 are their own mirrors, so their second
+    halves are copied from their first and the grid is symmetric bit for
+    bit.
     """
     G = int(grid_size)
     if G < 1:
         raise ValueError("grid_size must be >= 1")
-    P = math.gcd(G, 8 if np.size(coeffs) <= G // 8 else 2)
-    return cosine_poly_on_cells(coeffs, G // P, 0.5 + np.arange(P) / G).T.ravel()
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim == 1 and c.size > G:
+        c = _fold_to_grid(c, G)
+    P = math.gcd(G, 2)
+    while P < _GRID_ROWS and G % (2 * P) == 0 and c.size <= G // (2 * P):
+        P *= 2
+    L = G // P
+    rows = cosine_poly_on_cells(c, L, 0.5 + np.arange(P // 2 + 1) / G)
+    row = rows[0]  # t_{kP} and t_{(L-k)P} are mirrors
+    row[:L // 2:-1] = row[1:(L + 1) // 2]
+    if P > 1:  # so are t_{kP+P/2} and t_{(L-1-k)P+P/2}
+        row = rows[P // 2]
+        row[(L + 1) // 2:] = row[:L // 2][::-1]
+    out = np.empty((L, P))
+    out[:, :P // 2 + 1] = rows.T
+    out[:, P // 2 + 1:] = rows[P // 2 - 1:0:-1, ::-1].T
+    return out.ravel()
 
 
 def _phases(lo, hi, x):

@@ -212,6 +212,10 @@ def test_error_exit_codes(capsys):
     assert code == 2 and "j_max 33554431" in err
     code, _, err = run_cli(capsys, "identity", "--j-max", str(2 ** 25 - 1))
     assert code == 2 and "j_max 33554431" in err
+    for t in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, "identity", "--n", "8", f"--t={t}")
+        assert code == 2 and out == ""
+        assert err == f"error: t must be finite, got {t}\n"
     code, _, err = run_cli(capsys, "norms", "--n", "4",
                            "--nodes-per-panel", "100000")
     assert code == 2 and "2..64 nodes per panel" in err

@@ -56,6 +56,21 @@ def test_product_frac_matches_exact_rational_arithmetic(n, t):
     assert min(gap, 1.0 - gap) < 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 3, 1000, 12345, 2 ** 24 + 1])
+def test_product_frac_bound_is_absolute(n):
+    # the documented bound, 2^-52 of the exact fractional part, at
+    # n * t = -5e-7: the value is reduced through 1 - |n t|, so it keeps
+    # that absolute accuracy but not a relative one; +5e-7 keeps both
+    for target in (-5e-7, 5e-7):
+        t = target / n
+        exact = fractions.Fraction(t) * n
+        exact -= math.floor(exact + fractions.Fraction(1, 2))
+        err = abs(fractions.Fraction(float(product_frac(float(n), t))) - exact)
+        assert err <= fractions.Fraction(2) ** -52
+        if target > 0:
+            assert err <= abs(exact) * fractions.Fraction(2) ** -52
+
+
 def test_product_frac_rejects_orders_beyond_exact_range():
     for n in (2.0 ** 25, -2.0 ** 25):
         with pytest.raises(ValueError):

@@ -46,8 +46,9 @@ def test_points_chunking_consistency():
     assert np.allclose(a, b, rtol=0, atol=1e-9)
 
 
-@given(st.integers(1, 200), st.integers(1, 40))
+@given(st.integers(1, 200), st.integers(1, 700))
 def test_grid_matches_points(G, M):
+    # M up to 3.5 G: every row count and coefficients folded over periods
     rng = np.random.default_rng(G * 41 + M)
     coeffs = rng.normal(size=M)
     grid = cosine_poly_grid(coeffs, G)
@@ -56,33 +57,53 @@ def test_grid_matches_points(G, M):
     assert np.allclose(grid, direct, rtol=0, atol=1e-10 * max(1, M))
 
 
-@pytest.mark.parametrize("G", [1, 2, 7, 8, 9, 12, 16, 17, 20, 24])
+@pytest.mark.parametrize("G", [2 ** k for k in range(13)]
+                         + [7, 9, 12, 17, 20, 24, 96, 4095])
 def test_grid_half_spectrum_matches_points(G):
-    # the grid is read off P = gcd(G, 8) lattice rows of length G/P while
-    # M <= G//8, else P = gcd(G, 2): M = G//8 and G//8 + 1 sit on each side
-    # of that rule.  P = 4 at G = 12 (M = 1) and G = 20 (M <= 2), P = 8 at
-    # G = 24 (M <= 3), and an odd G is one row paired with a zero row.
-    # M = G//2 + 1, G and 3G + 2 fold the terms over one or more periods
+    # the grid is read off P lattice rows of length G/P, with P the largest
+    # power of two that divides G, is at most 32 and keeps M <= G/P, and
+    # at least 2 for even G.  The M below sit on both sides of each step
+    # of that rule (P = 32, 16, 8, 4, 2); M = G//2 + 1 and G keep P = 2,
+    # and M = G + 1 and 3G + 2 are folded onto degree G//2 first.  An odd
+    # G is one row paired with a zero row; 12, 20, 24 and 96 have small
+    # odd factors.  Above G = 256 the direct sum is taken at the first and
+    # last 64 indices, which meet every row, and at 64 drawn ones
     rng = np.random.default_rng(G)
-    ts = -0.5 + np.arange(G) / G
-    for M in (1, 2, G // 8, G // 8 + 1, G // 2 + 1, G, 3 * G + 2):
+    idx = np.arange(G)
+    if G > 256:
+        idx = np.unique(np.concatenate((idx[:64], idx[-64:],
+                                        rng.integers(0, G, 64))))
+    for M in (1, G // 32, G // 32 + 1, G // 16 + 1, G // 8 + 1, G // 4 + 1,
+              G // 2 + 1, G, G + 1, 3 * G + 2):
         if M == 0:
             continue
         coeffs = rng.normal(size=M)
         grid = cosine_poly_grid(coeffs, G)
         assert grid.shape == (G,) and grid.dtype == float
         bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
-        assert np.max(np.abs(grid - cosine_poly_points(coeffs, ts))) <= bar, M
+        direct = cosine_poly_points(coeffs, -0.5 + idx / G)
+        assert np.max(np.abs(grid[idx] - direct)) <= bar, M
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 8, 12, 64, 96, 1024, 4095])
+def test_grid_is_mirror_symmetric(G):
+    # p is even and t_{G-i} = -t_i: rows P - j are row j reversed, and
+    # rows 0 and P/2 are their own mirrors, so the symmetry is exact
+    rng = np.random.default_rng(G)
+    for M in (1, 3, G // 32 + 1, G // 2 + 1, 3 * G + 2):
+        grid = cosine_poly_grid(rng.normal(size=M), G)
+        assert np.array_equal(grid[1:], grid[:0:-1]), (G, M)
 
 
 def test_grid_matches_points_at_benchmark_scale():
     # shaped like the residual benchmark's S_N: G = 2^21 and M = 65537 give
-    # P = 8 rows of length 2^18.  As at L = 65537 below, the coefficients
-    # decay like 1/m^2 and the direct sum is taken at a sample of indices
+    # P = 16 rows of length 2^17, of which rows 0..8 are evaluated.  As at
+    # L = 65537 below, the coefficients decay like 1/m^2 and the direct sum
+    # is taken at a sample of indices
     G, M = 2 ** 21, 65537
     rng = np.random.default_rng(M)
     coeffs = rng.normal(size=M) / (1.0 + np.arange(M)) ** 2
-    idx = np.unique(np.concatenate(([0, 1, 7, 8, G // 2, G - 1],
+    idx = np.unique(np.concatenate(([0, 1, 7, 8, 15, 16, G // 2, G - 1],
                                     rng.integers(0, G, 26))))
     grid = cosine_poly_grid(coeffs, G)
     assert grid.shape == (G,) and grid.dtype == float
