@@ -11,8 +11,11 @@ d a_{J+1} / sin^2(pi t)).  f is never obtained as a limit of S_M, which
 need not converge in L1.  At points, each term (j+1) F_j(t) is
 sin^2(pi (j+1) t) / sin^2(pi t), and the sum over j is three matrix
 products of split angle tables with a table of the d2 (_fejer_sum); on a
-uniform grid it is a cosine polynomial (reference_function_grid).  The
-term index goes through product_frac, so j_max + 2 <= 2^25.
+uniform grid it is a cosine polynomial (reference_function_grid).  f is
+even, so the grid version is computed on the half grid t <= 0 and run in
+place there, with the coefficient vector freed first; the residual engine
+keeps that half, and reference_function_grid mirrors it.  The term index
+goes through product_frac, so j_max + 2 <= 2^25.
 
 residual_identity_check probes the twice-summed-by-parts form of
 f - S_N in two index variants ("derived" and "alternate"); which variant
@@ -26,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import canonical, dirichlet_eval, fejer_eval, product_frac
-from .trigsum import cosine_poly_grid, cosine_poly_points
+from .trigsum import _half_grid, _mirror, cosine_poly_grid, cosine_poly_points
 
 __all__ = [
     "partial_sum",
@@ -51,7 +54,11 @@ def partial_sum(seq, N, t):
 
 
 def partial_sum_grid(seq, N, grid_size):
-    """S_N at the uniform grid t_k = -1/2 + k/grid_size, k = 0..grid_size-1."""
+    """S_N at the uniform grid t_k = -1/2 + k/grid_size, k = 0..grid_size-1.
+
+    The residual engine reads only the half k <= grid_size//2
+    (trigsum._half_grid); this is the whole, mirrored grid.
+    """
     if N != int(N) or N < 0:
         raise ValueError("N must be a nonnegative integer")
     return cosine_poly_grid(seq.values(int(N) + 1), grid_size)
@@ -152,14 +159,15 @@ def fejer_representation(seq, j_max, t):
     return value.reshape(np.shape(t)), tail.reshape(np.shape(t))
 
 
-def reference_function_grid(seq, grid_size, j_max):
-    """f (truncated at j_max) and tail bounds on the uniform grid.
+def _reference_half_grid(seq, grid_size, j_max):
+    """reference_function_grid on the half grid k = 0..G//2, t_k <= 0.
 
     Off the origin the truncated sum collapses to
-    (W - C(t)) / (2 sin^2(pi t)) with W = sum d2 and C a cosine polynomial,
-    which cosine_poly_grid evaluates on the whole grid; the exact origin
-    point, if the grid hits it, is summed directly (F_j(0) = j+1).  The
-    term index goes through product_frac, so j_max + 2 <= 2^25.
+    (W - C(t)) / (2 sin^2(pi t)) with W = sum d2 and C a cosine
+    polynomial, which trigsum._half_grid reads off the lattice.  The
+    coefficient vector is freed before the grid arithmetic, which then
+    runs in place on the half grid; an even G ends at t = 0, which is
+    summed directly (F_j(0) = j+1).
     """
     G = int(grid_size)
     if G < 2:
@@ -168,21 +176,41 @@ def reference_function_grid(seq, grid_size, j_max):
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
     _check_term_range(j_max)
-    d2 = seq.second_differences(j_max + 1)
     coeffs = np.zeros(j_max + 2)
-    coeffs[1:] = d2
-    cos_part = 0.5 * cosine_poly_grid(coeffs, G)  # sum_j d2_j cos(2 pi (j+1) t)
+    d2 = coeffs[1:]
+    d2[:] = seq.second_differences(j_max + 1)
     W = float(np.sum(d2))
-    u = -0.5 + np.arange(G) / G
-    sin2 = _sin2(u)
-    at_zero = u == 0.0
-    safe = np.where(at_zero, 1.0, 2.0 * sin2)
-    values = (W - cos_part) / safe
-    if np.any(at_zero):
-        j = np.arange(j_max + 1, dtype=float)
-        values = np.where(at_zero, float(np.sum((j + 1.0) ** 2 * d2)), values)
-    tails = _tail_bounds(seq, j_max, sin2)
-    return values, tails
+    at_zero = None
+    if G % 2 == 0:
+        m2 = np.arange(1, j_max + 2, dtype=float)
+        m2 *= m2
+        m2 *= d2
+        at_zero = float(np.sum(m2))  # sum (j+1)^2 d2_j
+        del m2
+    del d2
+    values = _half_grid(coeffs, G)
+    del coeffs
+    values *= 0.5  # sum_j d2_j cos(2 pi (j+1) t)
+    np.subtract(W, values, out=values)
+    values *= 0.5
+    sin2 = _sin2(-0.5 + np.arange(values.size) / G)
+    if at_zero is None:
+        values /= sin2
+    else:
+        values[:-1] /= sin2[:-1]
+        values[-1] = at_zero
+    return values, _tail_bounds(seq, j_max, sin2)
+
+
+def reference_function_grid(seq, grid_size, j_max):
+    """f (truncated at j_max) and tail bounds on the uniform grid.
+
+    Both are even, so they are computed on the half grid t_k <= 0
+    (_reference_half_grid) and mirrored.  The term index goes through
+    product_frac, so j_max + 2 <= 2^25.
+    """
+    values, tails = _reference_half_grid(seq, grid_size, j_max)
+    return _mirror(values, grid_size), _mirror(tails, grid_size)
 
 
 @lru_cache(maxsize=4)

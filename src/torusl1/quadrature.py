@@ -30,13 +30,15 @@ lattice row at the cell centres gives every full cell's integral, and
 each partial remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
-are each read off a few interleaved rows of the same lattice FFT
-(trigsum.cosine_poly_grid), and the grid must exceed 2N points.  The
-reference carries per-point truncation bounds; the integrated bound, the
-grid-refinement difference, and end slivers are combined into the error
-estimate.  Sets must stay clear of the origin when the reference tail
-diverges there; the mass of the excluded window is bounded in closed form
-and reported.
+are each read off a few interleaved rows of the same lattice FFT, and the
+grid must exceed 2N points.  Both are even, so only the half grid
+t_k = -1/2 + k/G, k = 0..G//2, is evaluated, stored and subtracted
+(trigsum._half_grid, partial_sums._reference_half_grid); the trapezoid
+reads full-grid index i > G//2 at G - i.  The reference carries per-point
+truncation bounds; the integrated bound, the grid-refinement difference,
+and end slivers are combined into the error estimate.  Sets must stay
+clear of the origin when the reference tail diverges there; the mass of
+the excluded window is bounded in closed form and reported.
 """
 
 import math
@@ -45,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partial_sums import partial_sum_grid, reference_function_grid
-from .trigsum import cosine_poly_on_cells, cosine_poly_points
+from .partial_sums import _reference_half_grid
+from .trigsum import _half_grid, cosine_poly_on_cells, cosine_poly_points
 
 __all__ = [
     "QuadResult",
@@ -562,7 +564,11 @@ def integrate_signed(seq, N, E):
 
 @lru_cache(maxsize=8)
 def _cached_reference(seq, grid_size, j_max):
-    vals, tails = reference_function_grid(seq, grid_size, j_max)
+    """The reference and its tail bounds on the half grid k <= G//2."""
+    vals, tails = _reference_half_grid(seq, grid_size, j_max)
+    if not np.isfinite(vals).all():
+        raise ValueError("reference function f is not finite on the grid: "
+                         "the coefficients overflow float64")
     vals.setflags(write=False)
     tails.setflags(write=False)
     return vals, tails
@@ -571,13 +577,17 @@ def _cached_reference(seq, grid_size, j_max):
 def _grid_trapezoid(y, E, G, stride):
     """Trapezoid over the grid points of E at the given stride.
 
-    Returns (integral, sliver mass, samples); slivers are the sub-spacing
-    leftovers at interval ends, included in the integral as rectangles and
-    reported so the caller can count them toward the error.  Each interval
-    is read as a strided view of y; only an interval ending at +1/2 needs
-    a copy, to append the wrapped point y[0].
+    y holds an even function on the half grid k = 0..G//2: full-grid index
+    i reads y[i] for i <= G//2 and y[G - i] above, and index G (t = +1/2)
+    reads y[0].  Returns (integral, sliver mass, samples); slivers are the
+    sub-spacing leftovers at interval ends, included in the integral as
+    rectangles and reported so the caller can count them toward the
+    error.  Each interval is read as a strided view of y, reversed above
+    G//2; only an interval crossing G//2 (t = 0) needs a copy, to join
+    the two.
     """
     h = stride / G
+    top = G // 2
     total = 0.0
     sliver = 0.0
     used = 0
@@ -589,15 +599,18 @@ def _grid_trapezoid(y, E, G, stride):
         i_lo = ((i_lo + stride - 1) // stride) * stride
         i_hi = (i_hi // stride) * stride
         if i_lo > i_hi:
-            mid = y[int(round(0.5 * (pos_lo + pos_hi))) % G]
-            patch = (hi - lo) * float(mid)
+            i = int(round(0.5 * (pos_lo + pos_hi))) % G
+            patch = (hi - lo) * float(y[min(i, G - i)])
             total += patch
             sliver += abs(patch)
             continue
-        if i_hi < G:
-            yy = y[i_lo:i_hi + 1:stride]
-        else:  # the upper end is +1/2, grid index G, which wraps to 0
-            yy = np.append(y[i_lo:G:stride], y[0])
+        i_up = max(i_lo, (top // stride + 1) * stride)  # first index above G//2
+        parts = []
+        if i_lo <= top:
+            parts.append(y[i_lo:min(i_hi, top) + 1:stride])
+        if i_up <= i_hi:
+            parts.append(y[G - i_hi:G - i_up + 1:stride][::-1])
+        yy = parts[0] if len(parts) == 1 else np.concatenate(parts)
         used += yy.size
         if yy.size > 1:
             total += h * (float(yy.sum()) - 0.5 * float(yy[0] + yy[-1]))
@@ -636,7 +649,11 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
     E must keep a positive distance >= one grid spacing from the origin
     whenever the reference tail diverges there (both log families); the
     bound on the mass excluded by that window is reported alongside.  The
-    grid must resolve S_N: grid_size > 2 N, else ValueError.
+    grid must resolve S_N: grid_size > 2 N, else ValueError.  The half
+    grid k <= G//2 holds everything (about 8 (G/2 + 1) bytes per array:
+    the cached reference and its tail bounds, and one residual buffer).
+    A reference or residual that is not finite (coefficients whose grid
+    arithmetic overflows float64) raises ValueError.
     """
     if N != int(N) or N < 0:
         raise ValueError("N must be a nonnegative integer")
@@ -657,14 +674,19 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
                              "reference function's tail bound diverges there")
         if d0 < 1.0 / G:
             raise ValueError("origin window is narrower than the grid spacing")
-    f_vals, f_tails = _cached_reference(seq, G, j_max)
-    r = partial_sum_grid(seq, N, G)  # a fresh buffer; f_vals is cached
-    np.subtract(f_vals, r, out=r)
-    np.abs(r, out=r)
-    i_fine, sliver, used = _grid_trapezoid(r, E, G, 1)
-    i_coarse, _, _ = _grid_trapezoid(r, E, G, 2)
-    tail_int, _, _ = _grid_trapezoid(f_tails, E, G, 1)
-    err = abs(i_fine - i_coarse) + tail_int + sliver + 64.0 * _EPS * abs(i_fine)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        f_vals, f_tails = _cached_reference(seq, G, j_max)
+        r = _half_grid(seq.values(N + 1), G)  # fresh; f_vals is cached
+        np.subtract(f_vals, r, out=r)
+        np.abs(r, out=r)
+        i_fine, sliver, used = _grid_trapezoid(r, E, G, 1)
+        i_coarse, _, _ = _grid_trapezoid(r, E, G, 2)
+        tail_int, _, _ = _grid_trapezoid(f_tails, E, G, 1)
+        err = (abs(i_fine - i_coarse) + tail_int + sliver
+               + 64.0 * _EPS * abs(i_fine))
+    if not (math.isfinite(i_fine) and math.isfinite(err)):
+        raise ValueError(f"|f - S_N| is not finite on the grid at N = {N}: "
+                         "the coefficients overflow float64")
     window = (-d0, d0) if d0 > 0.0 else (0.0, 0.0)
     bound = origin_window_bound(seq, N, d0) if d0 > 0.0 else 0.0
     return ResidualResult(float(i_fine), float(err), int(used), window,

@@ -15,10 +15,12 @@ real coefficient vector c.  There are two evaluators and one read-out:
     quadrature touch every kernel cell at once.
   * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G, read off P <= 32
     interleaved lattice rows of length G/P.  The grid is symmetric, so
-    only rows 0..P/2 are evaluated and the others are their mirrors;
-    coefficients running past G terms are first folded onto degree G//2.
-    It transforms nothing itself.  An odd G has P = 1, whose row is paired
-    with a zero row: twice the FFT work of one real inverse FFT of length G.
+    only rows 0..P/2 are evaluated and only the half k <= G//2 is read
+    out (_half_grid, which the residual engine keeps); the other half is
+    its mirror.  Coefficients running past G terms are first folded onto
+    degree G//2.  It transforms nothing itself.  An odd G has P = 1,
+    whose row is paired with a zero row: twice the FFT work of one real
+    inverse FFT of length G.
 """
 
 import math
@@ -90,8 +92,8 @@ def _fold_to_grid(c, G):
     return out
 
 
-def cosine_poly_grid(coeffs, grid_size):
-    """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size-1.
+def _half_grid(coeffs, grid_size):
+    """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size//2.
 
     Coefficients spanning more than one period of G are first folded onto
     degree <= G//2 (_fold_to_grid), which leaves the grid values alone;
@@ -102,11 +104,10 @@ def cosine_poly_grid(coeffs, grid_size):
     1/2 + j/G holds grid values j, j + P, ...  P is the largest power of
     two that divides G, is at most _GRID_ROWS and keeps len(coeffs) <= L,
     and at least 2 for even G, whose two rows then share one complex FFT
-    of length G/2.  p is even and t_{G-i} = -t_i, so g[G-i] = g[i]: row
-    P - j is row j reversed for 0 < j < P, and only rows 0..P/2 are
-    evaluated.  Rows 0 and P/2 are their own mirrors, so their second
-    halves are copied from their first and the grid is symmetric bit for
-    bit.
+    of length G/2.  p is even and t_{G-i} = -t_i, so g[G-i] = g[i]: grid
+    value kP + j for P/2 < j < P is value L-1-k of row P - j, and only
+    rows 0..P/2 are evaluated.  Each grid point up to G//2 is read from
+    exactly one evaluated row entry.
     """
     G = int(grid_size)
     if G < 1:
@@ -118,16 +119,30 @@ def cosine_poly_grid(coeffs, grid_size):
     while P < _GRID_ROWS and G % (2 * P) == 0 and c.size <= G // (2 * P):
         P *= 2
     L = G // P
+    K = G // 2 // P + 1  # lattice columns that reach index G//2
     rows = cosine_poly_on_cells(c, L, 0.5 + np.arange(P // 2 + 1) / G)
-    row = rows[0]  # t_{kP} and t_{(L-k)P} are mirrors
-    row[:L // 2:-1] = row[1:(L + 1) // 2]
-    if P > 1:  # so are t_{kP+P/2} and t_{(L-1-k)P+P/2}
-        row = rows[P // 2]
-        row[(L + 1) // 2:] = row[:L // 2][::-1]
-    out = np.empty((L, P))
-    out[:, :P // 2 + 1] = rows.T
-    out[:, P // 2 + 1:] = rows[P // 2 - 1:0:-1, ::-1].T
-    return out.ravel()
+    out = np.empty((K, P))
+    out[:, :P // 2 + 1] = rows[:, :K].T
+    out[:, P // 2 + 1:] = rows[P // 2 - 1:0:-1, ::-1][:, :K].T
+    return out.ravel()[:G // 2 + 1]
+
+
+def _mirror(half, grid_size):
+    """The whole grid g[0..G-1] from its half g[0..G//2], g[G-i] = g[i]."""
+    G = int(grid_size)
+    out = np.empty(G)
+    out[:half.size] = half
+    out[half.size:] = half[G - half.size:0:-1]
+    return out
+
+
+def cosine_poly_grid(coeffs, grid_size):
+    """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size-1.
+
+    The half k <= G//2 is read off the lattice rows (_half_grid) and the
+    rest is its mirror, so the grid is symmetric bit for bit.
+    """
+    return _mirror(_half_grid(coeffs, grid_size), grid_size)
 
 
 def _phases(lo, hi, x):

@@ -194,7 +194,7 @@ def test_identity_single_canonicalizes(capsys):
     assert "canonicalized" in chk["note"]
 
 
-def test_error_exit_codes(capsys):
+def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "norms", "--n", "8..4")
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "identity", "--t", "0.2")
@@ -219,6 +219,19 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "norms", "--n", "4",
                            "--nodes-per-panel", "100000")
     assert code == 2 and "2..64 nodes per panel" in err
+    # a head near the float64 limit overflows the grid arithmetic: one
+    # error line instead of nan rows; the second head keeps f at 0 and
+    # overflows S_N alone
+    for name, head, what in (("huge.txt", "1e307\n5e306\n", "reference function f"),
+                             ("flat.txt", "1e306\n", "|f - S_N|")):
+        path = tmp_path / name
+        path.write_text(head)
+        code, out, err = run_cli(capsys, "norms", "--kind", "residual",
+                                 "--sequence", str(path), "--n", "8",
+                                 "--set", "0.1,0.3")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {what} ") and err.count("\n") == 1
+        assert "is not finite on the grid" in err
     with pytest.raises(SystemExit) as exc:
         main(["witness"])  # --n0 is required
     assert exc.value.code == 2

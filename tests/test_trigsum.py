@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torusl1.trigsum import (
+    _half_grid,
     cosine_poly_points,
     cosine_poly_grid,
     cosine_poly_on_cells,
@@ -87,12 +88,33 @@ def test_grid_half_spectrum_matches_points(G):
 
 @pytest.mark.parametrize("G", [1, 2, 3, 8, 12, 64, 96, 1024, 4095])
 def test_grid_is_mirror_symmetric(G):
-    # p is even and t_{G-i} = -t_i: rows P - j are row j reversed, and
-    # rows 0 and P/2 are their own mirrors, so the symmetry is exact
+    # p is even and t_{G-i} = -t_i: the half k <= G//2 is read off the
+    # lattice and the rest is its mirror, so the symmetry is exact
     rng = np.random.default_rng(G)
     for M in (1, 3, G // 32 + 1, G // 2 + 1, 3 * G + 2):
         grid = cosine_poly_grid(rng.normal(size=M), G)
         assert np.array_equal(grid[1:], grid[:0:-1]), (G, M)
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 7, 64, 96, 1024, 4095, 4096])
+def test_half_grid_is_the_first_half(G):
+    # the residual engine keeps only k = 0..G//2.  For G = 64 and 4096 the
+    # M below give P = 32, 16, 8, 4 and 2 (G//32, G//32 + 1, G//16 + 1,
+    # G//8 + 1, G//4 + 1); odd G has P = 1; M = G + 1 and 3G + 2 are
+    # folded onto degree G//2 first
+    rng = np.random.default_rng(G)
+    idx = np.arange(G // 2 + 1)
+    for M in (1, 3, G // 32, G // 32 + 1, G // 16 + 1, G // 8 + 1,
+              G // 4 + 1, G // 2 + 1, G + 1, 3 * G + 2):
+        if M == 0:
+            continue
+        coeffs = rng.normal(size=M)
+        half = _half_grid(coeffs, G)
+        assert half.shape == (G // 2 + 1,) and half.dtype == float
+        assert np.array_equal(half, cosine_poly_grid(coeffs, G)[:G // 2 + 1])
+        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+        direct = cosine_poly_points(coeffs, -0.5 + idx / G)
+        assert np.max(np.abs(half - direct)) <= bar, (G, M)
 
 
 def test_grid_matches_points_at_benchmark_scale():
@@ -160,6 +182,8 @@ def test_on_cells_torus_column_order():
 def test_input_validation():
     with pytest.raises(ValueError):
         cosine_poly_grid(np.array([1.0]), 0)
+    with pytest.raises(ValueError):
+        _half_grid(np.array([1.0]), 0)
     with pytest.raises(ValueError):
         cosine_poly_on_cells(np.array([1.0]), 0, np.array([0.0]))
     with pytest.raises(ValueError):
