@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 _TAIL_RULES = ("log_reciprocal", "log_squared_reciprocal", "constant")
+# subnormal heads lose relative precision that no error bar accounts for
+_SMALLEST_NORMAL = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ class ConvexSequence:
         head = tuple(float(v) for v in self.head)
         if not head:
             raise ValueError("head must contain at least one value")
-        if any(not math.isfinite(v) or v <= 0.0 for v in head):
-            raise ValueError("head values must be positive and finite")
+        if any(not math.isfinite(v) or v < _SMALLEST_NORMAL for v in head):
+            raise ValueError("head values must be finite and at least "
+                             "2^-1022, the smallest normal float64")
         if self.tail_rule != "constant" and len(head) < 2:
             raise ValueError("log tail rules need the two undefined leading values in the head")
         object.__setattr__(self, "head", head)

@@ -11,10 +11,10 @@ d a_{J+1} / sin^2(pi t)).  f is never obtained as a limit of S_M, which
 need not converge in L1.  At points, each term (j+1) F_j(t) is
 sin^2(pi (j+1) t) / sin^2(pi t), and the sum over j is three matrix
 products of split angle tables with a table of the d2 (_fejer_sum); on a
-uniform grid it is a cosine polynomial (reference_function_grid).  f is
-even, so the grid version is computed on the half grid t <= 0 and run in
-place there, with the coefficient vector freed first; the residual engine
-keeps that half, and reference_function_grid mirrors it.  The term index
+uniform grid it is a cosine polynomial (reference_function_grid).  f and
+S_N are even, so the grid functions return only the half grid t <= 0,
+k = 0..G//2, as trigsum.cosine_poly_grid does; the reference runs in
+place there, with the coefficient vector freed first.  The term index
 goes through product_frac, so j_max + 2 <= 2^25.
 
 residual_identity_check probes the twice-summed-by-parts form of
@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import canonical, dirichlet_eval, fejer_eval, product_frac
-from .trigsum import _half_grid, _mirror, cosine_poly_grid, cosine_poly_points
+from .trigsum import cosine_poly_grid, cosine_poly_points
 
 __all__ = [
     "partial_sum",
@@ -54,10 +54,10 @@ def partial_sum(seq, N, t):
 
 
 def partial_sum_grid(seq, N, grid_size):
-    """S_N at the uniform grid t_k = -1/2 + k/grid_size, k = 0..grid_size-1.
+    """S_N at t_k = -1/2 + k/grid_size for k = 0..grid_size//2.
 
-    The residual engine reads only the half k <= grid_size//2
-    (trigsum._half_grid); this is the whole, mirrored grid.
+    This is the half t_k <= 0 of the uniform grid (trigsum.cosine_poly_grid);
+    S_N is even, so the whole grid is g[G-k] = g[k].
     """
     if N != int(N) or N < 0:
         raise ValueError("N must be a nonnegative integer")
@@ -159,15 +159,18 @@ def fejer_representation(seq, j_max, t):
     return value.reshape(np.shape(t)), tail.reshape(np.shape(t))
 
 
-def _reference_half_grid(seq, grid_size, j_max):
-    """reference_function_grid on the half grid k = 0..G//2, t_k <= 0.
+def reference_function_grid(seq, grid_size, j_max):
+    """f (truncated at j_max) and tail bounds on the half grid k = 0..G//2.
 
-    Off the origin the truncated sum collapses to
-    (W - C(t)) / (2 sin^2(pi t)) with W = sum d2 and C a cosine
-    polynomial, which trigsum._half_grid reads off the lattice.  The
+    The points are t_k = -1/2 + k/grid_size <= 0; both are even, so the
+    whole grid is g[G-k] = g[k].  Off the origin the truncated sum
+    collapses to (W - C(t)) / (2 sin^2(pi t)) with W = sum d2 and C a
+    cosine polynomial, which trigsum.cosine_poly_grid reads off the
+    lattice.  The
     coefficient vector is freed before the grid arithmetic, which then
     runs in place on the half grid; an even G ends at t = 0, which is
-    summed directly (F_j(0) = j+1).
+    summed directly (F_j(0) = j+1).  The term index goes through
+    product_frac, so j_max + 2 <= 2^25.
     """
     G = int(grid_size)
     if G < 2:
@@ -188,7 +191,7 @@ def _reference_half_grid(seq, grid_size, j_max):
         at_zero = float(np.sum(m2))  # sum (j+1)^2 d2_j
         del m2
     del d2
-    values = _half_grid(coeffs, G)
+    values = cosine_poly_grid(coeffs, G)
     del coeffs
     values *= 0.5  # sum_j d2_j cos(2 pi (j+1) t)
     np.subtract(W, values, out=values)
@@ -200,17 +203,6 @@ def _reference_half_grid(seq, grid_size, j_max):
         values[:-1] /= sin2[:-1]
         values[-1] = at_zero
     return values, _tail_bounds(seq, j_max, sin2)
-
-
-def reference_function_grid(seq, grid_size, j_max):
-    """f (truncated at j_max) and tail bounds on the uniform grid.
-
-    Both are even, so they are computed on the half grid t_k <= 0
-    (_reference_half_grid) and mirrored.  The term index goes through
-    product_frac, so j_max + 2 <= 2^25.
-    """
-    values, tails = _reference_half_grid(seq, grid_size, j_max)
-    return _mirror(values, grid_size), _mirror(tails, grid_size)
 
 
 @lru_cache(maxsize=4)

@@ -31,10 +31,11 @@ each partial remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
 are each read off a few interleaved rows of the same lattice FFT, and the
-grid must exceed 2N points.  Both are even, so only the half grid
-t_k = -1/2 + k/G, k = 0..G//2, is evaluated, stored and subtracted
-(trigsum._half_grid, partial_sums._reference_half_grid); the trapezoid
-reads full-grid index i > G//2 at G - i.  The reference carries per-point
+grid must exceed 2N points.  Both are even, so the grid functions return
+only the half grid t_k = -1/2 + k/G, k = 0..G//2
+(partial_sums.partial_sum_grid, partial_sums.reference_function_grid),
+which is all that is stored and subtracted; the trapezoid reads
+full-grid index i > G//2 at G - i.  The reference carries per-point
 truncation bounds; the integrated bound, the grid-refinement difference,
 and end slivers are combined into the error estimate.  Sets must stay
 clear of the origin when the reference tail diverges there; the mass of
@@ -47,8 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partial_sums import _reference_half_grid
-from .trigsum import _half_grid, cosine_poly_on_cells, cosine_poly_points
+from .partial_sums import partial_sum_grid, reference_function_grid
+from .trigsum import cosine_poly_on_cells, cosine_poly_points
 
 __all__ = [
     "QuadResult",
@@ -190,11 +191,17 @@ def _lattice(coeffs, L, panels, nodes):
     p is even, so the row at offset 1/L - x is the row at x reversed:
     p((k + 1)/L - x) = p((L - 1 - k)/L + x).  The offsets are symmetric
     (x_{n-1-i} = 1 - x_i), so only the first ceil(n/2) rows are evaluated
-    and the others are reversed views of them.
+    and the others are reversed views of them.  Values that are not
+    finite (coefficients whose lattice arithmetic overflows) raise
+    ValueError before any root solve sees them.
     """
     offs, wts = _unit_composite(panels, nodes)
     n = offs.size
     vals = cosine_poly_on_cells(coeffs, L, offs[:n - n // 2] / L)
+    # nan propagates through min and max, which need no temporary array
+    if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
+        raise ValueError("the cell lattice values are not finite: "
+                         "the coefficients overflow float64")
     rows = [*vals, *(vals[j, ::-1] for j in range(n // 2 - 1, -1, -1))]
     return rows, wts / L
 
@@ -401,7 +408,8 @@ def _certify(vals, delta, h):
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = (np.where(zero_lo, 1.0 / slope[0], 0.0)
                + np.where(zero_hi, 1.0 / slope[-1], 0.0))
-        charge = np.where(certified, 8.0 * h * delta ** 2 * inv, 0.0)
+        # a numpy square overflows to inf, where a float's raises
+        charge = np.where(certified, 8.0 * h * np.float64(delta) ** 2 * inv, 0.0)
     return certified, charge
 
 
@@ -522,7 +530,8 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     _certify) with a roundoff floor of 64 eps times the value.  The signed
     integral uses no panels, so panels_per_cell and nodes_per_panel do not
     affect it, and its estimate is a rounding bound.  nodes_per_panel must
-    lie in 2..64.
+    lie in 2..64.  Lattice values, an integral or a bar that is not finite
+    (coefficients whose arithmetic overflows float64) raise ValueError.
     """
     L = int(cell_count)
     if L < 1:
@@ -536,9 +545,15 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     coeffs = np.asarray(coeffs, dtype=float)
     if E.is_empty:
         return QuadResult(0.0, 0.0, 0)
-    if not absolute:
-        return _signed(coeffs, E, L)
-    return _abs(coeffs, E, L, panels_per_cell, nodes_per_panel)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if absolute:
+            q = _abs(coeffs, E, L, panels_per_cell, nodes_per_panel)
+        else:
+            q = _signed(coeffs, E, L)
+    if not (math.isfinite(q.value) and math.isfinite(q.error_estimate)):
+        raise ValueError("the integral over E or its error bar is not "
+                         "finite: the coefficients overflow float64")
+    return q
 
 
 def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
@@ -565,7 +580,7 @@ def integrate_signed(seq, N, E):
 @lru_cache(maxsize=8)
 def _cached_reference(seq, grid_size, j_max):
     """The reference and its tail bounds on the half grid k <= G//2."""
-    vals, tails = _reference_half_grid(seq, grid_size, j_max)
+    vals, tails = reference_function_grid(seq, grid_size, j_max)
     if not np.isfinite(vals).all():
         raise ValueError("reference function f is not finite on the grid: "
                          "the coefficients overflow float64")
@@ -676,7 +691,7 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
             raise ValueError("origin window is narrower than the grid spacing")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         f_vals, f_tails = _cached_reference(seq, G, j_max)
-        r = _half_grid(seq.values(N + 1), G)  # fresh; f_vals is cached
+        r = partial_sum_grid(seq, N, G)  # fresh; f_vals is cached
         np.subtract(f_vals, r, out=r)
         np.abs(r, out=r)
         i_fine, sliver, used = _grid_trapezoid(r, E, G, 1)

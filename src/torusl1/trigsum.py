@@ -13,14 +13,14 @@ real coefficient vector c.  There are two evaluators and one read-out:
     about 2 sqrt(L) exponentials per offset and period of L terms, and
     offsets are taken a block at a time.  This is what lets cell-aligned
     quadrature touch every kernel cell at once.
-  * cosine_poly_grid: the uniform grid t_k = -1/2 + k/G, read off P <= 32
-    interleaved lattice rows of length G/P.  The grid is symmetric, so
-    only rows 0..P/2 are evaluated and only the half k <= G//2 is read
-    out (_half_grid, which the residual engine keeps); the other half is
-    its mirror.  Coefficients running past G terms are first folded onto
-    degree G//2.  It transforms nothing itself.  An odd G has P = 1,
-    whose row is paired with a zero row: twice the FFT work of one real
-    inverse FFT of length G.
+  * cosine_poly_grid: the half k = 0..G//2 of the uniform grid
+    t_k = -1/2 + k/G, read off P <= 32 interleaved lattice rows of length
+    G/P.  p is even, so the whole grid is g[G-k] = g[k]: only rows
+    0..P/2 are evaluated and only the half is returned.  Coefficients
+    running past G terms are first folded onto degree G//2.  It
+    transforms nothing itself.  An odd G has P = 1, whose row is paired
+    with a zero row: twice the FFT work of one real inverse FFT of
+    length G.
 """
 
 import math
@@ -92,19 +92,20 @@ def _fold_to_grid(c, G):
     return out
 
 
-def _half_grid(coeffs, grid_size):
+def cosine_poly_grid(coeffs, grid_size):
     """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size//2.
 
-    Coefficients spanning more than one period of G are first folded onto
-    degree <= G//2 (_fold_to_grid), which leaves the grid values alone;
-    shorter ones go to the lattice as they are, whose period loop then
-    runs at most three times.  For P dividing G,
-    t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P, so the grid is P
-    interleaved lattices: row j of cosine_poly_on_cells at offset
-    1/2 + j/G holds grid values j, j + P, ...  P is the largest power of
-    two that divides G, is at most _GRID_ROWS and keeps len(coeffs) <= L,
-    and at least 2 for even G, whose two rows then share one complex FFT
-    of length G/2.  p is even and t_{G-i} = -t_i, so g[G-i] = g[i]: grid
+    That is the half t_k <= 0 of the uniform grid, G//2 + 1 values; the
+    whole grid is their mirror (below).  Coefficients spanning more than
+    one period of G are first folded onto degree <= G//2 (_fold_to_grid),
+    which leaves the grid values alone; shorter ones go to the lattice as
+    they are, whose period loop then runs at most three times.  For P
+    dividing G, t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P, so the
+    grid is P interleaved lattices: row j of cosine_poly_on_cells at
+    offset 1/2 + j/G holds grid values j, j + P, ...  P is the largest
+    power of two that divides G, is at most _GRID_ROWS and keeps
+    len(coeffs) <= L, and at least 2 for even G, whose two rows then share
+    one complex FFT of length G/2.  p is even and t_{G-i} = -t_i, so g[G-i] = g[i]: grid
     value kP + j for P/2 < j < P is value L-1-k of row P - j, and only
     rows 0..P/2 are evaluated.  Each grid point up to G//2 is read from
     exactly one evaluated row entry.
@@ -125,24 +126,6 @@ def _half_grid(coeffs, grid_size):
     out[:, :P // 2 + 1] = rows[:, :K].T
     out[:, P // 2 + 1:] = rows[P // 2 - 1:0:-1, ::-1][:, :K].T
     return out.ravel()[:G // 2 + 1]
-
-
-def _mirror(half, grid_size):
-    """The whole grid g[0..G-1] from its half g[0..G//2], g[G-i] = g[i]."""
-    G = int(grid_size)
-    out = np.empty(G)
-    out[:half.size] = half
-    out[half.size:] = half[G - half.size:0:-1]
-    return out
-
-
-def cosine_poly_grid(coeffs, grid_size):
-    """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size-1.
-
-    The half k <= G//2 is read off the lattice rows (_half_grid) and the
-    rest is its mirror, so the grid is symmetric bit for bit.
-    """
-    return _mirror(_half_grid(coeffs, grid_size), grid_size)
 
 
 def _phases(lo, hi, x):

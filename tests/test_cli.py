@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -232,6 +233,23 @@ def test_error_exit_codes(capsys, tmp_path):
         assert code == 2 and out == ""
         assert err.startswith(f"error: {what} ") and err.count("\n") == 1
         assert "is not finite on the grid" in err
+    # the same head overflows the cell engine (the signed cells of witness
+    # and the |.| lattice), and a subnormal head is refused as it is read;
+    # numpy warnings would fail here, not reach stderr
+    huge, tiny = tmp_path / "huge.txt", tmp_path / "tiny.txt"
+    tiny.write_text("1e-310\n5e-311\n")
+    for argv, what in ((("witness", "--n0", "8", "--format", "csv",
+                         "--sequence", str(huge)), "overflow float64"),
+                       (("norms", "--kind", "abs", "--n", "16",
+                         "--sequence", str(huge)), "overflow float64"),
+                       (("norms", "--kind", "abs", "--n", "16",
+                         "--sequence", str(tiny)), "at least 2^-1022")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert what in err, argv
     with pytest.raises(SystemExit) as exc:
         main(["witness"])  # --n0 is required
     assert exc.value.code == 2

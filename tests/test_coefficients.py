@@ -44,6 +44,18 @@ def test_both_families_are_convex_positive_null():
         assert seq.values(50000)[-1] < seq.value(10)
 
 
+def test_head_must_be_normal_floats():
+    # subnormal heads lose relative precision that no error bar counts:
+    # every head value must be finite and at least 2^-1022
+    tiny = 2.0 ** -1022
+    assert ConvexSequence((2.0 * tiny, tiny)).head == (2.0 * tiny, tiny)
+    assert ConvexSequence((1e307, 5e306)).value(3) == 5e306
+    for head in ((1e-310, 5e-311), (1.0, tiny / 2.0), (1.0, 0.0),
+                 (1.0, -1.0), (1.0, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match=r"at least 2\^-1022"):
+            ConvexSequence(head)
+
+
 def test_verify_convex_flags_concave_head():
     seq = ConvexSequence.from_head((1.0, 3.0, 1.0, 1.0))
     rep = verify_convex(seq, 10)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -714,6 +715,47 @@ def test_trace_entry_validation():
     with pytest.raises(ValueError):
         norm_trace(ConvexSequence.log_reciprocal(), [4, 8], FULL,
                    kind="nonsense")
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["signed", "abs"])
+@pytest.mark.parametrize("E", [FULL, IntervalUnion.parse("0.1,0.3;-0.37,-0.2")],
+                         ids=["full", "union"])
+def test_overflowing_coefficients_are_refused(absolute, E):
+    # the head 1e307, 5e306 of a constant-tail sequence at N = 16: the
+    # lattice arithmetic overflows, and the cell engine refuses it with a
+    # ValueError, without numpy warnings, instead of an infinite integral
+    # or a root solve on infinities
+    coeffs = ConvexSequence((1e307, 5e306), "constant").values(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            integrate_cosine_poly(coeffs, E, 33, absolute=absolute)
+    # at 1e200 the lattice is finite, but squares in the bars overflow
+    # (the |.| certificate's delta^2, the signed rounding term's norm)
+    with pytest.raises(ValueError, match="overflow float64"):
+        integrate_cosine_poly(coeffs * 1e-107, E, 33, absolute=absolute)
+    # at 1e150 both integrate finitely
+    q = integrate_cosine_poly(coeffs * 1e-157, E, 33, absolute=absolute)
+    assert math.isfinite(q.value) and math.isfinite(q.error_estimate)
+
+
+def test_residual_reads_the_public_grid_functions(monkeypatch):
+    # S_N and the reference come from the half-grid API that the
+    # benchmark's tracer wraps by name
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("partial_sum_grid", "reference_function_grid"):
+        monkeypatch.setattr(quadrature, name, spy(getattr(quadrature, name)))
+    quadrature._cached_reference.cache_clear()  # a cached reference skips its call
+    seq = ConvexSequence((3.0, 2.0, 1.0, 0.5), "constant")
+    residual_l1(seq, 3, IntervalUnion.parse("0.1,0.3"), j_max=50, grid_size=64)
+    assert calls == ["reference_function_grid", "partial_sum_grid"]
 
 
 def test_residual_constant_tail_exact():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torusl1.trigsum import (
-    _half_grid,
     cosine_poly_points,
     cosine_poly_grid,
     cosine_poly_on_cells,
@@ -49,86 +48,54 @@ def test_points_chunking_consistency():
 
 @given(st.integers(1, 200), st.integers(1, 700))
 def test_grid_matches_points(G, M):
-    # M up to 3.5 G: every row count and coefficients folded over periods
+    # M up to 3.5 G: every row count and coefficients folded over periods;
+    # the grid is the half k = 0..G//2
     rng = np.random.default_rng(G * 41 + M)
     coeffs = rng.normal(size=M)
     grid = cosine_poly_grid(coeffs, G)
-    ts = -0.5 + np.arange(G) / G
+    ts = -0.5 + np.arange(G // 2 + 1) / G
     direct = cosine_poly_points(coeffs, ts)
     assert np.allclose(grid, direct, rtol=0, atol=1e-10 * max(1, M))
 
 
 @pytest.mark.parametrize("G", [2 ** k for k in range(13)]
-                         + [7, 9, 12, 17, 20, 24, 96, 4095])
+                         + [3, 7, 9, 12, 17, 20, 24, 96, 4095])
 def test_grid_half_spectrum_matches_points(G):
-    # the grid is read off P lattice rows of length G/P, with P the largest
-    # power of two that divides G, is at most 32 and keeps M <= G/P, and
-    # at least 2 for even G.  The M below sit on both sides of each step
-    # of that rule (P = 32, 16, 8, 4, 2); M = G//2 + 1 and G keep P = 2,
-    # and M = G + 1 and 3G + 2 are folded onto degree G//2 first.  An odd
-    # G is one row paired with a zero row; 12, 20, 24 and 96 have small
-    # odd factors.  Above G = 256 the direct sum is taken at the first and
-    # last 64 indices, which meet every row, and at 64 drawn ones
+    # the grid is the half k = 0..G//2, read off P lattice rows of length
+    # G/P, with P the largest power of two that divides G, is at most 32
+    # and keeps M <= G/P, and at least 2 for even G; rows above P/2 are
+    # read reversed from their mirrors.  The M below sit on both sides of
+    # each step of that rule (P = 32, 16, 8, 4, 2); M = G//2 + 1 and G
+    # keep P = 2, and M = G + 1 and 3G + 2 are folded onto degree G//2
+    # first.  An odd G is one row paired with a zero row; 12, 20, 24 and
+    # 96 have small odd factors.  Every index of the half is compared with
+    # the direct sum
     rng = np.random.default_rng(G)
-    idx = np.arange(G)
-    if G > 256:
-        idx = np.unique(np.concatenate((idx[:64], idx[-64:],
-                                        rng.integers(0, G, 64))))
-    for M in (1, G // 32, G // 32 + 1, G // 16 + 1, G // 8 + 1, G // 4 + 1,
-              G // 2 + 1, G, G + 1, 3 * G + 2):
+    idx = np.arange(G // 2 + 1)
+    for M in (1, 3, G // 32, G // 32 + 1, G // 16 + 1, G // 8 + 1,
+              G // 4 + 1, G // 2 + 1, G, G + 1, 3 * G + 2):
         if M == 0:
             continue
         coeffs = rng.normal(size=M)
         grid = cosine_poly_grid(coeffs, G)
-        assert grid.shape == (G,) and grid.dtype == float
+        assert grid.shape == (G // 2 + 1,) and grid.dtype == float
         bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
         direct = cosine_poly_points(coeffs, -0.5 + idx / G)
-        assert np.max(np.abs(grid[idx] - direct)) <= bar, M
-
-
-@pytest.mark.parametrize("G", [1, 2, 3, 8, 12, 64, 96, 1024, 4095])
-def test_grid_is_mirror_symmetric(G):
-    # p is even and t_{G-i} = -t_i: the half k <= G//2 is read off the
-    # lattice and the rest is its mirror, so the symmetry is exact
-    rng = np.random.default_rng(G)
-    for M in (1, 3, G // 32 + 1, G // 2 + 1, 3 * G + 2):
-        grid = cosine_poly_grid(rng.normal(size=M), G)
-        assert np.array_equal(grid[1:], grid[:0:-1]), (G, M)
-
-
-@pytest.mark.parametrize("G", [1, 2, 3, 7, 64, 96, 1024, 4095, 4096])
-def test_half_grid_is_the_first_half(G):
-    # the residual engine keeps only k = 0..G//2.  For G = 64 and 4096 the
-    # M below give P = 32, 16, 8, 4 and 2 (G//32, G//32 + 1, G//16 + 1,
-    # G//8 + 1, G//4 + 1); odd G has P = 1; M = G + 1 and 3G + 2 are
-    # folded onto degree G//2 first
-    rng = np.random.default_rng(G)
-    idx = np.arange(G // 2 + 1)
-    for M in (1, 3, G // 32, G // 32 + 1, G // 16 + 1, G // 8 + 1,
-              G // 4 + 1, G // 2 + 1, G + 1, 3 * G + 2):
-        if M == 0:
-            continue
-        coeffs = rng.normal(size=M)
-        half = _half_grid(coeffs, G)
-        assert half.shape == (G // 2 + 1,) and half.dtype == float
-        assert np.array_equal(half, cosine_poly_grid(coeffs, G)[:G // 2 + 1])
-        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
-        direct = cosine_poly_points(coeffs, -0.5 + idx / G)
-        assert np.max(np.abs(half - direct)) <= bar, (G, M)
+        assert np.max(np.abs(grid - direct)) <= bar, M
 
 
 def test_grid_matches_points_at_benchmark_scale():
     # shaped like the residual benchmark's S_N: G = 2^21 and M = 65537 give
     # P = 16 rows of length 2^17, of which rows 0..8 are evaluated.  As at
     # L = 65537 below, the coefficients decay like 1/m^2 and the direct sum
-    # is taken at a sample of indices
+    # is taken at a sample of indices of the half
     G, M = 2 ** 21, 65537
     rng = np.random.default_rng(M)
     coeffs = rng.normal(size=M) / (1.0 + np.arange(M)) ** 2
-    idx = np.unique(np.concatenate(([0, 1, 7, 8, 15, 16, G // 2, G - 1],
-                                    rng.integers(0, G, 26))))
+    idx = np.unique(np.concatenate(([0, 1, 7, 8, 15, 16, G // 2 - 1, G // 2],
+                                    rng.integers(0, G // 2 + 1, 26))))
     grid = cosine_poly_grid(coeffs, G)
-    assert grid.shape == (G,) and grid.dtype == float
+    assert grid.shape == (G // 2 + 1,) and grid.dtype == float
     bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
     direct = cosine_poly_points(coeffs, -0.5 + idx / G)
     assert np.max(np.abs(grid[idx] - direct)) <= bar
@@ -182,8 +149,6 @@ def test_on_cells_torus_column_order():
 def test_input_validation():
     with pytest.raises(ValueError):
         cosine_poly_grid(np.array([1.0]), 0)
-    with pytest.raises(ValueError):
-        _half_grid(np.array([1.0]), 0)
     with pytest.raises(ValueError):
         cosine_poly_on_cells(np.array([1.0]), 0, np.array([0.0]))
     with pytest.raises(ValueError):
