@@ -84,6 +84,28 @@ def test_grid_half_spectrum_matches_points(G):
         assert np.max(np.abs(grid - direct)) <= bar, M
 
 
+@pytest.mark.parametrize("G", [1, 2, 3, 7, 64, 96, 1024, 4095, 4096])
+def test_half_grid_is_the_first_half(G):
+    # the grid holds k = 0..G//2 of the whole period; unfolded with
+    # g[G-i] = g[i] it matches the direct sum at every k < G.  For G = 64
+    # and 4096 the M below give P = 32, 16, 8, 4 and 2 (G//32, G//32 + 1,
+    # G//16 + 1, G//8 + 1, G//4 + 1); odd G has P = 1; M = G + 1 and
+    # 3G + 2 are folded onto degree G//2 first
+    rng = np.random.default_rng(G)
+    for M in (1, 3, G // 32, G // 32 + 1, G // 16 + 1, G // 8 + 1,
+              G // 4 + 1, G // 2 + 1, G + 1, 3 * G + 2):
+        if M == 0:
+            continue
+        coeffs = rng.normal(size=M)
+        half = cosine_poly_grid(coeffs, G)
+        assert half.shape == (G // 2 + 1,) and half.dtype == float
+        whole = np.concatenate((half, half[1:(G + 1) // 2][::-1]))
+        assert whole.shape == (G,)
+        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+        direct = cosine_poly_points(coeffs, -0.5 + np.arange(G) / G)
+        assert np.max(np.abs(whole - direct)) <= bar, (G, M)
+
+
 def test_grid_matches_points_at_benchmark_scale():
     # shaped like the residual benchmark's S_N: G = 2^21 and M = 65537 give
     # P = 16 rows of length 2^17, of which rows 0..8 are evaluated.  As at
