@@ -4,122 +4,24 @@ Kernels (Dirichlet, Fejer), coefficient families, partial sums via a
 summed-by-parts Fejer representation, oscillation-aware quadrature over
 interval unions on the torus, kernel extrema tables, witness sets for
 failure of uniform integrability, and finite-trace convergence verdicts.
+
+Each module lists its public names in its own __all__; the package
+exports their union.
 """
 
-from .kernels import (
-    canonical,
-    dirichlet_eval,
-    fejer_eval,
-    dirichlet_oracle,
-    dirichlet_oracle_sweep,
-    fejer_oracle,
-    dirichlet_coefficients,
-    fejer_coefficients,
-)
-from .coefficients import (
-    ConvexSequence,
-    ConvexityReport,
-    GrowthReport,
-    verify_convex,
-    growth_classification,
-)
-from .intervals import IntervalUnion
-from .partial_sums import (
-    IdentityCheck,
-    UniformConvergenceReport,
-    partial_sum,
-    partial_sum_grid,
-    fejer_representation,
-    reference_function_grid,
-    residual_identity_check,
-    uniform_convergence_check,
-)
-from .quadrature import (
-    QuadResult,
-    ResidualResult,
-    TraceEntry,
-    NormTrace,
-    integrate_cosine_poly,
-    integrate_abs_partial_sum,
-    integrate_signed,
-    origin_window_bound,
-    residual_l1,
-    norm_trace,
-)
-from .extrema import (
-    ExtremaRow,
-    ExtremaTable,
-    CrossingReport,
-    find_extrema,
-    crossing_check,
-    coefficient_sum,
-)
-from .exceptional import (
-    WitnessSet,
-    CertificateReport,
-    IntervalLimitDemo,
-    nonnegative_cells,
-    default_witness_order,
-    build_witness,
-    uniform_integrability_certificate,
-    interval_limit_demo,
-)
-from .diagnostics import (
-    ConvergenceVerdict,
-    analyze_trace,
-    boundedness_report,
-)
+from . import (coefficients, diagnostics, exceptional, extrema, intervals,
+               kernels, partial_sums, quadrature)
+from .kernels import *
+from .coefficients import *
+from .intervals import *
+from .partial_sums import *
+from .quadrature import *
+from .extrema import *
+from .exceptional import *
+from .diagnostics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "canonical",
-    "dirichlet_eval",
-    "fejer_eval",
-    "dirichlet_oracle",
-    "dirichlet_oracle_sweep",
-    "fejer_oracle",
-    "dirichlet_coefficients",
-    "fejer_coefficients",
-    "ConvexSequence",
-    "ConvexityReport",
-    "GrowthReport",
-    "verify_convex",
-    "growth_classification",
-    "IntervalUnion",
-    "IdentityCheck",
-    "UniformConvergenceReport",
-    "partial_sum",
-    "partial_sum_grid",
-    "fejer_representation",
-    "reference_function_grid",
-    "residual_identity_check",
-    "uniform_convergence_check",
-    "QuadResult",
-    "ResidualResult",
-    "TraceEntry",
-    "NormTrace",
-    "integrate_cosine_poly",
-    "integrate_abs_partial_sum",
-    "integrate_signed",
-    "origin_window_bound",
-    "residual_l1",
-    "norm_trace",
-    "ExtremaRow",
-    "ExtremaTable",
-    "CrossingReport",
-    "find_extrema",
-    "crossing_check",
-    "coefficient_sum",
-    "WitnessSet",
-    "CertificateReport",
-    "IntervalLimitDemo",
-    "nonnegative_cells",
-    "default_witness_order",
-    "build_witness",
-    "uniform_integrability_certificate",
-    "interval_limit_demo",
-    "ConvergenceVerdict",
-    "analyze_trace",
-    "boundedness_report",
-]
+__all__ = [*kernels.__all__, *coefficients.__all__, *intervals.__all__,
+           *partial_sums.__all__, *quadrature.__all__, *extrema.__all__,
+           *exceptional.__all__, *diagnostics.__all__]

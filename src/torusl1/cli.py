@@ -49,7 +49,6 @@ class RunConfig:
     j_max: int = None
     grid_size: int = None
     tail_window: int = None
-    tol: float = None
     seed: int = None
     samples: int = None
     N0s: tuple = None
@@ -200,9 +199,9 @@ def cmd_norms(cfg):
 def cmd_extrema(cfg):
     if cfg.Ns is not None:
         rows = [{"N": n, "c_sum": s, "c_sum_over_logN": r}
-                for n, s, r in coefficient_sum(cfg.Ns, tol=cfg.tol)]
+                for n, s, r in coefficient_sum(cfg.Ns)]
         return Table(("N", "c_sum", "c_sum_over_logN"), rows, "sweep")
-    table = find_extrema(cfg.n, tol=cfg.tol)
+    table = find_extrema(cfg.n)
     report = crossing_check(table)
     head = {"N": table.N, "envelope_max_error": report.max_product_error,
             "sandwich_ok": report.sandwich_ok}
@@ -298,7 +297,6 @@ def _build_parser():
     sp = sub.add_parser("extrema", help="kernel extrema table or growth sweep")
     sp.add_argument("--n", type=int, help="single kernel order")
     sp.add_argument("--sweep", help="order sweep 'a..bxk' or comma list")
-    sp.add_argument("--tol", type=float, default=1e-12)
     output(sp)
 
     sp = sub.add_parser("witness", help="small-measure witness sets")
@@ -339,7 +337,7 @@ def _config_from_args(args):
         if (args.n is None) == (args.sweep is None):
             raise ValueError("give exactly one of --n or --sweep")
         ns = tuple(parse_n_values(args.sweep)) if args.sweep else None
-        return RunConfig(command=cmd, Ns=ns, n=args.n, tol=args.tol,
+        return RunConfig(command=cmd, Ns=ns, n=args.n,
                          fmt=_pick_format(args.fmt, args.out, "csv"),
                          out=args.out)
     if cmd == "witness":

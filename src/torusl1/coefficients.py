@@ -32,7 +32,8 @@ _SMALLEST_NORMAL = 2.0 ** -1022
 class ConvexSequence:
     """Coefficients a_0, a_1, ... given by an explicit head then a tail rule.
 
-    head: the leading values (positive reals).
+    head: the leading values (positive reals), any iterable; stored as a
+        tuple of floats.
     tail_rule: one of "log_reciprocal" (a_n = 1/ln n), "log_squared_reciprocal"
         (a_n = 1/ln^2 n), or "constant" (a_n = head[-1]) for n >= len(head).
     """
@@ -73,10 +74,6 @@ class ConvexSequence:
         a1 = 2.0 * a2 - a3
         a0 = 2.0 * a1 - a2
         return cls(head=(a0, a1), tail_rule="log_squared_reciprocal", label="log2")
-
-    @classmethod
-    def from_head(cls, values, tail_rule="constant", label=""):
-        return cls(head=tuple(values), tail_rule=tail_rule, label=label)
 
     @classmethod
     def from_file(cls, path):

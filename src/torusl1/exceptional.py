@@ -133,6 +133,10 @@ def build_witness(seq, N0, b, n=None):
                       feasible=bool(trim))
 
 
+# the certificate's least ratio of the smallest to the largest integral
+_KAPPA = 0.2
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     N0s: tuple
@@ -145,11 +149,11 @@ class CertificateReport:
     passed: bool
 
 
-def uniform_integrability_certificate(seq, N0s, kappa=0.2):
+def uniform_integrability_certificate(seq, N0s):
     """Witness sweep with b = N0: small measures, non-small integrals.
 
     Passes when the smallest signed integral over the sweep stays above
-    kappa times the largest and above 0, while the witness measures
+    kappa = 0.2 times the largest and above 0, while the witness measures
     2/(2 N0 + 1) decrease.  A family whose partial sums converge in L1
     fails this by construction (its integrals shrink with the measures).
     """
@@ -162,11 +166,11 @@ def uniform_integrability_certificate(seq, N0s, kappa=0.2):
     integrals = tuple(w.integral for w in witnesses)
     measures = tuple(w.measure for w in witnesses)
     lo, hi = min(integrals), max(integrals)
-    passed = bool(lo > 0.0 and lo >= kappa * hi
+    passed = bool(lo > 0.0 and lo >= _KAPPA * hi
                   and all(w.feasible for w in witnesses))
     return CertificateReport(N0s=tuple(N0s), witnesses=witnesses,
                              measures=measures, integrals=integrals,
-                             kappa=float(kappa), min_integral=float(lo),
+                             kappa=_KAPPA, min_integral=float(lo),
                              max_integral=float(hi), passed=passed)
 
 
@@ -177,18 +181,17 @@ class IntervalLimitDemo:
     case: str
 
 
-def interval_limit_demo(seq, E, Ns, tail_window=4, panels_per_cell=2,
-                        nodes_per_panel=16):
+def interval_limit_demo(seq, E, Ns):
     """Trace of integral over E of |S_N| with a convergence verdict.
 
-    case "origin-interior" when E meets the origin, "origin-separated"
-    when 0 lies strictly inside the complement; the limit is expected to
-    exist either way.
+    The trace and the verdict use norm_trace's and analyze_trace's default
+    settings.  case "origin-interior" when E meets the origin,
+    "origin-separated" when 0 lies strictly inside the complement; the
+    limit is expected to exist either way.
     """
     if E.is_empty:
         raise ValueError("E must be nonempty")
     case = "origin-interior" if E.distance_from_zero() == 0.0 else "origin-separated"
-    trace = norm_trace(seq, Ns, E, kind="abs", panels_per_cell=panels_per_cell,
-                       nodes_per_panel=nodes_per_panel)
-    verdict = analyze_trace(trace, tail_window=tail_window)
+    trace = norm_trace(seq, Ns, E, kind="abs")
+    verdict = analyze_trace(trace)
     return IntervalLimitDemo(trace=trace, verdict=verdict, case=case)

@@ -10,8 +10,7 @@ normalization (some sources carry an extra factor 2 from a different
 kernel convention; the product check below pins the factor at 1).
 
 Interior locations are solved to rounding by safeguarded Newton on the
-closed form of D_N'(t) = 0, so the location tolerance tol is a bound that
-every location meets, not a stopping rule.
+closed form of D_N'(t) = 0.
 """
 
 import math
@@ -66,7 +65,7 @@ class CrossingReport:
     violations: tuple
 
 
-def _interior(N, tol):
+def _interior(N):
     """Validated order N with the locations and heights of D_N's interior extrema.
 
     Extremum k (1 <= k <= N-1) sits at t = (k + s)/L, L = 2N+1, where s in
@@ -83,8 +82,6 @@ def _interior(N, tol):
     """
     if N != int(N) or N < 1:
         raise ValueError("N must be a positive integer")
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError("tol must lie in (0, 1e-6]")
     N = int(N)
     L = 2 * N + 1
     k = np.arange(1, N, dtype=float)
@@ -106,15 +103,14 @@ def _interior(N, tol):
     return N, t, dirichlet_eval(N, t)
 
 
-def find_extrema(N, tol=1e-12):
+def find_extrema(N):
     """Locate the N+1 extrema of D_N on [0, 1/2] plus the envelope points.
 
     Interior extrema are solved to rounding from the closed form of
-    D_N'(t) = 0 inside their zero brackets, so every location lies within
-    tol of the true extremum; tol is a bound, not a stopping rule.  The
-    endpoint rows at t = 0 and t = 1/2 are exact.
+    D_N'(t) = 0 inside their zero brackets (_interior).  The endpoint rows
+    at t = 0 and t = 1/2 are exact.
     """
-    N, locs, heights = _interior(N, tol)
+    N, locs, heights = _interior(N)
     L = 2 * N + 1
     rows = [ExtremaRow(1, 0.0, float(L), float(L) / N)]
     rows += [ExtremaRow(i, t, h, abs(h) / N) for i, t, h
@@ -145,15 +141,15 @@ def crossing_check(table):
                           violations=violations)
 
 
-def coefficient_sum(Ns, tol=1e-12):
+def coefficient_sum(Ns):
     """Rows (N, sum of c_i, sum / ln N) for a sweep of orders.
 
-    Each sum adds the c_i of find_extrema(N, tol) in row order, so it
+    Each sum adds the c_i of find_extrema(N) in row order, so it
     equals that table's coefficient_sum() bit for bit; no table is built.
     """
     out = []
     for N in Ns:
-        N, _, heights = _interior(N, tol)
+        N, _, heights = _interior(N)
         c = [float(2 * N + 1) / N] + (np.abs(heights) / N).tolist() + [1.0 / N]
         s = sum(c)
         ratio = s / math.log(N) if N > 1 else math.inf

@@ -11,6 +11,8 @@ numpy's sinc, which makes the removable singularities exact without a
 branch.  The *_oracle functions are independent slow sums used as
 cross-checks; they reduce each angle n*t mod 1 with an exact split
 product so agreement stays near machine level up to N ~ 1e4.
+product_frac, that split product, also serves the evaluators of trigsum
+and partial_sums; it is not exported.
 """
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "dirichlet_oracle_sweep",
     "dirichlet_coefficients",
     "fejer_coefficients",
-    "product_frac",
 ]
 
 _SPLIT = 2.0 ** 27 + 1.0  # Dekker split constant for doubles

@@ -286,15 +286,15 @@ def _real_roots(c):
     of c, unsorted, NaN-padded to c.shape[1] - 1 columns.
 
     Each row is trimmed of its trailing zero coefficients, as legroots
-    does.  A trimmed degree of at most 1 takes the closed form; the rows
-    of each higher degree share one stacked eigvals over their companion
-    matrices (Trefethen, ATAP, Ch. 18).
+    does.  The rows of each trimmed degree d >= 1 share one stacked
+    eigvals over their companion matrices (Trefethen, ATAP, Ch. 18); for
+    d = 1 that matrix is legroots' closed form -c_0/c_1, and eigvals
+    returns it bit for bit while 1e-138 < |c_0/c_1| < 1e138, outside
+    which LAPACK rescales the matrix.
     """
     roots = np.full((c.shape[0], c.shape[1] - 1), np.nan)
     deg = np.max((c != 0.0) * np.arange(c.shape[1]), axis=1, initial=0)
-    one = deg == 1
-    roots[one, 0] = -c[one, 0] / c[one, 1]
-    for d in range(2, c.shape[1]):
+    for d in range(1, c.shape[1]):
         at = deg == d
         if not at.any():
             continue
@@ -330,19 +330,20 @@ def _abs_bound(coeffs, L, panels, n):
     eps sum|w_m| each.  It is the certificate's slack and the error per
     unit measure of every piece integrated from its interpolant.  Each rho
     is the best of a fixed grid, worked in logs since cosh overflows.
+    sum|w_m| multiplies each term outside the exponential, so scaling the
+    coefficients by a power of two scales both terms exactly.
     """
     h = 0.5 / (panels * L)
     w_sum = 2.0 * float(np.abs(coeffs).sum()) - abs(float(coeffs[0]))
     amp = 1.0 + _lebesgue(n)
     x = math.pi * (coeffs.size - 1) * h * (_RHO - 1.0 / _RHO)
     log_rho = np.log(_RHO)
-    with np.errstate(divide="ignore"):  # log 0 = -inf for a zero polynomial
-        log_m = np.log(w_sum) + np.logaddexp(x, -x) - math.log(2.0)
+    log_cosh = np.logaddexp(x, -x) - math.log(2.0)
     gauss = (math.log(h * 64.0 / 15.0) - 2 * (n - 1) * log_rho
              - np.log(_RHO ** 2 - 1.0))
     interp = math.log(2.0) - (n - 1) * log_rho - np.log(_RHO - 1.0)
-    return (float(np.exp((log_m + gauss).min())),
-            amp * (float(np.exp((log_m + interp).min())) + _EPS * w_sum))
+    return (w_sum * float(np.exp((log_cosh + gauss).min())),
+            amp * w_sum * (float(np.exp((log_cosh + interp).min())) + _EPS))
 
 
 @lru_cache(maxsize=None)

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 
+_POINTS_BLOCK = 2048  # terms and points per block in cosine_poly_points
 _OFFSET_BLOCK = 8  # offsets per inverse FFT batch in cosine_poly_on_cells
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
 
@@ -48,7 +49,7 @@ def _weights(coeffs):
     return w
 
 
-def cosine_poly_points(coeffs, ts, m_chunk=2048, t_chunk=2048):
+def cosine_poly_points(coeffs, ts):
     """Direct evaluation at arbitrary points; scalar in, scalar out.
 
     Chunked over both terms and points so temporaries stay bounded.
@@ -56,11 +57,11 @@ def cosine_poly_points(coeffs, ts, m_chunk=2048, t_chunk=2048):
     w = _weights(coeffs)
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
     out = np.empty(ts_arr.shape)
-    for p0 in range(0, ts_arr.size, t_chunk):
-        blk = ts_arr[p0:p0 + t_chunk]
+    for p0 in range(0, ts_arr.size, _POINTS_BLOCK):
+        blk = ts_arr[p0:p0 + _POINTS_BLOCK]
         acc = np.full(blk.shape, w[0])
-        for lo in range(1, w.size, m_chunk):
-            m = np.arange(lo, min(lo + m_chunk, w.size), dtype=float)
+        for lo in range(1, w.size, _POINTS_BLOCK):
+            m = np.arange(lo, min(lo + _POINTS_BLOCK, w.size), dtype=float)
             fr = product_frac(m[:, None], blk[None, :])
             acc += w[lo:lo + m.size] @ np.cos(2.0 * np.pi * fr)
         out[p0:p0 + blk.size] = acc

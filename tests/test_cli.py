@@ -137,6 +137,18 @@ def test_extrema_argument_exclusivity(capsys):
     assert code == 2
 
 
+def test_extrema_has_no_tol(capsys):
+    # every location is solved to rounding, so the config carries no
+    # tolerance and the flag is gone
+    code, out, _ = run_cli(capsys, "extrema", "--n", "8", "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)["config"]) == ["command", "fmt", "n"]
+    with pytest.raises(SystemExit) as exc:
+        main(["extrema", "--n", "8", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_witness_single(capsys):
     code, out, _ = run_cli(capsys, "witness", "--n0", "4", "--b", "4")
     assert code == 0

@@ -28,7 +28,7 @@ def test_log_squared_family_values():
 def test_values_vector_matches_scalar():
     for seq in (ConvexSequence.log_reciprocal(),
                 ConvexSequence.log_squared_reciprocal(),
-                ConvexSequence.from_head((4.0, 3.0, 2.0, 1.0, 1.0))):
+                ConvexSequence((4.0, 3.0, 2.0, 1.0, 1.0))):
         v = seq.values(40)
         assert v.shape == (40,)
         for n in (0, 1, 2, 3, 17, 39):
@@ -57,7 +57,7 @@ def test_head_must_be_normal_floats():
 
 
 def test_verify_convex_flags_concave_head():
-    seq = ConvexSequence.from_head((1.0, 3.0, 1.0, 1.0))
+    seq = ConvexSequence((1.0, 3.0, 1.0, 1.0))
     rep = verify_convex(seq, 10)
     assert not rep.passed
     assert rep.min_second_difference < -1.0
@@ -75,7 +75,7 @@ def test_weighted_tail_telescopes_against_partial_sums():
     # difference of two tails must equal the finite block sum in between
     for seq in (ConvexSequence.log_reciprocal(),
                 ConvexSequence.log_squared_reciprocal(),
-                ConvexSequence.from_head((5.0, 3.0, 2.0, 2.0))):
+                ConvexSequence((5.0, 3.0, 2.0, 2.0))):
         J, K = 10, 800
         d2 = seq.second_differences(K + 1)
         j = np.arange(J + 1, K + 1)
@@ -86,7 +86,7 @@ def test_weighted_tail_telescopes_against_partial_sums():
 
 
 def test_weighted_tail_constant_sequence_exact():
-    seq = ConvexSequence.from_head((4.0, 3.0, 2.0, 1.0, 1.0))
+    seq = ConvexSequence((4.0, 3.0, 2.0, 1.0, 1.0))
     # the only nonzero second difference is the slope kink at j = 2
     assert seq.weighted_tail_beyond(1) == pytest.approx(3.0, abs=1e-14)
     assert seq.weighted_tail_beyond(2) == 0.0
@@ -96,7 +96,7 @@ def test_weighted_tail_constant_sequence_exact():
 def test_squared_weighted_tail_divergence_marker():
     assert ConvexSequence.log_reciprocal().squared_weighted_tail_beyond(100) == math.inf
     assert ConvexSequence.log_squared_reciprocal().squared_weighted_tail_beyond(100) == math.inf
-    seq = ConvexSequence.from_head((4.0, 3.0, 2.0, 1.0, 1.0))
+    seq = ConvexSequence((4.0, 3.0, 2.0, 1.0, 1.0))
     assert seq.squared_weighted_tail_beyond(1) == pytest.approx(9.0, abs=1e-14)
     assert seq.squared_weighted_tail_beyond(10) == 0.0
 
@@ -106,7 +106,7 @@ def test_growth_classification_labels():
         == "O(1)-not-o(1)"
     assert growth_classification(ConvexSequence.log_squared_reciprocal(), 100000).label \
         == "o(1)"
-    const = ConvexSequence.from_head((1.0, 1.0), tail_rule="constant")
+    const = ConvexSequence((1.0, 1.0), tail_rule="constant")
     assert growth_classification(const, 100000).label == "unbounded"
 
 
@@ -128,18 +128,18 @@ def test_from_file_log_rule(tmp_path):
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        ConvexSequence.from_head((1.0, -2.0))
+        ConvexSequence((1.0, -2.0))
     with pytest.raises(ValueError):
-        ConvexSequence.from_head((1.0, float("nan")))
+        ConvexSequence((1.0, float("nan")))
     with pytest.raises(ValueError):
-        ConvexSequence.from_head((1.0, 0.5), tail_rule="bogus")
+        ConvexSequence((1.0, 0.5), tail_rule="bogus")
     with pytest.raises(ValueError):
-        ConvexSequence.from_head((), tail_rule="constant")
+        ConvexSequence((), tail_rule="constant")
 
 
 @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8))
 def test_constant_tail_sequenergy_is_eventually_flat(head):
-    seq = ConvexSequence.from_head(tuple(head), tail_rule="constant")
+    seq = ConvexSequence(head, tail_rule="constant")
     tail = seq.values(len(head) + 20)[len(head):]
     assert np.all(tail == head[-1])
     assert seq.tail_limit() == head[-1]

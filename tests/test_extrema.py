@@ -43,7 +43,7 @@ def test_extrema_interleave_envelope_points():
 
 def test_interior_locations_match_dense_scan():
     N = 5
-    table = find_extrema(N, tol=1e-12)
+    table = find_extrema(N)
     L = 2 * N + 1
     for k, row in zip(range(1, N), table.rows[1:-1]):
         ts = np.linspace(k / L, (k + 1) / L, 200001)
@@ -56,7 +56,7 @@ def test_interior_locations_match_dense_scan():
 
 def test_stationarity_at_interior_extrema():
     N = 9
-    table = find_extrema(N, tol=1e-12)
+    table = find_extrema(N)
     for row in table.rows[1:-1]:
         h = 1e-6
         centered = (dirichlet_eval(N, row.t + h)
@@ -118,15 +118,14 @@ def test_interior_locations_match_mpmath_roots():
     for N in (1024, 65536):
         ks = {1, 2, 3, N // 2, N - 2, N - 1} | set(rng.integers(1, N, 20).tolist())
         cases.append((N, sorted(ks)))
-    tol = 1e-12
     for N, ks in cases:
-        locs = find_extrema(N, tol=tol).locations()
+        locs = find_extrema(N).locations()
         for k in ks:
             t = float(locs[k])
             exact = root(N, k, t)
             err = float(abs(mp.mpf(t) - exact))
             assert err <= 2 * np.spacing(float(exact)), (N, k, err)
-            assert err <= tol
+            assert err <= 1e-12
 
 
 def test_sweep_sums_equal_table_sums():
@@ -162,7 +161,3 @@ def test_sum_at_order_one_is_inf_ratio():
 def test_validation():
     with pytest.raises(ValueError):
         find_extrema(0)
-    with pytest.raises(ValueError):
-        find_extrema(4, tol=0.0)
-    with pytest.raises(ValueError):
-        find_extrema(4, tol=1e-3)

@@ -954,6 +954,46 @@ def test_residual_mirrored_set_agrees(log_seq, N):
     assert abs(a.value - b.value) <= min(a.error_estimate, b.error_estimate)
 
 
+@pytest.mark.parametrize("family", ["log", "log2"])
+@pytest.mark.parametrize("nodes", [4, 16])
+def test_abs_mirrored_set_agrees(family, nodes):
+    # S_N is even, so E and -E have the same |.| integral
+    seq = (ConvexSequence.log_reciprocal() if family == "log"
+           else ConvexSequence.log_squared_reciprocal())
+    pieces = ((-0.45, -0.31), (-0.22, -0.08), (-0.01, 0.11), (0.19, 0.27),
+              (0.36, 0.5))
+    E = IntervalUnion(pieces)
+    mirror = IntervalUnion(tuple((-hi, -lo) for lo, hi in reversed(pieces)))
+    for N in 2 ** np.arange(4, 13):
+        a = integrate_abs_partial_sum(seq, N, E, nodes_per_panel=nodes)
+        b = integrate_abs_partial_sum(seq, N, mirror, nodes_per_panel=nodes)
+        assert abs(a.value - b.value) <= min(a.error_estimate,
+                                             b.error_estimate), (N, a, b)
+
+
+def test_power_of_two_scaling_is_exact(log_seq):
+    # scaling the coefficients by 2^k scales every rounding step exactly,
+    # so values and bars scale exactly; the |.| bar at low node counts
+    # carries sum|w_m| outside its exponential for that reason
+    E = IntervalUnion.parse("-0.45,-0.3;-0.05,0.02;0.2,0.4")
+    near = E.minus_window(1e-3)
+
+    def results(seq, N):
+        out = [integrate_abs_partial_sum(seq, N, E, panels, nodes)
+               for nodes in (2, 4, 6, 16) for panels in (1, 2, 4)]
+        return out + [integrate_signed(seq, N, E), residual_l1(seq, N, near)]
+
+    for N in (16, 256, 1024):
+        head = log_seq.values(N + 1)
+        unit = results(ConvexSequence(head), N)
+        for k in (7, -9, 200, -300):
+            f = 2.0 ** k
+            got = results(ConvexSequence(head * f), N)
+            for u, g in zip(unit, got):
+                assert (g.value, g.error_estimate) == \
+                    (u.value * f, u.error_estimate * f), (N, k, u, g)
+
+
 def test_norm_trace_assembly(log_seq):
     tr = norm_trace(log_seq, [4, 8, 16], FULL, kind="abs")
     assert [e.N for e in tr.entries] == [4, 8, 16]

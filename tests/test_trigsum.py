@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from torusl1 import trigsum
 from torusl1.trigsum import (
     cosine_poly_points,
     cosine_poly_grid,
@@ -37,12 +38,14 @@ def test_points_scalar_round_trip():
     assert v == pytest.approx(_brute(coeffs, 0.2)[0], abs=1e-12)
 
 
-def test_points_chunking_consistency():
+def test_points_chunking_consistency(monkeypatch):
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=5000)
     ts = rng.uniform(-0.5, 0.5, 100)
-    a = cosine_poly_points(coeffs, ts, m_chunk=64, t_chunk=7)
     b = cosine_poly_points(coeffs, ts)
+    # blocks that split both the terms and the points unevenly
+    monkeypatch.setattr(trigsum, "_POINTS_BLOCK", 37)
+    a = cosine_poly_points(coeffs, ts)
     assert np.allclose(a, b, rtol=0, atol=1e-9)
 
 
