@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from .coefficients import ConvexSequence
-from .diagnostics import analyze_trace
+from .diagnostics import TAIL_WINDOW, analyze_trace
 from .exceptional import build_witness, uniform_integrability_certificate
-from .extrema import coefficient_sum, crossing_check, find_extrema
+from .extrema import crossing_check, find_extrema, growth_sweep
 from .intervals import IntervalUnion
 from .kernels import canonical
 from .partial_sums import residual_identity_check
@@ -48,7 +48,6 @@ class RunConfig:
     nodes_per_panel: int = None
     j_max: int = None
     grid_size: int = None
-    tail_window: int = None
     seed: int = None
     samples: int = None
     N0s: tuple = None
@@ -187,8 +186,8 @@ def cmd_norms(cfg):
     rows = [{"N": e.N, "value": e.value, "error": e.error_estimate}
             for e in trace]
     head, verdict = {}, None
-    if len(trace) >= cfg.tail_window + 2:
-        v = analyze_trace(trace, tail_window=cfg.tail_window)
+    if len(trace) >= TAIL_WINDOW + 2:
+        v = analyze_trace(trace)
         head = {"verdict": v.verdict, "limit_estimate": v.limit_estimate,
                 "cauchy_gap": v.cauchy_gap, "uncertainty": v.uncertainty}
         verdict = dataclasses.asdict(v)
@@ -198,9 +197,10 @@ def cmd_norms(cfg):
 
 def cmd_extrema(cfg):
     if cfg.Ns is not None:
-        rows = [{"N": n, "c_sum": s, "c_sum_over_logN": r}
-                for n, s, r in coefficient_sum(cfg.Ns)]
-        return Table(("N", "c_sum", "c_sum_over_logN"), rows, "sweep")
+        sweep, head = growth_sweep(cfg.Ns)
+        rows = [{"N": n, "c_sum": s, "c_sum_over_logN": r} for n, s, r in sweep]
+        return Table(("N", "c_sum", "c_sum_over_logN"), rows, "sweep", head,
+                     head)
     table = find_extrema(cfg.n)
     report = crossing_check(table)
     head = {"N": table.N, "envelope_max_error": report.max_product_error,
@@ -292,7 +292,6 @@ def _build_parser():
     sp.add_argument("--nodes-per-panel", type=int, default=16)
     sp.add_argument("--j-max", type=int, default=100000)
     sp.add_argument("--grid-size", type=int, default=2 ** 16)
-    sp.add_argument("--tail-window", type=int, default=4)
 
     sp = sub.add_parser("extrema", help="kernel extrema table or growth sweep")
     sp.add_argument("--n", type=int, help="single kernel order")
@@ -323,14 +322,11 @@ def _config_from_args(args):
                 or not 2 <= args.nodes_per_panel <= 64):
             raise ValueError("quadrature settings must be positive, with "
                              "2..64 nodes per panel")
-        if args.tail_window < 3:
-            raise ValueError("tail window must be >= 3")
         return RunConfig(command=cmd, sequence=args.sequence, Ns=ns,
                          set_spec=args.set_spec, kind=args.kind, eta=args.eta,
                          panels_per_cell=args.panels_per_cell,
                          nodes_per_panel=args.nodes_per_panel,
                          j_max=args.j_max, grid_size=args.grid_size,
-                         tail_window=args.tail_window,
                          fmt=_pick_format(args.fmt, args.out, "csv"),
                          out=args.out)
     if cmd == "extrema":

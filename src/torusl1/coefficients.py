@@ -26,6 +26,8 @@ __all__ = [
 _TAIL_RULES = ("log_reciprocal", "log_squared_reciprocal", "constant")
 # subnormal heads lose relative precision that no error bar accounts for
 _SMALLEST_NORMAL = 2.0 ** -1022
+# 1/(8 eps): a file's sequence may rise or bend by 8 eps a_j, for rounding
+_INV_SLACK = 2.0 ** 49
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,13 @@ class ConvexSequence:
 
         One positive real per line (the head, in order).  A line holding one
         of the tail rule keywords declares the tail; absent that, the last
-        head value continues forever.  '#' starts a comment.
+        head value continues forever.  '#' starts a comment.  Through the
+        first two tail terms the sequence must be nonincreasing and convex
+        up to rounding, else ValueError: with d_j = a_j - a_{j+1}, the rise
+        max(-d_j, d_{j+1} - d_j) may not exceed 8 eps a_j.  The test
+        multiplies the rise by 2^49 = 1/(8 eps), which rounds nothing, so
+        scaling a file by 2^k never changes its verdict; a rise that
+        overflows is one that fails.
         """
         head = []
         rule = "constant"
@@ -94,26 +102,37 @@ class ConvexSequence:
                     rule = line
                     continue
                 head.append(float(line))
-        return cls(head=tuple(head), tail_rule=rule,
-                   label=os.path.basename(str(path)))
+        seq = cls(head=tuple(head), tail_rule=rule,
+                  label=os.path.basename(str(path)))
+        a = seq.values(len(seq.head) + 2)
+        d = a[:-1] - a[1:]
+        with np.errstate(over="ignore"):
+            rise = np.maximum(-d, np.append(d[1:] - d[:-1], -np.inf))
+            bad = np.flatnonzero(rise * _INV_SLACK > a[:-1])
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"sequence file {path}: a_{j}, a_{j + 1}, "
+                             f"a_{j + 2} are not nonincreasing and convex")
+        return seq
 
     # -- values and differences ---------------------------------------
 
-    def _rule_value(self, n):
+    def _tail(self, n):
+        """The tail rule at the indices n, a float array."""
         if self.tail_rule == "log_reciprocal":
-            return 1.0 / math.log(n)
+            return 1.0 / np.log(n)
         if self.tail_rule == "log_squared_reciprocal":
-            return 1.0 / math.log(n) ** 2
-        return self.head[-1]
+            return 1.0 / np.log(n) ** 2
+        return np.full(n.shape, self.head[-1])
 
     def value(self, n):
-        """a_n for n >= 0."""
+        """a_n for n >= 0, equal to values(n + 1)[n] bit for bit."""
         if n != int(n) or n < 0:
             raise ValueError("index must be a nonnegative integer")
         n = int(n)
         if n < len(self.head):
             return self.head[n]
-        return self._rule_value(n)
+        return float(self._tail(np.array([float(n)]))[0])
 
     def values(self, count):
         """Array of a_0 .. a_{count-1}."""
@@ -123,13 +142,7 @@ class ConvexSequence:
         m = min(k, count)
         out[:m] = self.head[:m]
         if count > k:
-            n = np.arange(k, count, dtype=float)
-            if self.tail_rule == "log_reciprocal":
-                out[k:] = 1.0 / np.log(n)
-            elif self.tail_rule == "log_squared_reciprocal":
-                out[k:] = 1.0 / np.log(n) ** 2
-            else:
-                out[k:] = self.head[-1]
+            out[k:] = self._tail(np.arange(k, count, dtype=float))
         return out
 
     def tail_limit(self):

@@ -1,11 +1,12 @@
 """Finite-trace convergence diagnostics.
 
 A trace is a short list of (N, value, error_estimate) rows with
-increasing N.  The verdict machinery slides a tail window over the
-values and compares the spread inside the last window against the
-spread inside the first and against the drift of the window means.
+increasing N.  The verdict machinery slides a window of TAIL_WINDOW
+entries over the values and compares the spread inside the last window
+against the spread inside the first and against the drift of the window
+means.
 Verdicts are heuristic labels for desk checks, not proofs; anything the
-data cannot support at the given window size comes back "inconclusive".
+data cannot support at that window size comes back "inconclusive".
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["ConvergenceVerdict", "analyze_trace", "boundedness_report"]
+
+# entries per window; a trace needs TAIL_WINDOW + 2 entries for a verdict
+TAIL_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,7 @@ def _windows(values, w):
     return [values[i:i + w] for i in range(count)]
 
 
-def analyze_trace(trace, tail_window=4):
+def analyze_trace(trace):
     """Label a trace converging / bounded-nonconverging / unbounded / unknown.
 
     A window gap (max - min of its values) no larger than the largest
@@ -51,12 +55,10 @@ def analyze_trace(trace, tail_window=4):
       4. drift small next to the window gaps -> "bounded-nonconverging-signature"
       5. otherwise "inconclusive"
     """
-    w = int(tail_window)
-    if w < 3:
-        raise ValueError("tail_window must be >= 3")
+    w = TAIL_WINDOW
     entries = trace.entries
     if len(entries) < w + 2:
-        raise ValueError(f"need at least tail_window + 2 = {w + 2} entries")
+        raise ValueError(f"need at least TAIL_WINDOW + 2 = {w + 2} entries")
     values = np.array([e.value for e in entries], dtype=float)
     errors = np.array([e.error_estimate for e in entries], dtype=float)
 

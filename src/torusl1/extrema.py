@@ -50,9 +50,6 @@ class ExtremaTable:
     def heights(self):
         return np.array([r.height for r in self.rows])
 
-    def normalized_heights(self):
-        return np.array([r.c for r in self.rows])
-
     def coefficient_sum(self):
         return float(sum(r.c for r in self.rows))
 
@@ -116,8 +113,25 @@ def find_extrema(N):
     rows += [ExtremaRow(i, t, h, abs(h) / N) for i, t, h
              in zip(range(2, N + 1), locs.tolist(), heights.tolist())]
     rows.append(ExtremaRow(N + 1, 0.5, float((-1) ** N), 1.0 / N))
-    crossings = tuple((2 * i - 1) / (2.0 * L) for i in range(1, N + 2))
+    crossings = tuple(_envelope_points(N).tolist())
     return ExtremaTable(N=N, rows=tuple(rows), crossings=crossings)
+
+
+def _envelope_points(N):
+    """t_i = (2i - 1)/(4N + 2) for i = 1..N+1, where |D_N| sin(pi t) = 1."""
+    return (2 * np.arange(1, N + 2) - 1) / (2.0 * (2 * N + 1))
+
+
+def _envelope(N, heights):
+    """(max |D_N(t) sin(pi t) - 1| over the envelope points t1, the rows
+    i whose sandwich |h_{i+1}| < |D_N(t1_i)| < |h_i| fails), for the N+1
+    extremum heights of D_N in row order."""
+    t1 = _envelope_points(N)
+    vals = np.abs(dirichlet_eval(N, t1))
+    max_err = float(np.max(np.abs(vals * np.sin(np.pi * t1) - 1.0)))
+    h = np.abs(heights)
+    inside = (h[1:] < vals[:N]) & (vals[:N] < h[:N])
+    return max_err, tuple((np.flatnonzero(~inside) + 1).tolist())
 
 
 def crossing_check(table):
@@ -128,15 +142,8 @@ def crossing_check(table):
     |D_N(t_{i+1}^2)| < |D_N(t_i^1)| < |D_N(t_i^2)| with extrema t^2 and
     envelope points t^1 interleaved.
     """
-    N = table.N
-    t1 = np.array(table.crossings)
-    vals = np.abs(dirichlet_eval(N, t1))
-    products = vals * np.sin(np.pi * t1)
-    max_err = float(np.max(np.abs(products - 1.0)))
-    h = np.abs(table.heights())
-    inside = (h[1:] < vals[:N]) & (vals[:N] < h[:N])
-    violations = tuple((np.flatnonzero(~inside) + 1).tolist())
-    return CrossingReport(N=int(N), max_product_error=max_err,
+    max_err, violations = _envelope(table.N, table.heights())
+    return CrossingReport(N=int(table.N), max_product_error=max_err,
                           sandwich_ok=not violations,
                           violations=violations)
 
@@ -147,11 +154,28 @@ def coefficient_sum(Ns):
     Each sum adds the c_i of find_extrema(N) in row order, so it
     equals that table's coefficient_sum() bit for bit; no table is built.
     """
-    out = []
+    return growth_sweep(Ns)[0]
+
+
+def growth_sweep(Ns):
+    """coefficient_sum's rows and what crossing_check finds over them.
+
+    Returns (rows, facts).  facts holds the band factor max/min of the
+    finite sum / ln N (only when some N > 1), the worst envelope error
+    and whether every order's sandwich holds, each as crossing_check
+    reports it for find_extrema(N); all come from _interior's arrays, and
+    no table is built.
+    """
+    rows, worst, ok = [], 0.0, True
     for N in Ns:
         N, _, heights = _interior(N)
-        c = [float(2 * N + 1) / N] + (np.abs(heights) / N).tolist() + [1.0 / N]
-        s = sum(c)
-        ratio = s / math.log(N) if N > 1 else math.inf
-        out.append((N, s, ratio))
-    return out
+        h = np.concatenate(([float(2 * N + 1)], heights, [float((-1) ** N)]))
+        s = sum((np.abs(h) / N).tolist())
+        rows.append((N, s, s / math.log(N) if N > 1 else math.inf))
+        err, violations = _envelope(N, h)
+        worst = max(worst, err)
+        ok = ok and not violations
+    ratios = [r for _, _, r in rows if math.isfinite(r)]
+    facts = {"band_factor": max(ratios) / min(ratios)} if ratios else {}
+    facts.update(envelope_max_error=worst, sandwich_ok=ok)
+    return rows, facts

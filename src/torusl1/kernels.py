@@ -12,7 +12,8 @@ branch.  The *_oracle functions are independent slow sums used as
 cross-checks; they reduce each angle n*t mod 1 with an exact split
 product so agreement stays near machine level up to N ~ 1e4.
 product_frac, that split product, also serves the evaluators of trigsum
-and partial_sums; it is not exported.
+and partial_sums, and check_index the order checks of partial_sums and
+quadrature; neither is exported.
 """
 
 import numpy as np
@@ -57,7 +58,8 @@ def product_frac(n, t):
     negative product is reduced through 1 - |n*t|, so n*t = -5e-7 comes
     back with a relative error near 1e-10.  A caller that needs relative
     accuracy near 0 must fold the sign first, as _fejer_sum does.
-    Broadcasts over arrays.  Raises ValueError when some |n| >= 2^25.
+    Broadcasts over arrays, and ends in canonical, so scalars give a float.
+    Raises ValueError when some |n| >= 2^25.
     """
     n = np.asarray(n, dtype=float)
     if n.size and float(np.max(np.abs(n))) >= _N_LIMIT:
@@ -67,14 +69,11 @@ def product_frac(n, t):
     hi = s - (s - t)
     lo = t - hi
     f = (n * hi) - np.floor(n * hi)  # exact: n*hi fits in a double
-    f = f + n * lo
-    f = f - np.floor(f + 0.5)
-    f = np.where(f >= 0.5, f - 1.0, f)
-    f = np.where(f < -0.5, f + 1.0, f)
-    return f
+    return canonical(f + n * lo)
 
 
-def _check_index(n, name):
+def check_index(n, name):
+    """n as an int, or ValueError unless it is a nonnegative integer."""
     if n != int(n) or n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
     return int(n)
@@ -82,7 +81,7 @@ def _check_index(n, name):
 
 def dirichlet_eval(N, t):
     """Closed-form Dirichlet kernel D_N(t); exact 2N+1 at t = 0."""
-    N = _check_index(N, "N")
+    N = check_index(N, "N")
     u = np.asarray(canonical(t))
     m = 2 * N + 1
     val = m * np.sinc(m * u) / np.sinc(u)
@@ -93,7 +92,7 @@ def dirichlet_eval(N, t):
 
 def fejer_eval(j, t):
     """Closed-form Fejer kernel F_j(t); nonnegative, exact j+1 at t = 0."""
-    j = _check_index(j, "j")
+    j = check_index(j, "j")
     u = np.asarray(canonical(t))
     r = np.sinc((j + 1) * u) / np.sinc(u)
     val = (j + 1) * r * r
@@ -104,7 +103,7 @@ def fejer_eval(j, t):
 
 def dirichlet_oracle(N, t):
     """Slow cross-check: D_N(t) = 1 + 2 sum_{n<=N} cos(2 pi n t)."""
-    N = _check_index(N, "N")
+    N = check_index(N, "N")
     u = np.asarray(canonical(t), dtype=float)
     if N == 0:
         out = np.ones_like(u)
@@ -123,7 +122,7 @@ def dirichlet_oracle_sweep(N_max, t):
     Returns an array of shape (N_max+1,) + shape(t); row N holds D_N(t).
     Same sum as dirichlet_oracle, accumulated cumulatively.
     """
-    N_max = _check_index(N_max, "N_max")
+    N_max = check_index(N_max, "N_max")
     u = np.atleast_1d(np.asarray(canonical(t), dtype=float))
     n = np.arange(1, N_max + 1, dtype=float)
     fr = product_frac(n[:, None], u[None, :])
@@ -137,7 +136,7 @@ def dirichlet_oracle_sweep(N_max, t):
 
 def fejer_oracle(j, t):
     """Slow cross-check: F_j = mean of D_0..D_j (standard identity)."""
-    j = _check_index(j, "j")
+    j = check_index(j, "j")
     u = np.atleast_1d(np.asarray(canonical(t), dtype=float))
     acc = np.zeros_like(u)
     for k in range(j + 1):
@@ -150,12 +149,12 @@ def fejer_oracle(j, t):
 
 def dirichlet_coefficients(N):
     """Cosine coefficients c of D_N: D_N(t) = c_0 + sum 2 c_m cos(2 pi m t)."""
-    N = _check_index(N, "N")
+    N = check_index(N, "N")
     return np.ones(N + 1)
 
 
 def fejer_coefficients(j):
     """Cosine coefficients of F_j: triangular weights 1 - m/(j+1)."""
-    j = _check_index(j, "j")
+    j = check_index(j, "j")
     m = np.arange(j + 1, dtype=float)
     return 1.0 - m / (j + 1)

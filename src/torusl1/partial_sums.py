@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import canonical, dirichlet_eval, fejer_eval, product_frac
+from .kernels import (canonical, check_index, dirichlet_eval, fejer_eval,
+                      product_frac)
 from .trigsum import cosine_poly_grid, cosine_poly_points
 
 __all__ = [
@@ -48,9 +49,8 @@ _SUM_BLOCK = 2 ** 16
 
 def partial_sum(seq, N, t):
     """S_N(t) = a_0 + 2 sum_{n<=N} a_n cos(2 pi n t)."""
-    if N != int(N) or N < 0:
-        raise ValueError("N must be a nonnegative integer")
-    return cosine_poly_points(seq.values(int(N) + 1), canonical(t))
+    N = check_index(N, "N")
+    return cosine_poly_points(seq.values(N + 1), canonical(t))
 
 
 def partial_sum_grid(seq, N, grid_size):
@@ -59,9 +59,8 @@ def partial_sum_grid(seq, N, grid_size):
     This is the half t_k <= 0 of the uniform grid (trigsum.cosine_poly_grid);
     S_N is even, so the whole grid is g[G-k] = g[k].
     """
-    if N != int(N) or N < 0:
-        raise ValueError("N must be a nonnegative integer")
-    return cosine_poly_grid(seq.values(int(N) + 1), grid_size)
+    N = check_index(N, "N")
+    return cosine_poly_grid(seq.values(N + 1), grid_size)
 
 
 def _check_term_range(j_max):

@@ -48,6 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kernels import check_index
 from .partial_sums import partial_sum_grid, reference_function_grid
 from .trigsum import cosine_poly_on_cells, cosine_poly_points
 
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+# added to every cell-engine bar: subnormal widths and values round absolutely
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -106,15 +109,6 @@ class NormTrace:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def Ns(self):
-        return np.array([e.N for e in self.entries])
-
-    def values(self):
-        return np.array([e.value for e in self.entries])
-
-    def errors(self):
-        return np.array([e.error_estimate for e in self.entries])
 
 
 # -- cell-aligned Gauss engine -----------------------------------------
@@ -409,8 +403,8 @@ def _certify(vals, delta, h):
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = (np.where(zero_lo, 1.0 / slope[0], 0.0)
                + np.where(zero_hi, 1.0 / slope[-1], 0.0))
-        # a numpy square overflows to inf, where a float's raises
-        charge = np.where(certified, 8.0 * h * np.float64(delta) ** 2 * inv, 0.0)
+        # no delta^2, which overflows for heads above about 1e154
+        charge = np.where(certified, 8.0 * h * delta * (delta * inv), 0.0)
     return certified, charge
 
 
@@ -452,7 +446,8 @@ def _abs(coeffs, E, L, panels, nodes):
     part of a remnant are integrated from their interpolants
     (_interpolated).  The error estimate is gauss per certified full-cell
     panel, delta per unit measure interpolated and the edge charges
-    (_abs_bound, _certify), with a roundoff floor.
+    (_abs_bound, _certify), with a roundoff floor, plus 2^-1022 for values
+    that round in the subnormal range.
     """
     full, pieces = _decompose(E, L)
     gauss, delta = _abs_bound(coeffs, L, panels, nodes)
@@ -485,8 +480,15 @@ def _abs(coeffs, E, L, panels, nodes):
         edge += e
     cut = math.fsum((hi - lo).tolist())
     bound = definite * gauss + cut * delta + edge
-    return QuadResult(total, max(bound, 64.0 * _EPS * total),
+    return QuadResult(total, max(bound, 64.0 * _EPS * total) + _TINY,
                       definite + int(j.size))
+
+
+def _norm(x):
+    """||x||_2 with x scaled by a power of two, so the squares neither
+    overflow nor change their bits where they would not have overflowed."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
 
 
 def _signed(coeffs, E, L):
@@ -507,15 +509,14 @@ def _signed(coeffs, E, L):
         row = cosine_poly_on_cells(coeffs * np.sinc(m / L) / L, L, 0.5 / L)[0]
         parts.append(row[np.mod(full, L)])
         rounding = (math.log2(L + 1) * math.sqrt(full.size / L)
-                    * float(np.linalg.norm(row)))
+                    * _norm(row))
     for _, lo, hi in pieces:
         w = hi - lo
         c = coeffs * (w * np.sinc(m * w))
         parts.append([cosine_poly_points(c, 0.5 * (lo + hi))])
         rounding += 4.0 * (2.0 * float(np.abs(c).sum()) - abs(float(c[0])))
     vals = np.concatenate(parts)
-    err = (64.0 * _EPS * float(np.abs(vals).sum()) + _EPS * rounding
-           + np.finfo(float).tiny)  # subnormal widths round absolutely
+    err = 64.0 * _EPS * float(np.abs(vals).sum()) + _EPS * rounding + _TINY
     return QuadResult(float(vals.sum()), float(err), int(vals.size))
 
 
@@ -528,7 +529,8 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     |.| integral evaluates the lattice once, with panels_per_cell Gauss
     panels of nodes_per_panel nodes per cell; its error estimate is an a
     priori interpolation, quadrature and rounding bound (_abs_bound,
-    _certify) with a roundoff floor of 64 eps times the value.  The signed
+    _certify) with a roundoff floor of 64 eps times the value, plus 2^-1022
+    for subnormal results.  The signed
     integral uses no panels, so panels_per_cell and nodes_per_panel do not
     affect it, and its estimate is a rounding bound.  nodes_per_panel must
     lie in 2..64.  Lattice values, an integral or a bar that is not finite
@@ -559,9 +561,7 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
 
 def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
     """integral over E of |S_N(f, t)| dt with cell-aligned panels."""
-    if N != int(N) or N < 0:
-        raise ValueError("N must be a nonnegative integer")
-    N = int(N)
+    N = check_index(N, "N")
     return integrate_cosine_poly(seq.values(N + 1), E, 2 * N + 1,
                                  panels_per_cell, nodes_per_panel,
                                  absolute=True)
@@ -569,9 +569,7 @@ def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
 
 def integrate_signed(seq, N, E):
     """integral over E of S_N(f, t) dt (no absolute value), to rounding."""
-    if N != int(N) or N < 0:
-        raise ValueError("N must be a nonnegative integer")
-    N = int(N)
+    N = check_index(N, "N")
     return integrate_cosine_poly(seq.values(N + 1), E, 2 * N + 1)
 
 
@@ -644,14 +642,16 @@ def origin_window_bound(seq, N, eta):
     Splits f at order J = round(1/(2 eta)), at least 2: the kept part is below sum (j+1)^2 d2_j pointwise,
     the dropped kernels contribute at most their full-torus mass, and |S_N|
     is below its coefficient sum; everything is then integrated over the
-    window of width 2 eta.
+    window of width 2 eta.  A constant tail's second differences vanish
+    beyond its head, so its kept sum stops there however small eta is.
     """
     eta = float(eta)
     if eta <= 0.0:
         return 0.0
-    J = max(2, int(round(0.5 / eta)))
-    d2 = seq.second_differences(J + 1)
-    j = np.arange(J + 1, dtype=float)
+    J = max(2, round(min(0.5 / eta, 2.0 ** 62)))  # 0.5 / 5e-324 is inf
+    K = min(J, len(seq.head)) if seq.tail_rule == "constant" else J
+    d2 = seq.second_differences(K + 1)
+    j = np.arange(K + 1, dtype=float)
     f_peak = float(((j + 1.0) ** 2) @ d2)
     dropped = seq.weighted_tail_beyond(J)
     a = seq.values(int(N) + 1)
@@ -671,9 +671,7 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
     A reference or residual that is not finite (coefficients whose grid
     arithmetic overflows float64) raises ValueError.
     """
-    if N != int(N) or N < 0:
-        raise ValueError("N must be a nonnegative integer")
-    N = int(N)
+    N = check_index(N, "N")
     G = int(grid_size)
     if G < 16:
         raise ValueError("grid_size must be >= 16")

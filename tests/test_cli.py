@@ -1,8 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import os
+import tempfile
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from torusl1.cli import RunConfig, Table, main, parse_n_values, render
 
@@ -46,7 +53,7 @@ def test_norms_csv_structure(capsys):
 
 
 def test_norms_verdict_gate(capsys):
-    # 3 orders: below tail_window + 2, so no verdict lines
+    # 3 orders: below TAIL_WINDOW + 2 = 6, so no verdict lines
     _, out, _ = run_cli(capsys, "norms", "--n", "2,4,8", "--set", "0.1,0.3")
     assert "# verdict=" not in out
     _, out, _ = run_cli(capsys, "norms", "--n", "2..64x2", "--set", "0.1,0.3")
@@ -57,6 +64,13 @@ def test_norms_verdict_gate(capsys):
     assert payload["verdict"]["verdict"] in {
         "converging", "inconclusive", "bounded-nonconverging-signature",
         "unbounded-signature"}
+    # every run uses a window of 4, so the config does not carry it
+    assert payload["verdict"]["tail_window"] == 4
+    assert "tail_window" not in payload["config"]
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--n", "2..64x2", "--tail-window", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_norms_json_embeds_config(capsys):
@@ -128,6 +142,26 @@ def test_extrema_sweep_csv(capsys):
     first = lines[1].split(",")
     assert first[0] == "16"
     assert float(first[1]) == pytest.approx(4.082238, abs=1e-5)
+
+
+def test_extrema_sweep_header(capsys):
+    # the band factor max/min of c_sum / ln N, the worst envelope error
+    # and the sandwich over every order lead the rows
+    code, out, _ = run_cli(capsys, "extrema", "--sweep", "16,64,256,1024")
+    assert code == 0
+    head = dict(ln[2:].split("=", 1) for ln in out.splitlines()
+                if ln.startswith("# "))
+    assert f"{float(head['band_factor']):.4f}" == "1.5555"
+    assert head["sandwich_ok"] == "True"
+    assert float(head["envelope_max_error"]) <= 2 * np.finfo(float).eps
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")]
+    assert all(len(r) == 3 for r in rows) and len(rows) == 5
+    code, out, _ = run_cli(capsys, "extrema", "--sweep", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "band_factor" not in payload
+    assert payload["sandwich_ok"] is True
+    assert payload["envelope_max_error"] <= 2 * np.finfo(float).eps
 
 
 def test_extrema_argument_exclusivity(capsys):
@@ -217,6 +251,12 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "norms", "--sequence", "/nonexistent.txt",
                            "--n", "2,4")
     assert code == 2
+    bent = tmp_path / "bent.txt"
+    bent.write_text("1\n3\n1\n1\n")
+    code, out, err = run_cli(capsys, "norms", "--sequence", str(bent),
+                             "--n", "4..16x2")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "not nonincreasing and convex" in err
     code, _, err = run_cli(capsys, "norms", "--kind", "residual", "--n", "8",
                            "--grid-size", "16", "--set", "0.1,0.3")
     assert code == 2 and "below Nyquist" in err
@@ -363,3 +403,99 @@ def test_csv_and_json_rows_agree(capsys, argv, key):
         assert len(csv_row) == len(columns)
         for column, text in zip(columns, csv_row):
             assert csv_cell(text) == json_cell(json_row, column), column
+
+
+_TAIL_LINES = ("", "constant\n", "log_reciprocal\n", "log_squared_reciprocal\n")
+
+
+@st.composite
+def _sequences(draw):
+    """'log', 'log2', or the text of a sequence file: a convex head at
+    any binary scale, or any floats at all."""
+    pick = draw(st.sampled_from(("log", "log2", "convex", "any")))
+    if pick in ("log", "log2"):
+        return pick
+    if pick == "convex":
+        base = draw(st.floats(1e-3, 10.0))
+        diffs = sorted(draw(st.lists(st.floats(0.0, 10.0), max_size=6)))
+        with np.errstate(over="ignore"):  # inf is a file the CLI refuses
+            head = np.ldexp(np.cumsum([base] + diffs)[::-1],
+                            draw(st.integers(-1030, 1030)))
+    else:
+        head = draw(st.lists(st.floats(), min_size=1, max_size=5))
+    return "".join(f"{float(v)!r}\n" for v in head) + draw(st.sampled_from(_TAIL_LINES))
+
+
+_POINTS = st.one_of(st.sampled_from((-0.5, 0.5, 0.0, -0.25, 0.25, 1 / 3, -1 / 7)),
+                    st.floats(-0.5, 0.5))
+
+
+@st.composite
+def _sets(draw):
+    """'full', the empty set, or sorted pieces; some are slivers, some
+    touch 0 or +-1/2, and some are malformed."""
+    pick = draw(st.sampled_from(("full", "empty", "pieces")))
+    if pick != "pieces":
+        return "full" if pick == "full" else ""
+    ends = draw(st.lists(_POINTS, min_size=2, max_size=6))
+    for x in draw(st.lists(st.sampled_from(ends), max_size=2)):
+        ends.append(x + draw(st.sampled_from((5e-324, 1e-300, 1e-15, 1e-9))))
+    ends = sorted(ends)[:len(ends) // 2 * 2]
+    return ";".join(f"{lo!r},{hi!r}" for lo, hi in zip(ends[::2], ends[1::2]))
+
+
+_ORDERS = st.one_of(
+    st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True).map(
+        lambda ns: ",".join(map(str, sorted(ns)))),
+    st.lists(st.integers(0, 40), min_size=1, max_size=6).map(
+        lambda ns: ",".join(map(str, ns))),
+    st.tuples(st.integers(1, 8), st.integers(1, 64), st.integers(2, 3)).map(
+        lambda t: f"{t[0]}..{t[1]}x{t[2]}"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+# a sliver of subnormal width, whose |.| bar was 0 under a nonzero value;
+# a constant tail at distance 1e-12 from 0, whose window bound allocated
+# 5e11 terms
+@example(seq="log", spec="0.0,5e-324", orders="1", kind="abs", grid=8,
+         j_max=0, eta=1e-3, nodes=3, panels=2)
+@example(seq="1.0\n", spec="1e-12,0.3", orders="2,3", kind="residual",
+         grid=64, j_max=100, eta=1e-300, nodes=16, panels=2)
+@given(seq=_sequences(), spec=_sets(), orders=_ORDERS,
+       kind=st.sampled_from(("abs", "residual")),
+       grid=st.sampled_from((8, 16, 17, 64, 100, 256, 4097)),
+       j_max=st.integers(0, 3000),
+       eta=st.sampled_from((1e-3, 0.01, 0.2, 1e-300, 0.5, 0.7, 0.0)),
+       nodes=st.sampled_from((*range(2, 21), 64, 1, 65)),
+       panels=st.sampled_from((1, 2, 3) * 3 + (0,)))
+def test_norms_exit_cleanly(seq, spec, orders, kind, grid, j_max, eta,
+                            nodes, panels):
+    # every run either prints finite values, each nonzero one with a
+    # nonzero bar, or exits 2 with one error line; never a traceback,
+    # a warning, nan or inf
+    with tempfile.TemporaryDirectory() as tmp:
+        if seq not in ("log", "log2"):
+            path = os.path.join(tmp, "seq.txt")
+            with open(path, "w") as fh:
+                fh.write(seq)
+            seq = path
+        argv = ["norms", "--sequence", seq, f"--set={spec}", "--n", orders,
+                "--kind", kind, "--grid-size", str(grid), "--j-max", str(j_max),
+                "--eta", repr(eta), "--nodes-per-panel", str(nodes),
+                "--panels-per-cell", str(panels), "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        assert "NaN" not in out and "Infinity" not in out
+        for row in json.loads(out)["trace"]:
+            assert math.isfinite(row["value"]) and math.isfinite(row["error"])
+            assert row["error"] > 0.0 or row["value"] == 0.0, row
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err

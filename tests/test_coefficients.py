@@ -35,6 +35,17 @@ def test_values_vector_matches_scalar():
             assert v[n] == seq.value(n)
 
 
+def test_value_is_values_bit_for_bit():
+    # the first indices where math.log and numpy's array log round apart;
+    # value and values evaluate one tail rule
+    for seq, ns in ((ConvexSequence.log_reciprocal(), (9170, 19143, 94869)),
+                    (ConvexSequence.log_squared_reciprocal(), (733, 1484, 2138))):
+        a = seq.values(max(ns) + 3)
+        for n in ns:
+            assert seq.value(n) == a[n]
+            assert seq.first_difference(n) == a[n] - a[n + 1]
+
+
 def test_both_families_are_convex_positive_null():
     for seq in (ConvexSequence.log_reciprocal(),
                 ConvexSequence.log_squared_reciprocal()):
@@ -124,6 +135,57 @@ def test_from_file_log_rule(tmp_path):
     p.write_text("3.0\n2.0\nlog_reciprocal\n")
     seq = ConvexSequence.from_file(p)
     assert seq.value(5) == 1.0 / math.log(5.0)
+
+
+def test_from_file_refuses_heads_that_are_not_convex(tmp_path):
+    p = tmp_path / "seq.txt"
+
+    def load(text):
+        p.write_text(text)
+        return ConvexSequence.from_file(p)
+
+    # increasing, concave inside the head, a log tail above the head, and
+    # a head that bends concave into its log tail
+    for text in ("1\n3\n1\n1\n", "3\n2\n1.5\n1.4\n1\n",
+                 "3\n1\nlog_reciprocal\n", "3\n2.9\nlog_reciprocal\n"):
+        with pytest.raises(ValueError, match="not nonincreasing and convex"):
+            load(text)
+        # the constructor does not check, so verify_convex can report
+        assert not verify_convex(ConvexSequence(*_parse(text)), 10).passed
+    # the shipped files, an arithmetic progression whose decimal
+    # differences round apart, and the log families written out
+    fams = (ConvexSequence.log_reciprocal(), ConvexSequence.log_squared_reciprocal())
+    texts = ["1\n", "3\n2\n1.5\n1.2\n1\nconstant\n",
+             "3072\n2048\n1536\n1228.8\n1024\nconstant\n",
+             "3\n2\nlog_reciprocal\n", "1\n0.9\n0.8\n0.7\n"]
+    texts += ["".join(f"{v!r}\n" for v in f.head) + f.tail_rule + "\n"
+              for f in fams]
+    for text in texts:
+        assert load(text).head == _parse(text)[0]
+    # a rise of 8 eps a_j = 2^-49 is rounding, twice that is not
+    edge = [f"1\n{1.0 + 2.0 ** -49!r}\n", f"1\n{1.0 + 2.0 ** -48!r}\n"]
+    load(edge[0])
+    with pytest.raises(ValueError):
+        load(edge[1])
+    # scaling a constant-tail file by 2^k keeps its verdict
+    for text in (texts[1], texts[2], texts[4], "1\n3\n1\n1\n",
+                 "3\n2\n1.5\n1.4\n1\n", *edge):
+        verdicts = set()
+        for k in (0, -1000, -7, 600, 1000):
+            try:
+                load("".join(f"{v * 2.0 ** k!r}\n" for v in _parse(text)[0]))
+                verdicts.add(True)
+            except ValueError:
+                verdicts.add(False)
+        assert len(verdicts) == 1, text
+
+
+def _parse(text):
+    """(head, tail rule) of a sequence file's text."""
+    lines = text.split()
+    rule = lines.pop() if lines[-1] in ("constant", "log_reciprocal",
+                                        "log_squared_reciprocal") else "constant"
+    return tuple(float(v) for v in lines), rule
 
 
 def test_construction_validation():

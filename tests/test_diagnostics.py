@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusl1.diagnostics import analyze_trace, boundedness_report
+from torusl1.diagnostics import TAIL_WINDOW, analyze_trace, boundedness_report
 from torusl1.quadrature import NormTrace, TraceEntry
 
 
@@ -91,7 +91,7 @@ def test_slow_logarithmic_decay_is_not_called_converging():
 
 def test_limit_and_gap_use_last_window_only():
     values = [50.0, -3.0, 7.0, 1.0, 1.01, 0.99, 1.005]
-    v = analyze_trace(_trace(values), tail_window=4)
+    v = analyze_trace(_trace(values))
     last = values[-4:]
     assert v.limit_estimate == pytest.approx(np.mean(last), rel=1e-12)
     assert v.cauchy_gap == pytest.approx(max(last) - min(last), rel=1e-12)
@@ -102,8 +102,8 @@ def test_tail_stats_invariant_under_window_permutation(perm):
     head = [9.0, 5.0, 3.0]
     tail = [1.0, 1.2, 0.9, 1.1]
     shuffled = head + [tail[i] for i in perm]
-    a = analyze_trace(_trace(head + tail), tail_window=4)
-    b = analyze_trace(_trace(shuffled), tail_window=4)
+    a = analyze_trace(_trace(head + tail))
+    b = analyze_trace(_trace(shuffled))
     assert a.cauchy_gap == b.cauchy_gap
     # summation order inside the window may differ in the last ulp
     assert a.limit_estimate == pytest.approx(b.limit_estimate, rel=1e-12)
@@ -117,7 +117,8 @@ def test_boundedness_report():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        analyze_trace(_trace([1.0] * 8), tail_window=2)
-    with pytest.raises(ValueError):
-        analyze_trace(_trace([1.0] * 5), tail_window=4)
+    # a verdict needs TAIL_WINDOW + 2 = 6 entries
+    assert TAIL_WINDOW == 4
+    analyze_trace(_trace([1.0] * 6))
+    with pytest.raises(ValueError, match="TAIL_WINDOW"):
+        analyze_trace(_trace([1.0] * 5))

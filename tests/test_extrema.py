@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from torusl1.extrema import find_extrema, crossing_check, coefficient_sum
+from torusl1.extrema import (coefficient_sum, crossing_check, find_extrema,
+                             growth_sweep)
 from torusl1.kernels import dirichlet_eval
 
 
@@ -132,6 +133,20 @@ def test_sweep_sums_equal_table_sums():
     Ns = list(range(1, 41)) + [1000, 4097, 65536]
     for N, s, _ in coefficient_sum(Ns):
         assert s == find_extrema(N).coefficient_sum()
+
+
+def test_sweep_facts_match_crossing_checks():
+    # the sweep's facts are crossing_check's, over every order, without
+    # building a table
+    Ns = [1, 2, 3, 8, 21, 64, 257]
+    rows, facts = growth_sweep(Ns)
+    assert rows == coefficient_sum(Ns)
+    reports = [crossing_check(find_extrema(N)) for N in Ns]
+    assert facts["envelope_max_error"] == max(r.max_product_error for r in reports)
+    assert facts["sandwich_ok"] is True
+    ratios = [r for _, _, r in rows[1:]]
+    assert facts["band_factor"] == max(ratios) / min(ratios)
+    assert sorted(growth_sweep([1])[1]) == ["envelope_max_error", "sandwich_ok"]
 
 
 def test_normalized_sum_growth_rows():
