@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -155,7 +156,8 @@ def render(cfg, table):
 
     Both layouts lead with the run config and its hash.  CSV writes floats
     at 17 significant digits, bools as True/False in the header and 1/0 in
-    rows, and lists joined with '+'.  JSON sorts its keys.
+    rows, and lists joined with '+'.  JSON sorts its keys and refuses inf
+    and nan with ValueError, since RFC 8259 allows neither.
     """
     if cfg.fmt == "json":
         payload = {"config": cfg.resolved(), "config_hash": cfg.hash()}
@@ -164,7 +166,8 @@ def render(cfg, table):
             payload.update(table.rows[0])
         else:
             payload[table.key] = table.rows
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     lines = [f"# config_hash={cfg.hash()}", f"# config={cfg.canonical_json()}"]
     lines += [f"# {k}={_csv_field(v, False)}" for k, v in table.head.items()]
     lines.append(",".join(table.columns))
@@ -183,10 +186,11 @@ def cmd_norms(cfg):
                        panels_per_cell=cfg.panels_per_cell,
                        nodes_per_panel=cfg.nodes_per_panel,
                        j_max=cfg.j_max, grid_size=cfg.grid_size)
-    rows = [{"N": e.N, "value": e.value, "error": e.error_estimate}
-            for e in trace]
+    rows = [{"N": n, "value": v, "error": e} for n, v, e
+            in zip(trace.N.tolist(), trace.value.tolist(),
+                   trace.error_estimate.tolist())]
     head, verdict = {}, None
-    if len(trace) >= TAIL_WINDOW + 2:
+    if len(rows) >= TAIL_WINDOW + 2:
         v = analyze_trace(trace)
         head = {"verdict": v.verdict, "limit_estimate": v.limit_estimate,
                 "cauchy_gap": v.cauchy_gap, "uncertainty": v.uncertainty}
@@ -198,17 +202,21 @@ def cmd_norms(cfg):
 def cmd_extrema(cfg):
     if cfg.Ns is not None:
         sweep, head = growth_sweep(cfg.Ns)
-        rows = [{"N": n, "c_sum": s, "c_sum_over_logN": r} for n, s, r in sweep]
+        # ln 1 = 0: the order-1 ratio is inf, which JSON cannot carry
+        rows = [{"N": n, "c_sum": s,
+                 "c_sum_over_logN": r if math.isfinite(r) else None}
+                for n, s, r in sweep]
         return Table(("N", "c_sum", "c_sum_over_logN"), rows, "sweep", head,
                      head)
     table = find_extrema(cfg.n)
     report = crossing_check(table)
     head = {"N": table.N, "envelope_max_error": report.max_product_error,
             "sandwich_ok": report.sandwich_ok}
-    rows = [{"i": r.i, "t": r.t, "height": r.height, "c": r.c}
-            for r in table.rows]
+    rows = [{"i": i, "t": t, "height": h, "c": c} for i, t, h, c
+            in zip(range(1, table.N + 2), table.t.tolist(),
+                   table.height.tolist(), table.c.tolist())]
     return Table(("i", "t", "height", "c"), rows, "rows", head,
-                 {**head, "crossings": list(table.crossings)})
+                 {**head, "crossings": table.crossings.tolist()})
 
 
 _WITNESS_COLUMNS = ("N0", "b", "n", "measure", "integral", "integral_error",

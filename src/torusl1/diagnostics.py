@@ -1,7 +1,7 @@
 """Finite-trace convergence diagnostics.
 
-A trace is a short list of (N, value, error_estimate) rows with
-increasing N.  The verdict machinery slides a window of TAIL_WINDOW
+A trace is a NormTrace: short columns N, value and error_estimate,
+with increasing N.  The verdict machinery slides a window of TAIL_WINDOW
 entries over the values and compares the spread inside the last window
 against the spread inside the first and against the drift of the window
 means.
@@ -56,11 +56,9 @@ def analyze_trace(trace):
       5. otherwise "inconclusive"
     """
     w = TAIL_WINDOW
-    entries = trace.entries
-    if len(entries) < w + 2:
+    values, errors = trace.value, trace.error_estimate
+    if len(values) < w + 2:
         raise ValueError(f"need at least TAIL_WINDOW + 2 = {w + 2} entries")
-    values = np.array([e.value for e in entries], dtype=float)
-    errors = np.array([e.error_estimate for e in entries], dtype=float)
 
     wins = _windows(values, w)
     gaps = tuple(float(win.max() - win.min()) for win in wins)
@@ -98,7 +96,6 @@ def analyze_trace(trace):
 
 def boundedness_report(trace):
     """(sup of |values|, N attaining it) over the trace."""
-    entries = trace.entries
-    vals = np.array([abs(e.value) for e in entries])
+    vals = np.abs(trace.value)
     k = int(vals.argmax())
-    return float(vals[k]), entries[k].N
+    return float(vals[k]), int(trace.N[k])

@@ -21,37 +21,26 @@ import numpy as np
 from .kernels import dirichlet_eval
 
 __all__ = [
-    "ExtremaRow",
     "ExtremaTable",
     "CrossingReport",
     "find_extrema",
     "crossing_check",
-    "coefficient_sum",
+    "growth_sweep",
 ]
 
 
-@dataclass(frozen=True)
-class ExtremaRow:
-    i: int
-    t: float
-    height: float
-    c: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremaTable:
+    """The extrema of D_N on [0, 1/2], one read-only array per column.
+
+    Row i - 1 of t, height and c is extremum i = 1..N+1; crossings holds
+    the N+1 envelope points.
+    """
     N: int
-    rows: tuple
-    crossings: tuple
-
-    def locations(self):
-        return np.array([r.t for r in self.rows])
-
-    def heights(self):
-        return np.array([r.height for r in self.rows])
-
-    def coefficient_sum(self):
-        return float(sum(r.c for r in self.rows))
+    t: np.ndarray
+    height: np.ndarray
+    c: np.ndarray
+    crossings: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,76 +94,54 @@ def find_extrema(N):
 
     Interior extrema are solved to rounding from the closed form of
     D_N'(t) = 0 inside their zero brackets (_interior).  The endpoint rows
-    at t = 0 and t = 1/2 are exact.
+    at t = 0 and t = 1/2 are exact.  c is |height| / N.
     """
     N, locs, heights = _interior(N)
-    L = 2 * N + 1
-    rows = [ExtremaRow(1, 0.0, float(L), float(L) / N)]
-    rows += [ExtremaRow(i, t, h, abs(h) / N) for i, t, h
-             in zip(range(2, N + 1), locs.tolist(), heights.tolist())]
-    rows.append(ExtremaRow(N + 1, 0.5, float((-1) ** N), 1.0 / N))
-    crossings = tuple(_envelope_points(N).tolist())
-    return ExtremaTable(N=N, rows=tuple(rows), crossings=crossings)
-
-
-def _envelope_points(N):
-    """t_i = (2i - 1)/(4N + 2) for i = 1..N+1, where |D_N| sin(pi t) = 1."""
-    return (2 * np.arange(1, N + 2) - 1) / (2.0 * (2 * N + 1))
-
-
-def _envelope(N, heights):
-    """(max |D_N(t) sin(pi t) - 1| over the envelope points t1, the rows
-    i whose sandwich |h_{i+1}| < |D_N(t1_i)| < |h_i| fails), for the N+1
-    extremum heights of D_N in row order."""
-    t1 = _envelope_points(N)
-    vals = np.abs(dirichlet_eval(N, t1))
-    max_err = float(np.max(np.abs(vals * np.sin(np.pi * t1) - 1.0)))
-    h = np.abs(heights)
-    inside = (h[1:] < vals[:N]) & (vals[:N] < h[:N])
-    return max_err, tuple((np.flatnonzero(~inside) + 1).tolist())
+    t = np.concatenate(([0.0], locs, [0.5]))
+    height = np.concatenate(([float(2 * N + 1)], heights, [float((-1) ** N)]))
+    crossings = (2 * np.arange(1, N + 2) - 1) / (2.0 * (2 * N + 1))
+    columns = (t, height, np.abs(height) / N, crossings)
+    for col in columns:
+        col.setflags(write=False)
+    return ExtremaTable(N, *columns)
 
 
 def crossing_check(table):
     """Verify the envelope identity and the interleaved height sandwich.
 
-    Takes the ExtremaTable of order N = table.N (from find_extrema).
-    Checks |D_N(t_i)| * sin(pi t_i) = 1 at every envelope point, and
-    |D_N(t_{i+1}^2)| < |D_N(t_i^1)| < |D_N(t_i^2)| with extrema t^2 and
-    envelope points t^1 interleaved.
+    Takes an ExtremaTable of order N (from find_extrema), whose crossings
+    are the envelope points t1_i = (2i - 1)/(4N + 2), i = 1..N+1.  Checks
+    |D_N(t1_i)| * sin(pi t1_i) = 1 at every one, and
+    |h_{i+1}| < |D_N(t1_i)| < |h_i| for the extremum heights h in row
+    order; violations names the rows i where the sandwich fails.
     """
-    max_err, violations = _envelope(table.N, table.heights())
-    return CrossingReport(N=int(table.N), max_product_error=max_err,
-                          sandwich_ok=not violations,
-                          violations=violations)
-
-
-def coefficient_sum(Ns):
-    """Rows (N, sum of c_i, sum / ln N) for a sweep of orders.
-
-    Each sum adds the c_i of find_extrema(N) in row order, so it
-    equals that table's coefficient_sum() bit for bit; no table is built.
-    """
-    return growth_sweep(Ns)[0]
+    N, t1 = int(table.N), table.crossings
+    vals = np.abs(dirichlet_eval(N, t1))
+    max_err = float(np.max(np.abs(vals * np.sin(np.pi * t1) - 1.0)))
+    h = np.abs(table.height)
+    inside = (h[1:] < vals[:N]) & (vals[:N] < h[:N])
+    violations = tuple((np.flatnonzero(~inside) + 1).tolist())
+    return CrossingReport(N=N, max_product_error=max_err,
+                          sandwich_ok=not violations, violations=violations)
 
 
 def growth_sweep(Ns):
-    """coefficient_sum's rows and what crossing_check finds over them.
+    """Rows (N, sum of c, sum / ln N) for a sweep of orders, and the facts
+    crossing_check finds over them.
 
-    Returns (rows, facts).  facts holds the band factor max/min of the
-    finite sum / ln N (only when some N > 1), the worst envelope error
-    and whether every order's sandwich holds, each as crossing_check
-    reports it for find_extrema(N); all come from _interior's arrays, and
-    no table is built.
+    Each sum adds the c column of find_extrema(N) in row order; sum / ln N
+    is inf at N = 1.  facts holds the band factor max/min of the finite
+    sum / ln N (only when some N > 1), the worst envelope error and
+    whether every order's sandwich holds.
     """
     rows, worst, ok = [], 0.0, True
     for N in Ns:
-        N, _, heights = _interior(N)
-        h = np.concatenate(([float(2 * N + 1)], heights, [float((-1) ** N)]))
-        s = sum((np.abs(h) / N).tolist())
-        rows.append((N, s, s / math.log(N) if N > 1 else math.inf))
-        err, violations = _envelope(N, h)
-        worst = max(worst, err)
-        ok = ok and not violations
+        table = find_extrema(N)
+        report = crossing_check(table)
+        n, s = table.N, sum(table.c.tolist())
+        rows.append((n, s, s / math.log(n) if n > 1 else math.inf))
+        worst = max(worst, report.max_product_error)
+        ok = ok and report.sandwich_ok
     ratios = [r for _, _, r in rows if math.isfinite(r)]
     facts = {"band_factor": max(ratios) / min(ratios)} if ratios else {}
     facts.update(envelope_max_error=worst, sandwich_ok=ok)

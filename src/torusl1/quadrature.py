@@ -55,7 +55,6 @@ from .trigsum import cosine_poly_on_cells, cosine_poly_points
 __all__ = [
     "QuadResult",
     "ResidualResult",
-    "TraceEntry",
     "NormTrace",
     "integrate_cosine_poly",
     "integrate_abs_partial_sum",
@@ -86,29 +85,27 @@ class ResidualResult:
     excluded_bound: float
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    N: int
-    value: float
-    error_estimate: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormTrace:
-    entries: tuple
+    """One read-only array per column: orders N (strictly increasing), the
+    values and their nonnegative error estimates, all of one length."""
+    N: np.ndarray
+    value: np.ndarray
+    error_estimate: np.ndarray
 
     def __post_init__(self):
-        ns = [e.N for e in self.entries]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
+        for name, dtype in (("N", int), ("value", float),
+                            ("error_estimate", float)):
+            col = np.array(getattr(self, name), dtype=dtype)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        if not (self.N.ndim == 1 and self.N.shape == self.value.shape
+                == self.error_estimate.shape):
+            raise ValueError("trace columns must have one length")
+        if np.any(np.diff(self.N) <= 0):
             raise ValueError("trace entries must have strictly increasing N")
-        if any(e.error_estimate < 0.0 for e in self.entries):
+        if np.any(self.error_estimate < 0.0):
             raise ValueError("error estimates must be nonnegative")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 # -- cell-aligned Gauss engine -----------------------------------------
@@ -342,19 +339,18 @@ def _abs_bound(coeffs, L, panels, n):
 
 @lru_cache(maxsize=None)
 def _certificate_maps(n):
-    """The gap ends [-1, x_1, .., x_n, 1] of an n-node panel, the map from
-    Legendre coefficients to q and q' there, and the weights of the
-    derivative bounds max|q'| <= sum|c_j| P_j'(1) and max|q''| <=
-    sum|c_j| P_j''(1), with P_j'(1) = j(j+1)/2 and P_j''(1) =
-    (j-1) j (j+1) (j+2)/8."""
+    """The widths of the gaps between the ends [-1, x_1, .., x_n, 1] of an
+    n-node panel, the map from Legendre coefficients to q' at those ends,
+    and the weights of the derivative bounds max|q'| <= sum|c_j| P_j'(1)
+    and max|q''| <= sum|c_j| P_j''(1), with P_j'(1) = j(j+1)/2 and
+    P_j''(1) = (j-1) j (j+1) (j+2)/8."""
     leg = np.polynomial.legendre
     ends = np.concatenate(([-1.0], _gauss(n)[0], [1.0]))
-    val = leg.legvander(ends, n - 1)
     der = leg.legvander(ends, max(n - 2, 0)) @ leg.legder(np.eye(n))
     j = np.arange(n, dtype=float)
     bounds = np.stack([j * (j + 1) / 2, (j - 1) * j * (j + 1) * (j + 2) / 8],
                       axis=1)
-    maps = (ends, np.concatenate([val, der]), bounds.T)
+    maps = (np.diff(ends)[:, None], der, bounds.T)
     for arr in maps:
         arr.setflags(write=False)
     return maps
@@ -377,16 +373,20 @@ def _certify(vals, delta, h):
     then take the wrong sign only where |q| <= delta, within 2 delta / m
     of the end, so |sum w p| errs from the integral of |p| by at most
     8 h delta^2 / m more, h the panel half-width in t.
+    q at the nodes is vals itself, and q(1) = sum c_j, q(-1) =
+    sum (-1)^j c_j since P_j(+-1) = (+-1)^j.
     Returns (certified, charge), one entry per panel.
     """
     n = vals.shape[0]
-    ends, to_values, bounds = _certificate_maps(n)
+    width, to_slopes, bounds = _certificate_maps(n)
     c = _gauss(n)[2] @ vals
-    at = to_values @ c  # q at the gap ends, then q'
-    q, dq = np.abs(at[:n + 2]), np.abs(at[n + 2:])
-    pos, neg = at[:n + 2] > delta, at[:n + 2] < -delta
+    at = np.empty((n + 2, vals.shape[1]))  # q at the gap ends
+    at[0] = (c * (-1.0) ** np.arange(n)[:, None]).sum(axis=0)
+    at[1:-1] = vals
+    at[-1] = c.sum(axis=0)
+    q, dq = np.abs(at), np.abs(to_slopes @ c)
+    pos, neg = at > delta, at < -delta
     d1, d2 = bounds @ np.abs(c)
-    width = np.diff(ends)[:, None]
     zero_lo = ~(pos[0] | neg[0])
     zero_hi = ~(pos[-1] | neg[-1])
     agree = (pos[:-1] & pos[1:]) | (neg[:-1] & neg[1:])
@@ -639,17 +639,23 @@ def _grid_trapezoid(y, E, G, stride):
 def origin_window_bound(seq, N, eta):
     """Closed-form bound on the residual mass inside (-eta, eta).
 
-    Splits f at order J = round(1/(2 eta)), at least 2: the kept part is below sum (j+1)^2 d2_j pointwise,
-    the dropped kernels contribute at most their full-torus mass, and |S_N|
-    is below its coefficient sum; everything is then integrated over the
-    window of width 2 eta.  A constant tail's second differences vanish
-    beyond its head, so its kept sum stops there however small eta is.
+    Splits f at order J = round(1/(2 eta)), at least 2: the kept part is
+    below sum (j+1)^2 d2_j pointwise, the dropped kernels contribute at
+    most their full-torus mass, and |S_N| is below its coefficient sum;
+    everything is then integrated over the window of width 2 eta.  A
+    constant tail's second differences vanish beyond its head, so its kept
+    sum stops there however small eta is.  A log tail keeps J + 1 terms,
+    and more than 2^25 of them (eta below about 1.5e-8) raise ValueError.
     """
     eta = float(eta)
     if eta <= 0.0:
         return 0.0
     J = max(2, round(min(0.5 / eta, 2.0 ** 62)))  # 0.5 / 5e-324 is inf
     K = min(J, len(seq.head)) if seq.tail_rule == "constant" else J
+    if K >= 2 ** 25:
+        raise ValueError(f"eta = {eta!r} is too small for the origin window "
+                         f"bound of a {seq.tail_rule} tail: it would sum "
+                         f"{K + 1} second differences, more than 2^25")
     d2 = seq.second_differences(K + 1)
     j = np.arange(K + 1, dtype=float)
     f_peak = float(((j + 1.0) ** 2) @ d2)
@@ -709,7 +715,7 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
 
 def norm_trace(seq, Ns, E, kind="abs", panels_per_cell=2, nodes_per_panel=16,
                j_max=100000, grid_size=2 ** 16):
-    """One QuadResult per N assembled into a NormTrace.
+    """The value and error estimate of one QuadResult per N, as a NormTrace.
 
     kind "abs" integrates |S_N| with the cell-aligned engine; kind
     "residual" integrates |f - S_N| with the grid engine (E must already
@@ -718,8 +724,8 @@ def norm_trace(seq, Ns, E, kind="abs", panels_per_cell=2, nodes_per_panel=16,
     Ns = [int(n) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
-    entries = []
-    for N in Ns:
+    value, error = np.empty(len(Ns)), np.empty(len(Ns))
+    for i, N in enumerate(Ns):
         if kind == "abs":
             q = integrate_abs_partial_sum(seq, N, E, panels_per_cell,
                                           nodes_per_panel)
@@ -727,5 +733,5 @@ def norm_trace(seq, Ns, E, kind="abs", panels_per_cell=2, nodes_per_panel=16,
             q = residual_l1(seq, N, E, j_max, grid_size)
         else:
             raise ValueError(f"unknown trace kind {kind!r}")
-        entries.append(TraceEntry(N, q.value, q.error_estimate))
-    return NormTrace(tuple(entries))
+        value[i], error[i] = q.value, q.error_estimate
+    return NormTrace(Ns, value, error)

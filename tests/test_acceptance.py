@@ -20,7 +20,7 @@ from torusl1.exceptional import (
     interval_limit_demo,
     uniform_integrability_certificate,
 )
-from torusl1.extrema import coefficient_sum, crossing_check, find_extrema
+from torusl1.extrema import crossing_check, find_extrema, growth_sweep
 from torusl1.intervals import IntervalUnion
 from torusl1.kernels import (
     dirichlet_coefficients,
@@ -105,14 +105,14 @@ def test_04_extrema_structure_and_growth(report):
     for N in (16, 64, 256, 1024):
         table = find_extrema(N)
         rep = crossing_check(table)
-        locs = table.locations()
-        cross = np.array(table.crossings)
+        locs = table.t
+        cross = table.crossings
         interleaved = all(locs[i] < cross[i] < locs[i + 1] for i in range(N))
-        ok &= len(table.rows) == N + 1
+        ok &= len(table.t) == N + 1
         ok &= interleaved and rep.sandwich_ok
         ok &= rep.max_product_error <= 1e-8
         details.append(f"N={N} envelope err {rep.max_product_error:.1e}")
-    for _, s, r in coefficient_sum([16, 64, 256, 1024]):
+    for _, s, r in growth_sweep([16, 64, 256, 1024])[0]:
         ratios.append(r)
     band = max(ratios) / min(ratios)
     ok = bool(ok and band <= 2.0)
@@ -146,7 +146,7 @@ def test_06_fast_family_residual_decay(report):
     domain = FULL.minus_window(1e-3)
     trace = norm_trace(seq, SWEEP_NS, domain, kind="residual")
     v = analyze_trace(trace)
-    first, last = trace.entries[0].value, trace.entries[-1].value
+    first, last = trace.value[0], trace.value[-1]
     ok = last <= 0.25 * first and last <= 2.0 * v.uncertainty
     report(6, "fast family residual decay", ok,
             f"first {first:.4f} last {last:.4f} "

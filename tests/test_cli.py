@@ -127,7 +127,7 @@ def test_extrema_single_order(capsys):
     payload = json.loads(out)
     assert payload["N"] == 1
     rows = payload["rows"]
-    assert len(rows) == 2
+    assert [row["i"] for row in rows] == [1, 2]
     assert rows[0]["t"] == 0.0 and rows[0]["height"] == 3.0
     assert rows[1]["t"] == 0.5 and rows[1]["height"] == -1.0
     assert payload["envelope_max_error"] <= 1e-12
@@ -160,6 +160,8 @@ def test_extrema_sweep_header(capsys):
     assert code == 0
     payload = json.loads(out)
     assert "band_factor" not in payload
+    # ln 1 = 0, so the order-1 ratio has no finite value: JSON null, CSV None
+    assert payload["sweep"] == [{"N": 1, "c_sum": 4.0, "c_sum_over_logN": None}]
     assert payload["sandwich_ok"] is True
     assert payload["envelope_max_error"] <= 2 * np.finfo(float).eps
 
@@ -349,6 +351,10 @@ def test_render_layout_rules():
         '  ],\n'
         '  "variant": null\n'
         '}\n')
+    # JSON refuses non-finite floats, which RFC 8259 does not allow
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            render(cfg, dataclasses.replace(table, body={"limit": bad}))
     # a single row (key None) is merged into the top level
     merged = render(cfg, dataclasses.replace(table, key=None))
     assert merged == '{\n  "N": 3,\n' + head[2:] + (
@@ -394,6 +400,8 @@ def test_csv_and_json_rows_agree(capsys, argv, key):
         return "+".join(value) if isinstance(value, list) else value
 
     def csv_cell(text):
+        if text == "None":  # JSON null, CSV None: the order-1 sweep ratio
+            return None
         try:
             return float(text)
         except ValueError:

@@ -163,7 +163,7 @@ def test_interval_demo_cases(log_seq):
     demo_out = interval_limit_demo(log_seq, IntervalUnion.parse("0.1,0.3"), Ns)
     assert demo_in.case == "origin-interior"
     assert demo_out.case == "origin-separated"
-    assert len(demo_in.trace) == len(Ns)
+    assert demo_in.trace.N.tolist() == Ns
     assert demo_in.verdict.verdict in {"converging", "inconclusive",
                                        "bounded-nonconverging-signature",
                                        "unbounded-signature"}

@@ -4,26 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from torusl1.extrema import (coefficient_sum, crossing_check, find_extrema,
-                             growth_sweep)
+from torusl1.extrema import crossing_check, find_extrema, growth_sweep
 from torusl1.kernels import dirichlet_eval
 
 
 def test_row_count_and_endpoints():
     for N in (1, 2, 5, 16, 101):
         table = find_extrema(N)
-        assert len(table.rows) == N + 1
-        first, last = table.rows[0], table.rows[-1]
-        assert (first.i, first.t, first.height) == (1, 0.0, 2 * N + 1)
-        assert first.c == pytest.approx((2 * N + 1) / N, rel=1e-15)
-        assert (last.i, last.t) == (N + 1, 0.5)
-        assert last.height == (-1.0) ** N
-        assert last.c == pytest.approx(1.0 / N, rel=1e-15)
+        assert len(table.t) == N + 1
+        assert (table.t[0], table.height[0]) == (0.0, 2 * N + 1)
+        assert table.c[0] == pytest.approx((2 * N + 1) / N, rel=1e-15)
+        assert table.t[-1] == 0.5
+        assert table.height[-1] == (-1.0) ** N
+        assert table.c[-1] == pytest.approx(1.0 / N, rel=1e-15)
+
+
+def test_columns_are_read_only_and_of_one_length():
+    for N in (1, 2, 16):
+        table = find_extrema(N)
+        columns = (table.t, table.height, table.c, table.crossings)
+        assert all(col.shape == (N + 1,) for col in columns)
+        for col in columns:
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.t = np.zeros(N + 1)
 
 
 def test_interior_signs_alternate_and_heights_decay():
     table = find_extrema(12)
-    heights = table.heights()
+    heights = table.height
     # interior extremum k carries sign (-1)^k
     for k, h in enumerate(heights[1:-1], start=1):
         assert math.copysign(1.0, h) == (-1.0) ** k
@@ -34,8 +45,8 @@ def test_interior_signs_alternate_and_heights_decay():
 def test_extrema_interleave_envelope_points():
     for N in (2, 7, 30):
         table = find_extrema(N)
-        locs = table.locations()
-        cross = np.array(table.crossings)
+        locs = table.t
+        cross = table.crossings
         assert cross.size == N + 1
         for i in range(N):
             assert locs[i] < cross[i] < locs[i + 1]
@@ -46,22 +57,22 @@ def test_interior_locations_match_dense_scan():
     N = 5
     table = find_extrema(N)
     L = 2 * N + 1
-    for k, row in zip(range(1, N), table.rows[1:-1]):
+    for k in range(1, N):
         ts = np.linspace(k / L, (k + 1) / L, 200001)
         vals = (-1.0) ** k * dirichlet_eval(N, ts)
         t_scan = ts[int(np.argmax(vals))]
-        assert abs(row.t - t_scan) < 1e-5
+        assert abs(table.t[k] - t_scan) < 1e-5
         # scanned height can only be lower or equal
-        assert (-1.0) ** k * row.height >= np.max(vals) - 1e-9
+        assert (-1.0) ** k * table.height[k] >= np.max(vals) - 1e-9
 
 
 def test_stationarity_at_interior_extrema():
     N = 9
     table = find_extrema(N)
-    for row in table.rows[1:-1]:
+    for t in table.t[1:-1]:
         h = 1e-6
-        centered = (dirichlet_eval(N, row.t + h)
-                    - dirichlet_eval(N, row.t - h)) / (2 * h)
+        centered = (dirichlet_eval(N, t + h)
+                    - dirichlet_eval(N, t - h)) / (2 * h)
         assert abs(centered) < 1e-3 * (2 * N + 1)
 
 
@@ -78,13 +89,12 @@ def test_sandwich_violations_of_swapped_heights():
     # rows; the report must name the same rows as a plain loop does
     N = 12
     table = find_extrema(N)
-    rows = list(table.rows)
-    a, b = rows[2], rows[6]
-    rows[2] = dataclasses.replace(a, height=b.height, c=b.c)
-    rows[6] = dataclasses.replace(b, height=a.height, c=a.c)
-    crafted = dataclasses.replace(table, rows=tuple(rows))
-    h = np.abs(crafted.heights())
-    vals = np.abs(dirichlet_eval(N, np.array(crafted.crossings)))
+    swap = np.arange(N + 1)
+    swap[[2, 6]] = swap[[6, 2]]
+    crafted = dataclasses.replace(table, height=table.height[swap],
+                                  c=table.c[swap])
+    h = np.abs(crafted.height)
+    vals = np.abs(dirichlet_eval(N, crafted.crossings))
     expected = tuple(i + 1 for i in range(N)
                      if not (h[i + 1] < vals[i] < h[i]))
     rep = crossing_check(crafted)
@@ -120,7 +130,7 @@ def test_interior_locations_match_mpmath_roots():
         ks = {1, 2, 3, N // 2, N - 2, N - 1} | set(rng.integers(1, N, 20).tolist())
         cases.append((N, sorted(ks)))
     for N, ks in cases:
-        locs = find_extrema(N).locations()
+        locs = find_extrema(N).t
         for k in ks:
             t = float(locs[k])
             exact = root(N, k, t)
@@ -131,16 +141,15 @@ def test_interior_locations_match_mpmath_roots():
 
 def test_sweep_sums_equal_table_sums():
     Ns = list(range(1, 41)) + [1000, 4097, 65536]
-    for N, s, _ in coefficient_sum(Ns):
-        assert s == find_extrema(N).coefficient_sum()
+    for N, s, _ in growth_sweep(Ns)[0]:
+        assert s == float(sum(find_extrema(N).c.tolist()))
 
 
 def test_sweep_facts_match_crossing_checks():
-    # the sweep's facts are crossing_check's, over every order, without
-    # building a table
+    # the sweep's facts are crossing_check's, over every order
     Ns = [1, 2, 3, 8, 21, 64, 257]
     rows, facts = growth_sweep(Ns)
-    assert rows == coefficient_sum(Ns)
+    assert [N for N, _, _ in rows] == Ns
     reports = [crossing_check(find_extrema(N)) for N in Ns]
     assert facts["envelope_max_error"] == max(r.max_product_error for r in reports)
     assert facts["sandwich_ok"] is True
@@ -150,7 +159,7 @@ def test_sweep_facts_match_crossing_checks():
 
 
 def test_normalized_sum_growth_rows():
-    rows = coefficient_sum([16, 64, 256, 1024])
+    rows = growth_sweep([16, 64, 256, 1024])[0]
     frozen = [
         (16, 4.082238, 1.472356),
         (64, 4.842263, 1.164318),
@@ -167,7 +176,7 @@ def test_normalized_sum_growth_rows():
 
 
 def test_sum_at_order_one_is_inf_ratio():
-    rows = coefficient_sum([1])
+    rows = growth_sweep([1])[0]
     assert rows[0][0] == 1
     assert rows[0][1] == pytest.approx(3.0 + 1.0, rel=1e-12)  # c = 3/1 and 1/1
     assert math.isinf(rows[0][2])

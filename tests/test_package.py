@@ -7,15 +7,16 @@ MODULES = ("kernels", "coefficients", "intervals", "partial_sums",
 
 EXPORTED = {
     "CertificateReport", "ConvergenceVerdict", "ConvexSequence",
-    "ConvexityReport", "CrossingReport", "ExtremaRow", "ExtremaTable",
+    "ConvexityReport", "CrossingReport", "ExtremaTable",
     "GrowthReport", "IdentityCheck", "IntervalLimitDemo", "IntervalUnion",
-    "NormTrace", "QuadResult", "ResidualResult", "TraceEntry",
+    "NormTrace", "QuadResult", "ResidualResult",
     "UniformConvergenceReport", "WitnessSet", "analyze_trace",
-    "boundedness_report", "build_witness", "canonical", "coefficient_sum",
+    "boundedness_report", "build_witness", "canonical",
     "crossing_check", "default_witness_order", "dirichlet_coefficients",
     "dirichlet_eval", "dirichlet_oracle", "dirichlet_oracle_sweep",
     "fejer_coefficients", "fejer_eval", "fejer_oracle",
     "fejer_representation", "find_extrema", "growth_classification",
+    "growth_sweep",
     "integrate_abs_partial_sum", "integrate_cosine_poly", "integrate_signed",
     "interval_limit_demo", "nonnegative_cells", "norm_trace",
     "origin_window_bound", "partial_sum", "partial_sum_grid",

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import mpmath
@@ -27,7 +28,6 @@ from torusl1.quadrature import (
     _real_roots,
     _unit_composite,
     NormTrace,
-    TraceEntry,
     integrate_cosine_poly,
     integrate_abs_partial_sum,
     integrate_signed,
@@ -706,10 +706,16 @@ def test_empty_set_is_zero(log_seq):
 
 
 def test_trace_entry_validation():
-    with pytest.raises(ValueError):
-        NormTrace((TraceEntry(4, 1.0, 0.0), TraceEntry(4, 1.0, 0.0)))
-    with pytest.raises(ValueError):
-        NormTrace((TraceEntry(4, 1.0, -1.0),))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        NormTrace([4, 4], [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        NormTrace([4], [1.0], [-1.0])
+    for N, value, error in (([4, 8], [1.0], [0.0, 0.0]),
+                            ([4], [1.0, 2.0], [0.0]),
+                            ([4, 8], [1.0, 2.0], [0.0]),
+                            (4, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="one length"):
+            NormTrace(N, value, error)
     with pytest.raises(ValueError):
         norm_trace(ConvexSequence.log_reciprocal(), [8, 4], FULL)
     with pytest.raises(ValueError):
@@ -800,6 +806,21 @@ def test_residual_window_bound_constant_tail_at_tiny_eta():
             2.0 * eta * (f_peak + s_peak), rel=1e-14)
     E = IntervalUnion.parse("1e-12,0.3")
     assert residual_l1(seq, 8, E, j_max=100).window == (-1e-12, 1e-12)
+
+
+def test_residual_window_bound_refuses_log_tail_at_tiny_eta(log_seq):
+    # a log tail keeps round(1/(2 eta)) + 1 second differences: 3.64 TiB at
+    # eta = 1e-12.  More than 2^25 of them are refused before any array is
+    # made, and eta = 1e-6 keeps its value bit for bit
+    log2_seq = ConvexSequence.log_squared_reciprocal()
+    start = time.perf_counter()
+    for seq in (log_seq, log2_seq):
+        for eta in (1.4e-8, 1e-12, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="2\\^25"):
+                origin_window_bound(seq, 8, eta)
+    assert time.perf_counter() - start < 0.1
+    assert origin_window_bound(log_seq, 8, 1e-6) == 0.0902652232522545
+    assert origin_window_bound(log2_seq, 64, 1e-6) == 0.00830241106240374
 
 
 def test_residual_window_bound_dominates_brute_mass(log_seq):
@@ -1010,7 +1031,17 @@ def test_power_of_two_scaling_is_exact(log_seq):
 
 def test_norm_trace_assembly(log_seq):
     tr = norm_trace(log_seq, [4, 8, 16], FULL, kind="abs")
-    assert [e.N for e in tr.entries] == [4, 8, 16]
+    assert tr.N.tolist() == [4, 8, 16]
     direct = integrate_abs_partial_sum(log_seq, 8, FULL)
-    assert tr.entries[1].value == direct.value
-    assert len(tr) == 3 and list(tr) == list(tr.entries)
+    assert tr.value[1] == direct.value
+    assert tr.error_estimate[1] == direct.error_estimate
+    columns = (tr.N, tr.value, tr.error_estimate)
+    assert all(col.shape == (3,) for col in columns)
+    for col in columns:
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 1
+    # the columns are copies: freezing them leaves the caller's arrays alone
+    value = np.array([1.0, 2.0])
+    NormTrace([4, 8], value, [0.0, 0.0])
+    assert value.flags.writeable
