@@ -136,13 +136,15 @@ class ConvexSequence:
 
     def values(self, count):
         """Array of a_0 .. a_{count-1}."""
-        count = int(count)
-        out = np.empty(max(count, 0))
-        k = len(self.head)
-        m = min(k, count)
-        out[:m] = self.head[:m]
-        if count > k:
-            out[k:] = self._tail(np.arange(k, count, dtype=float))
+        return self._window(0, int(count))
+
+    def _window(self, lo, hi):
+        """Array of a_lo .. a_{hi-1}, equal to values(hi)[lo:] bit for bit."""
+        k = min(max(len(self.head), lo), max(hi, lo))  # where the tail starts
+        out = np.empty(max(hi - lo, 0))
+        out[:k - lo] = self.head[lo:k]
+        if hi > k:
+            out[k - lo:] = self._tail(np.arange(k, hi, dtype=float))
         return out
 
     def tail_limit(self):

@@ -636,6 +636,9 @@ def _grid_trapezoid(y, E, G, stride):
     return total, sliver, used
 
 
+_WINDOW_CHUNK = 2 ** 20  # second differences per chunk in origin_window_bound
+
+
 def origin_window_bound(seq, N, eta):
     """Closed-form bound on the residual mass inside (-eta, eta).
 
@@ -646,6 +649,8 @@ def origin_window_bound(seq, N, eta):
     constant tail's second differences vanish beyond its head, so its kept
     sum stops there however small eta is.  A log tail keeps J + 1 terms,
     and more than 2^25 of them (eta below about 1.5e-8) raise ValueError.
+    The kept sum is taken _WINDOW_CHUNK terms at a time, so its arrays stay
+    a few MB whatever K; up to one chunk it is a single dot product.
     """
     eta = float(eta)
     if eta <= 0.0:
@@ -656,9 +661,13 @@ def origin_window_bound(seq, N, eta):
         raise ValueError(f"eta = {eta!r} is too small for the origin window "
                          f"bound of a {seq.tail_rule} tail: it would sum "
                          f"{K + 1} second differences, more than 2^25")
-    d2 = seq.second_differences(K + 1)
-    j = np.arange(K + 1, dtype=float)
-    f_peak = float(((j + 1.0) ** 2) @ d2)
+    f_peak = 0.0
+    for lo in range(0, K + 1, _WINDOW_CHUNK):
+        a = seq._window(lo, min(lo + _WINDOW_CHUNK, K + 1) + 2)
+        d2 = a[:-2] + a[2:] - 2.0 * a[1:-1]
+        j = np.arange(lo, lo + d2.size, dtype=float)
+        f_peak += float(((j + 1.0) ** 2) @ d2)
+        del a, d2, j  # before the next chunk's window is built
     dropped = seq.weighted_tail_beyond(J)
     a = seq.values(int(N) + 1)
     s_peak = float(a[0] + 2.0 * a[1:].sum())

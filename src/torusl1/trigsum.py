@@ -10,9 +10,11 @@ real coefficient vector c.  There are two evaluators and one read-out:
     few offsets x.  Each offset's row is real, so two rows share one
     complex inverse FFT of length L (one as the real part, one as the
     imaginary part of the output); the phases come from a split table of
-    about 2 sqrt(L) exponentials per offset and period of L terms, and
-    offsets are taken a block at a time.  This is what lets cell-aligned
-    quadrature touch every kernel cell at once.
+    about 2 sqrt(L) exponentials per offset and period of L terms, built a
+    slice at a time.  Offsets are taken in blocks of an even count sized
+    from L, so that one byte budget bounds the working set: 8 offsets up to
+    L = 65537, 6 at L = 131073 and 2 from L = 262145 on.  This is what lets
+    cell-aligned quadrature touch every kernel cell at once.
   * cosine_poly_grid: the half k = 0..G//2 of the uniform grid
     t_k = -1/2 + k/G, read off P <= 32 interleaved lattice rows of length
     G/P.  p is even, so the whole grid is g[G-k] = g[k]: only rows
@@ -37,7 +39,7 @@ __all__ = [
 
 
 _POINTS_BLOCK = 2048  # terms and points per block in cosine_poly_points
-_OFFSET_BLOCK = 8  # offsets per inverse FFT batch in cosine_poly_on_cells
+_BLOCK_BYTES = 2 ** 24  # working set of one offset block in cosine_poly_on_cells
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
 
 
@@ -129,14 +131,31 @@ def cosine_poly_grid(coeffs, grid_size):
     return out.ravel()[:G // 2 + 1]
 
 
-def _phases(lo, hi, x):
-    """e^{2 pi i m x} for m = lo..hi-1 at each offset x: shape (x.size, hi - lo).
+def _block_size(L):
+    """Offsets per block of cosine_poly_on_cells at cell count L.
 
-    With m = lo + qB + j and B about sqrt(hi - lo), the phase is the product
-    of e^{2 pi i (lo + qB) x} and e^{2 pi i j x}, two tables of about
+    Each offset holds L/2 complex values in each of three stages: its half
+    spectrum, its share of the packed spectra, its share of their inverse
+    FFT.  No more than two stages are alive at once, so an offset costs
+    16 L bytes.  A block takes the largest even count that fits
+    _BLOCK_BYTES, at most 8 and at least 2, one complex FFT row: so 8 up
+    to L = 65537, 6 at L = 131073 and 2 from L = 262145 on.  Even counts
+    keep every FFT's row pairs, so the values do not depend on the block.
+    """
+    return max(2, min(8, _BLOCK_BYTES // (16 * L)) // 2 * 2)
+
+
+def _phases(lo, hi, x, terms):
+    """e^{2 pi i m x} for m = lo..hi-1 at each offset x, a slice at a time.
+
+    Yields (s, z) in increasing s, z of shape (x.size, n) holding
+    m = lo + s .. lo + s + n - 1, about `terms` terms per slice.  With
+    m = lo + qB + j and B about sqrt(hi - lo), the phase is the product of
+    e^{2 pi i (lo + qB) x} and e^{2 pi i j x}, two tables of about
     sqrt(hi - lo) entries per offset whose angles product_frac reduces
     exactly; the product costs one complex multiply per term instead of an
-    exp.
+    exp.  A slice is whole rows q of the jump table, so B, and every
+    product, is that of the whole range lo..hi-1.
     """
     size = hi - lo
     B = math.isqrt(size - 1) + 1
@@ -144,7 +163,11 @@ def _phases(lo, hi, x):
     x = x[:, None]
     step = np.exp((2.0j * np.pi) * product_frac(np.arange(B, dtype=float), x))
     jump = np.exp((2.0j * np.pi) * product_frac(lo + B * np.arange(Q, dtype=float), x))
-    return (jump[:, :, None] * step[:, None, :]).reshape(x.shape[0], Q * B)[:, :size]
+    rows = max(1, terms // B)
+    for q in range(0, Q, rows):
+        z = (jump[:, q:q + rows, None] * step[:, None, :]).reshape(x.size, -1)
+        yield q * B, z[:, :size - q * B]
+        del z  # the caller drops its view too before the next slice is built
 
 
 def cosine_poly_on_cells(coeffs, cell_count, offsets):
@@ -163,29 +186,37 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
     conj H_r fills the rest.  Since both rows of a pair are real, one
     complex inverse FFT of H_a + i H_b returns row a as its real part and
     row b as its imaginary part; an unpaired last row is paired with a zero
-    row.  The factor L is folded into the weights.  Offsets are taken
-    _OFFSET_BLOCK at a time and terms one period of L at a time, so the
-    only complex temporaries are block x L phases, whatever len(coeffs),
-    the block x (L//2 + 1) half spectra and the block/2 x L packed spectra.
+    row.  The factor L is folded into the weights, in place.
+
+    One byte budget, _BLOCK_BYTES, bounds the working set whatever
+    len(coeffs): offsets are taken _block_size(L) at a time, whose half
+    spectra, packed spectra and transforms are each about block/2 x L
+    complex values, no more than two of them alive at once, and terms one
+    period of L at a time in phase slices of a quarter of the budget.  Each bin still receives its terms in
+    increasing m, so the values do not depend on the block or the slice.
     """
     L = int(cell_count)
     if L < 1:
         raise ValueError("cell_count must be >= 1")
     w = _weights(coeffs)
+    w *= 0.5 * L
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     h = L // 2 + 1
-    half_w = (0.5 * L) * w
+    block = _block_size(L)
     out = np.empty((offsets.size, L))
-    for i in range(0, offsets.size, _OFFSET_BLOCK):
-        x = offsets[i:i + _OFFSET_BLOCK]
-        half = np.zeros((x.size + x.size % 2, h), dtype=complex)
+    for i in range(0, offsets.size, block):
+        x = offsets[i:i + block]
+        n = x.size
+        half = np.zeros((n + n % 2, h), dtype=complex)
         for lo in range(0, w.size, L):
-            z = _phases(lo, min(lo + L, w.size), x)
-            z *= half_w[lo:lo + L]
-            half[:x.size, :z.shape[1]] += z[:, :h]
-            # r = h..L-1 lands on L - r, descending
-            half[:x.size, L - h:L - z.shape[1]:-1] += z[:, h:].conj()
-            del z  # each temporary goes before the next is allocated
+            for s, z in _phases(lo, min(lo + L, w.size), x, _BLOCK_BYTES // (64 * n)):
+                e = s + z.shape[1]
+                z *= w[lo + s:lo + e]
+                k = max(min(e, h) - s, 0)  # residues s..s+k-1 lie below h
+                half[:n, s:s + k] += z[:, :k]
+                # r = s+k..e-1 (all >= h) lands on L - r, descending
+                half[:n, L - s - k:L - e:-1] += z[:, k:].conj()
+                del z  # each temporary goes before the next is allocated
         half[:, 0] = 2.0 * half[:, 0].real
         if L % 2 == 0:
             half[:, -1] = 2.0 * half[:, -1].real
@@ -201,7 +232,8 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
         np.conjugate(upper, out=upper)
         del half, a, b
         rows = np.fft.ifft(packed, axis=1)
-        del packed
-        out[i:i + x.size:2] = rows.real
-        out[i + 1:i + x.size:2] = rows.imag[:x.size // 2]
+        del packed, lower, upper
+        out[i:i + n:2] = rows.real
+        out[i + 1:i + n:2] = rows.imag[:n // 2]
+        del rows
     return out

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -821,6 +822,35 @@ def test_residual_window_bound_refuses_log_tail_at_tiny_eta(log_seq):
     assert time.perf_counter() - start < 0.1
     assert origin_window_bound(log_seq, 8, 1e-6) == 0.0902652232522545
     assert origin_window_bound(log2_seq, 64, 1e-6) == 0.00830241106240374
+
+
+def test_residual_window_bound_past_first_chunk(log_seq):
+    # K + 1 = 2^20 + 3 kept terms: one whole chunk and 3 terms of a second.
+    # The chunked sum matches math.fsum of the same products; dropping the
+    # second chunk would move it by about 5e-6 relative
+    N, K = 8, 2 ** 20 + 2
+    eta = 0.5 / K
+    d2 = log_seq.second_differences(K + 1)
+    j = np.arange(K + 1, dtype=float)
+    f_peak = math.fsum((j + 1.0) ** 2 * d2)
+    a = log_seq.values(N + 1)
+    s_peak = math.fsum(np.concatenate(([a[0]], 2.0 * a[1:])))
+    expected = 2.0 * eta * (f_peak + s_peak) + log_seq.weighted_tail_beyond(K)
+    assert origin_window_bound(log_seq, N, eta) == pytest.approx(expected, rel=1e-13)
+
+
+def test_residual_window_bound_memory_at_2_23_terms(log_seq):
+    # 2^23 kept second differences are 64 MB as one array, and the whole
+    # tail with its temporaries peaked at 268 MB traced; summed in chunks
+    # the traced peak stays below 64 MB
+    tracemalloc.start()
+    try:
+        bound = origin_window_bound(log_seq, 8, 0.5 / (2 ** 23 - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert 0.0 < bound < origin_window_bound(log_seq, 8, 1e-6)
 
 
 def test_residual_window_bound_dominates_brute_mass(log_seq):

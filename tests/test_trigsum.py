@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -158,6 +160,52 @@ def test_on_cells_matches_points_short_and_folded():
                                             cols / L + offsets[:, None])
                 err = np.max(np.abs(vals[:, cols] - direct))
                 assert err <= bar, (L, M, count)
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 16, 33, 1000])
+def test_on_cells_layout_independence(monkeypatch, L):
+    # a budget of 16 L bytes per offset gives blocks of 2, 4, 6 and 8
+    # offsets, and phase slices of a quarter of it, L/4 terms (whole jump
+    # rows: 6 terms at L = 33, 224 at L = 1000).  Coefficient vectors shorter
+    # than L/2, of 1 and about 2 and 3 periods; offset counts 1 and 3 (one
+    # partial block), 16 and 17 (several, the last one unpaired).  Every
+    # layout gives the same bits, and they match the direct sum
+    rng = np.random.default_rng(L + 11)
+    cols = np.arange(L) if L < 100 else np.unique(rng.integers(0, L, 48))
+    for M in (L // 4 + 1, L, 2 * L + 3, 3 * L):
+        coeffs = rng.normal(size=M)
+        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+        for count in (1, 3, 16, 17):
+            offsets = rng.uniform(-1.0, 1.0, count)
+            layouts = []
+            for k in (2, 4, 6, 8):
+                monkeypatch.setattr(trigsum, "_BLOCK_BYTES", 16 * L * k)
+                assert trigsum._block_size(L) == k
+                layouts.append(cosine_poly_on_cells(coeffs, L, offsets))
+            for vals in layouts[1:]:
+                assert np.array_equal(vals, layouts[0]), (L, M, count)
+            direct = cosine_poly_points(coeffs, cols / L + offsets[:, None])
+            err = np.max(np.abs(layouts[0][:, cols] - direct))
+            assert err <= bar, (L, M, count)
+
+
+def test_on_cells_working_set_within_budget():
+    # D_N at N = 2^17 on 16 Gauss offsets, as the |.| engine asks for it:
+    # at L = 2^18 + 1 a block holds 2 offsets, and what is traced beyond the
+    # 128 L-byte result fits twice the budget (blocks of 8 offsets peaked at
+    # 264 L bytes beyond it, 69 MB).  Cell 0 holds D_N at the offsets
+    L = 2 ** 18 + 1
+    offsets = (0.5 + 0.5 * np.polynomial.legendre.leggauss(16)[0]) / L
+    tracemalloc.start()
+    try:
+        vals = cosine_poly_on_cells(np.ones(2 ** 17 + 1), L, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (16, L)
+    assert peak - vals.nbytes <= 2 * trigsum._BLOCK_BYTES
+    u = np.pi * offsets
+    assert np.allclose(vals[:, 0], np.sin(L * u) / np.sin(u), rtol=1e-12)
 
 
 def test_on_cells_torus_column_order():
