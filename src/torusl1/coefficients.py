@@ -28,6 +28,7 @@ _TAIL_RULES = ("log_reciprocal", "log_squared_reciprocal", "constant")
 _SMALLEST_NORMAL = 2.0 ** -1022
 # 1/(8 eps): a file's sequence may rise or bend by 8 eps a_j, for rounding
 _INV_SLACK = 2.0 ** 49
+_DIFF_CHUNK = 2 ** 20  # second differences per chunk of _second_difference_chunks
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,18 @@ class ConvexSequence:
 
     # -- values and differences ---------------------------------------
 
-    def _tail(self, n):
-        """The tail rule at the indices n, a float array."""
-        if self.tail_rule == "log_reciprocal":
-            return 1.0 / np.log(n)
+    def _tail(self, lo, out):
+        """The tail rule at the indices lo, lo + 1, ..., written into out.
+
+        It runs in place, so its only temporary is the index array."""
+        if self.tail_rule == "constant":
+            out.fill(self.head[-1])
+            return
+        out[:] = np.arange(lo, lo + out.size, dtype=float)
+        np.log(out, out=out)
         if self.tail_rule == "log_squared_reciprocal":
-            return 1.0 / np.log(n) ** 2
-        return np.full(n.shape, self.head[-1])
+            np.square(out, out=out)
+        np.divide(1.0, out, out=out)
 
     def value(self, n):
         """a_n for n >= 0, equal to values(n + 1)[n] bit for bit."""
@@ -132,7 +138,9 @@ class ConvexSequence:
         n = int(n)
         if n < len(self.head):
             return self.head[n]
-        return float(self._tail(np.array([float(n)]))[0])
+        out = np.empty(1)
+        self._tail(n, out)
+        return float(out[0])
 
     def values(self, count):
         """Array of a_0 .. a_{count-1}."""
@@ -144,7 +152,7 @@ class ConvexSequence:
         out = np.empty(max(hi - lo, 0))
         out[:k - lo] = self.head[lo:k]
         if hi > k:
-            out[k - lo:] = self._tail(np.arange(k, hi, dtype=float))
+            self._tail(k, out[k - lo:])
         return out
 
     def tail_limit(self):
@@ -162,9 +170,33 @@ class ConvexSequence:
         return self.value(j) + self.value(j + 2) - 2.0 * self.value(j + 1)
 
     def second_differences(self, count):
-        """Array of second differences for j = 0 .. count-1."""
-        a = self.values(int(count) + 2)
-        return a[:-2] + a[2:] - 2.0 * a[1:-1]
+        """Array of second differences for j = 0 .. count-1.
+
+        Filled a chunk at a time, so it peaks at its output plus one chunk's
+        arrays."""
+        out = np.empty(int(count))
+        for lo, d2 in self._second_difference_chunks(count):
+            out[lo:lo + d2.size] = d2
+            del d2
+        return out
+
+    def _second_difference_chunks(self, count):
+        """The second differences j = 0 .. count-1, _DIFF_CHUNK at a time.
+
+        Yields (lo, d2), d2 holding j = lo .. lo + d2.size - 1 bit for bit as
+        second_differences(count) does.  Each chunk is built from a window
+        of the values (_window) that is freed before the chunk is yielded,
+        so a caller that drops d2 before the next chunk holds about three
+        chunks of arrays at most, whatever count.
+        """
+        count = int(count)
+        for lo in range(0, count, _DIFF_CHUNK):
+            a = self._window(lo, min(lo + _DIFF_CHUNK, count) + 2)
+            d2 = a[:-2] + a[2:]
+            d2 -= 2.0 * a[1:-1]
+            del a
+            yield lo, d2
+            del d2
 
     def weighted_tail_beyond(self, J):
         """sum_{j>J} (j+1) * second_difference(j), in closed telescoped form.

@@ -13,9 +13,12 @@ sin^2(pi (j+1) t) / sin^2(pi t), and the sum over j is three matrix
 products of split angle tables with a table of the d2 (_fejer_sum); on a
 uniform grid it is a cosine polynomial (reference_function_grid).  f and
 S_N are even, so the grid functions return only the half grid t <= 0,
-k = 0..G//2, as trigsum.cosine_poly_grid does; the reference runs in
-place there, with the coefficient vector freed first.  The term index
-goes through product_frac, so j_max + 2 <= 2^25.
+k = 0..G//2, as trigsum.cosine_poly_grid does.  The reference reads the
+d2 a chunk of 2^20 at a time and folds each onto the grid's G//2 + 1
+bins, so its working set follows G and the lattice budget, not j_max;
+the grid arithmetic then runs in place on the half grid, with the
+folded vector freed first.  The term index goes through product_frac,
+so j_max + 2 <= 2^25.
 
 residual_identity_check probes the twice-summed-by-parts form of
 f - S_N in two index variants ("derived" and "alternate"); which variant
@@ -30,7 +33,7 @@ import numpy as np
 
 from .kernels import (canonical, check_index, dirichlet_eval, fejer_eval,
                       product_frac)
-from .trigsum import cosine_poly_grid, cosine_poly_points
+from .trigsum import _fold_to_grid, cosine_poly_grid, cosine_poly_points
 
 __all__ = [
     "partial_sum",
@@ -163,13 +166,16 @@ def reference_function_grid(seq, grid_size, j_max):
 
     The points are t_k = -1/2 + k/grid_size <= 0; both are even, so the
     whole grid is g[G-k] = g[k].  Off the origin the truncated sum
-    collapses to (W - C(t)) / (2 sin^2(pi t)) with W = sum d2 and C a
-    cosine polynomial, which trigsum.cosine_poly_grid reads off the
-    lattice.  The
-    coefficient vector is freed before the grid arithmetic, which then
-    runs in place on the half grid; an even G ends at t = 0, which is
-    summed directly (F_j(0) = j+1).  The term index goes through
-    product_frac, so j_max + 2 <= 2^25.
+    collapses to (W - C(t)) / (2 sin^2(pi t)) with W = sum d2 and C the
+    cosine polynomial with c_m = d2_{m-1}, which trigsum.cosine_poly_grid
+    reads off the lattice.  The d2 are read a chunk at a time
+    (ConvexSequence._second_difference_chunks): each chunk adds to W and,
+    for an even G, to sum (j+1)^2 d2 = f(0), since F_j(0) = j+1 and an
+    even G ends at t = 0; then it is folded onto the grid's bins G//2 + 1
+    (trigsum._fold_to_grid) and freed.  So no array of j_max terms is
+    built, and up to one chunk the values are those of the whole vector
+    bit for bit.  The grid arithmetic then runs in place on the half
+    grid.  The term index goes through product_frac, so j_max + 2 <= 2^25.
     """
     G = int(grid_size)
     if G < 2:
@@ -178,25 +184,30 @@ def reference_function_grid(seq, grid_size, j_max):
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
     _check_term_range(j_max)
-    coeffs = np.zeros(j_max + 2)
-    d2 = coeffs[1:]
-    d2[:] = seq.second_differences(j_max + 1)
-    W = float(np.sum(d2))
-    at_zero = None
-    if G % 2 == 0:
-        m2 = np.arange(1, j_max + 2, dtype=float)
-        m2 *= m2
-        m2 *= d2
-        at_zero = float(np.sum(m2))  # sum (j+1)^2 d2_j
-        del m2
-    del d2
+    sums = [0.0, 0.0]  # W = sum d2_j and, for even G, sum (j+1)^2 d2_j
+
+    def terms():
+        yield np.zeros(1)  # c_0
+        for lo, d2 in seq._second_difference_chunks(j_max + 1):
+            sums[0] += float(np.sum(d2))
+            if G % 2 == 0:
+                m2 = np.arange(lo + 1, lo + d2.size + 1, dtype=float)
+                m2 *= m2
+                m2 *= d2
+                sums[1] += float(np.sum(m2))
+                del m2
+            yield d2
+            del d2
+
+    coeffs = _fold_to_grid(terms(), j_max + 2, G)
     values = cosine_poly_grid(coeffs, G)
     del coeffs
+    W, at_zero = sums
     values *= 0.5  # sum_j d2_j cos(2 pi (j+1) t)
     np.subtract(W, values, out=values)
     values *= 0.5
     sin2 = _sin2(-0.5 + np.arange(values.size) / G)
-    if at_zero is None:
+    if G % 2:
         values /= sin2
     else:
         values[:-1] /= sin2[:-1]

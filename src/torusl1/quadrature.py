@@ -356,6 +356,21 @@ def _certificate_maps(n):
     return maps
 
 
+_CERTIFY_COLUMNS = 1024  # panels per matrix product in _certify
+
+
+def _by_columns(a, b):
+    """a @ b, _CERTIFY_COLUMNS columns of b at a time.  Threaded BLAS
+    sometimes stalled on products of a few rows by 8192 columns in a fresh
+    process on a 2-core machine (2 of 16 runs of the full-torus log trace
+    spent 0.13-0.24 s in _certify instead of 0.04-0.07 s); slices of 1024
+    columns did not."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    for s in range(0, b.shape[1], _CERTIFY_COLUMNS):
+        out[:, s:s + _CERTIFY_COLUMNS] = a @ b[:, s:s + _CERTIFY_COLUMNS]
+    return out
+
+
 def _certify(vals, delta, h):
     """Certify panels sign-definite from their Gauss values.
 
@@ -374,19 +389,20 @@ def _certify(vals, delta, h):
     of the end, so |sum w p| errs from the integral of |p| by at most
     8 h delta^2 / m more, h the panel half-width in t.
     q at the nodes is vals itself, and q(1) = sum c_j, q(-1) =
-    sum (-1)^j c_j since P_j(+-1) = (+-1)^j.
+    sum (-1)^j c_j since P_j(+-1) = (+-1)^j.  The matrix products take the
+    panels 1024 at a time (_by_columns).
     Returns (certified, charge), one entry per panel.
     """
     n = vals.shape[0]
     width, to_slopes, bounds = _certificate_maps(n)
-    c = _gauss(n)[2] @ vals
+    c = _by_columns(_gauss(n)[2], vals)
     at = np.empty((n + 2, vals.shape[1]))  # q at the gap ends
     at[0] = (c * (-1.0) ** np.arange(n)[:, None]).sum(axis=0)
     at[1:-1] = vals
     at[-1] = c.sum(axis=0)
-    q, dq = np.abs(at), np.abs(to_slopes @ c)
+    q, dq = np.abs(at), np.abs(_by_columns(to_slopes, c))
     pos, neg = at > delta, at < -delta
-    d1, d2 = bounds @ np.abs(c)
+    d1, d2 = _by_columns(bounds, np.abs(c))
     zero_lo = ~(pos[0] | neg[0])
     zero_hi = ~(pos[-1] | neg[-1])
     agree = (pos[:-1] & pos[1:]) | (neg[:-1] & neg[1:])
@@ -636,9 +652,6 @@ def _grid_trapezoid(y, E, G, stride):
     return total, sliver, used
 
 
-_WINDOW_CHUNK = 2 ** 20  # second differences per chunk in origin_window_bound
-
-
 def origin_window_bound(seq, N, eta):
     """Closed-form bound on the residual mass inside (-eta, eta).
 
@@ -649,8 +662,9 @@ def origin_window_bound(seq, N, eta):
     constant tail's second differences vanish beyond its head, so its kept
     sum stops there however small eta is.  A log tail keeps J + 1 terms,
     and more than 2^25 of them (eta below about 1.5e-8) raise ValueError.
-    The kept sum is taken _WINDOW_CHUNK terms at a time, so its arrays stay
-    a few MB whatever K; up to one chunk it is a single dot product.
+    The kept sum is taken a chunk of 2^20 second differences at a time
+    (ConvexSequence._second_difference_chunks), so its arrays stay a few
+    MB whatever K; up to one chunk it is a single dot product.
     """
     eta = float(eta)
     if eta <= 0.0:
@@ -662,12 +676,10 @@ def origin_window_bound(seq, N, eta):
                          f"bound of a {seq.tail_rule} tail: it would sum "
                          f"{K + 1} second differences, more than 2^25")
     f_peak = 0.0
-    for lo in range(0, K + 1, _WINDOW_CHUNK):
-        a = seq._window(lo, min(lo + _WINDOW_CHUNK, K + 1) + 2)
-        d2 = a[:-2] + a[2:] - 2.0 * a[1:-1]
+    for lo, d2 in seq._second_difference_chunks(K + 1):
         j = np.arange(lo, lo + d2.size, dtype=float)
         f_peak += float(((j + 1.0) ** 2) @ d2)
-        del a, d2, j  # before the next chunk's window is built
+        del d2, j  # before the next chunk is built
     dropped = seq.weighted_tail_beyond(J)
     a = seq.values(int(N) + 1)
     s_peak = float(a[0] + 2.0 * a[1:].sum())
@@ -683,6 +695,9 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
     grid must resolve S_N: grid_size > 2 N, else ValueError.  The half
     grid k <= G//2 holds everything (about 8 (G/2 + 1) bytes per array:
     the cached reference and its tail bounds, and one residual buffer).
+    Building the reference peaks at about four such arrays whatever
+    j_max, since reference_function_grid takes its terms a chunk at a
+    time and the lattice rows of every grid fit trigsum's byte budget.
     A reference or residual that is not finite (coefficients whose grid
     arithmetic overflows float64) raises ValueError.
     """

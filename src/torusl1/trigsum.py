@@ -17,12 +17,13 @@ real coefficient vector c.  There are two evaluators and one read-out:
     cell-aligned quadrature touch every kernel cell at once.
   * cosine_poly_grid: the half k = 0..G//2 of the uniform grid
     t_k = -1/2 + k/G, read off P <= 32 interleaved lattice rows of length
-    G/P.  p is even, so the whole grid is g[G-k] = g[k]: only rows
+    G/P, with P raised until one complex FFT row fits the same byte
+    budget.  p is even, so the whole grid is g[G-k] = g[k]: only rows
     0..P/2 are evaluated and only the half is returned.  Coefficients
-    running past G terms are first folded onto degree G//2.  It
-    transforms nothing itself.  An odd G has P = 1, whose row is paired
-    with a zero row: twice the FFT work of one real inverse FFT of
-    length G.
+    running past degree G//2 are first folded onto it, from pieces of the
+    vector if the caller has no whole one (_fold_to_grid).  It transforms
+    nothing itself.  An odd G has P = 1, whose row is paired with a zero
+    row: twice the FFT work of one real inverse FFT of length G.
 """
 
 import math
@@ -41,6 +42,7 @@ __all__ = [
 _POINTS_BLOCK = 2048  # terms and points per block in cosine_poly_points
 _BLOCK_BYTES = 2 ** 24  # working set of one offset block in cosine_poly_on_cells
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
+_FOLD_TERMS = 2 ** 20  # most terms summed at once in _fold_to_grid
 
 
 def _weights(coeffs):
@@ -72,26 +74,66 @@ def cosine_poly_points(coeffs, ts):
     return out.reshape(np.shape(ts))
 
 
-def _fold_to_grid(c, G):
+def _fold_to_grid(pieces, size, G):
     """Coefficients of degree <= G//2 with the same values on the G-grid.
 
-    At t_k = -1/2 + k/G, cos(2 pi (m + G) t_k) and cos(2 pi (G - m) t_k)
-    are both (-1)^G cos(2 pi m t_k).  So whole periods of G terms are
-    summed, with alternating sign for odd G, and bin G - r is added to
-    bin r.  An aliased term keeps its weight 2 on bin 0, where c_0 has
-    weight 1: bin 0 is 2 acc - c_0.
+    pieces yields the coefficient vector c in order, c_0 first, in pieces
+    of any length and size terms in all.  At t_k = -1/2 + k/G,
+    cos(2 pi (m + G) t_k) and cos(2 pi (G - m) t_k) are both
+    (-1)^G cos(2 pi m t_k).  So the whole periods of G terms are summed in
+    order, even and odd periods apart, the odd sum added with sign (-1)^G,
+    then the last partial period with sign (-1)^(G whole); bin G - r is
+    added to bin r last.  An aliased term keeps its weight 2 on bin 0,
+    where c_0 has weight 1: once a period has been summed, bin 0 is
+    2 acc - c_0.  Every bin takes its terms in that order however c is
+    cut, so the pieces do not change the bits.  Two periods are held
+    while whole periods are summed, up to _FOLD_TERMS of them added in
+    one call; without any, only bins 0..G//2 are,
+    and a term past them goes onto bin G - m as it arrives.  So size <=
+    G//2 + 1 gives c back unfolded.
     """
     h = G // 2 + 1
     sign = -1.0 if G % 2 else 1.0
-    whole = c.size // G
-    periods = c[:whole * G].reshape(whole, G)
-    acc = periods[0::2].sum(axis=0)
-    acc += sign * periods[1::2].sum(axis=0)
-    rest = c[whole * G:]
-    acc[:rest.size] += sign ** whole * rest
+    whole = size // G
+    acc = np.zeros(G if whole else min(size, h))  # even periods, then all
+    odd = np.zeros(G) if whole > 1 else None
+    m = 0  # index of the next term
+    for piece in pieces:
+        if m == 0 and piece.size:
+            c0 = float(piece[0])
+        while piece.size:
+            p, r = divmod(m, G)
+            k = min(piece.size // G, whole - p, _FOLD_TERMS // G) if r == 0 else 0
+            if k > 1:
+                # k whole periods at once: each parity's sum still takes
+                # its periods in order, after what it holds
+                rows = piece[:k * G].reshape(k, G)
+                for i, total in ((p % 2, acc), (1 - p % 2, odd)):
+                    np.add.reduce(np.concatenate((total[None], rows[i::2])),
+                                  axis=0, out=total)
+                piece, m = piece[k * G:], m + k * G
+                continue
+            n = min(piece.size, G - r)
+            part, piece = piece[:n], piece[n:]
+            m += n
+            if p < whole:
+                (odd if p % 2 else acc)[r:r + n] += part
+                continue
+            if odd is not None:
+                acc += sign * odd
+                odd = None
+            # terms kept in place; without whole periods, those past bin
+            # G//2 go onto bin G - i at once
+            k = n if whole else max(min(n, h - r), 0)
+            acc[r:r + k] += sign ** whole * part[:k]
+            acc[G - r - n + 1:G - r - k + 1] += sign * part[k:][::-1]
+    if odd is not None:
+        acc += sign * odd
+    if not whole:
+        return acc  # bin 0 holds c_0 alone
     out = acc[:h].copy()
     out[1:G - h + 1] += sign * acc[:h - 1:-1]
-    out[0] = 2.0 * out[0] - c[0]
+    out[0] = 2.0 * out[0] - c0
     return out
 
 
@@ -99,16 +141,20 @@ def cosine_poly_grid(coeffs, grid_size):
     """Values at t_k = -1/2 + k/grid_size for k = 0..grid_size//2.
 
     That is the half t_k <= 0 of the uniform grid, G//2 + 1 values; the
-    whole grid is their mirror (below).  Coefficients spanning more than
-    one period of G are first folded onto degree <= G//2 (_fold_to_grid),
-    which leaves the grid values alone; shorter ones go to the lattice as
-    they are, whose period loop then runs at most three times.  For P
-    dividing G, t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P, so the
-    grid is P interleaved lattices: row j of cosine_poly_on_cells at
-    offset 1/2 + j/G holds grid values j, j + P, ...  P is the largest
-    power of two that divides G, is at most _GRID_ROWS and keeps
-    len(coeffs) <= L, and at least 2 for even G, whose two rows then share
-    one complex FFT of length G/2.  p is even and t_{G-i} = -t_i, so g[G-i] = g[i]: grid
+    whole grid is their mirror (below).  Coefficients past degree G//2 are
+    first folded onto it (_fold_to_grid), which leaves the grid values
+    alone; shorter ones go to the lattice as they are.  For P dividing G,
+    t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P, so the grid is P
+    interleaved lattices: row j of cosine_poly_on_cells at offset
+    1/2 + j/G holds grid values j, j + P, ...  P is the largest power of
+    two that divides G, is at most _GRID_ROWS and keeps len(coeffs) <= L,
+    and at least 2 for even G, whose two rows then share one complex FFT
+    of length G/2.  It is raised further, as far as G's factors of two
+    and _GRID_ROWS allow, until one complex FFT row, two offsets of
+    16 L bytes (_block_size), fits _BLOCK_BYTES: G = 2^20 keeps P = 2 for
+    G//2 + 1 coefficients, 2^21 takes 4 and 2^22 takes 8, and the
+    lattice then folds the coefficients over periods of L.  p is even and
+    t_{G-i} = -t_i, so g[G-i] = g[i]: grid
     value kP + j for P/2 < j < P is value L-1-k of row P - j, and only
     rows 0..P/2 are evaluated.  Each grid point up to G//2 is read from
     exactly one evaluated row entry.
@@ -117,10 +163,13 @@ def cosine_poly_grid(coeffs, grid_size):
     if G < 1:
         raise ValueError("grid_size must be >= 1")
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim == 1 and c.size > G:
-        c = _fold_to_grid(c, G)
+    if c.ndim == 1 and c.size > G // 2 + 1:
+        c = _fold_to_grid((c,), c.size, G)
     P = math.gcd(G, 2)
-    while P < _GRID_ROWS and G % (2 * P) == 0 and c.size <= G // (2 * P):
+    # one complex FFT row, two offsets of 16 L bytes each (_block_size),
+    # must fit the budget
+    while (P < _GRID_ROWS and G % (2 * P) == 0
+           and (c.size <= G // (2 * P) or 32 * (G // P) > _BLOCK_BYTES)):
         P *= 2
     L = G // P
     K = G // 2 // P + 1  # lattice columns that reach index G//2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,42 @@ def test_second_differences_match_brute_force():
     d2 = seq.second_differences(200)
     brute = a[:-2] + a[2:] - 2.0 * a[1:-1]
     assert np.allclose(d2, brute[:200], rtol=0, atol=1e-18)
+
+
+def test_second_differences_by_chunks_are_the_whole_formula():
+    # the tail rule runs in place and the differences go 2^20 at a time;
+    # the bits are those of the closed forms and of the whole-array
+    # formula, across three chunks and the head
+    n = np.arange(2, 1000, dtype=float)
+    assert np.array_equal(ConvexSequence.log_reciprocal().values(1000)[2:],
+                          1.0 / np.log(n))
+    assert np.array_equal(
+        ConvexSequence.log_squared_reciprocal().values(1000)[2:],
+        1.0 / np.log(n) ** 2)
+    count = 2 ** 21 + 3
+    for seq in (ConvexSequence.log_reciprocal(),
+                ConvexSequence.log_squared_reciprocal(),
+                ConvexSequence((5.0, 3.0, 2.0, 2.0))):
+        a = seq.values(count + 2)
+        whole = a[:-2] + a[2:] - 2.0 * a[1:-1]
+        chunks = list(seq._second_difference_chunks(count))
+        assert [lo for lo, _ in chunks] == [0, 2 ** 20, 2 ** 21]
+        assert np.array_equal(np.concatenate([d for _, d in chunks]), whole)
+        assert np.array_equal(seq.second_differences(count), whole)
+
+
+def test_second_differences_working_set():
+    # the log tail with its index array, log and reciprocal, then the copy
+    # in values and the difference temporaries peaked at 4 times the
+    # output; in place and a chunk at a time it is at most twice
+    seq = ConvexSequence.log_reciprocal()
+    tracemalloc.start()
+    try:
+        d2 = seq.second_differences(2 ** 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * d2.nbytes
 
 
 def test_weighted_tail_telescopes_against_partial_sums():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from torusl1.coefficients import ConvexSequence
 from torusl1 import partial_sums
 from torusl1.intervals import IntervalUnion
+from torusl1.trigsum import cosine_poly_grid
 from torusl1.partial_sums import (
     _cached_second_differences,
     partial_sum,
@@ -98,6 +101,81 @@ def test_reference_grid_matches_representation(log_seq, log2_seq):
             fejer_representation(seq, J, 0.0)[0], rel=1e-12)
 
 
+def _dense_reference(seq, G, j_max):
+    # the whole-vector reference the chunked one replaced, kept as its
+    # oracle: all j_max + 1 second differences in one coefficient vector
+    # and one grid call
+    coeffs = np.zeros(j_max + 2)
+    d2 = coeffs[1:]
+    d2[:] = seq.second_differences(j_max + 1)
+    W = float(np.sum(d2))
+    m2 = np.arange(1, j_max + 2, dtype=float)
+    m2 *= m2
+    m2 *= d2
+    at_zero = float(np.sum(m2))
+    values = cosine_poly_grid(coeffs, G)
+    values *= 0.5
+    np.subtract(W, values, out=values)
+    values *= 0.5
+    sin2 = np.sin(np.pi * (-0.5 + np.arange(values.size) / G)) ** 2
+    if G % 2:
+        values /= sin2
+    else:
+        values[:-1] /= sin2[:-1]
+        values[-1] = at_zero
+    return values
+
+
+_CONSTANT_TAIL = ConvexSequence((3.0, 2.0, 1.5, 1.2, 1.0), "constant")
+
+
+@pytest.mark.parametrize("seq, G, j_max", [
+    (ConvexSequence.log_reciprocal(), 16, 100000),
+    (ConvexSequence.log_reciprocal(), 4097, 100000),
+    (ConvexSequence.log_squared_reciprocal(), 2 ** 16, 100000),
+    (_CONSTANT_TAIL, 2 ** 16, 100000),
+    (_CONSTANT_TAIL, 4097, 3000),
+], ids=["log-16", "log-4097", "log2-65536", "constant-65536", "constant-4097"])
+def test_chunked_reference_is_the_dense_one(seq, G, j_max):
+    # up to one chunk of 2^20 second differences, folding them onto the
+    # grid's bins as they come gives the whole vector's bits: many
+    # periods of G = 16, odd G, and the README and CI grids
+    vals, _ = reference_function_grid(seq, G, j_max)
+    assert np.array_equal(vals, _dense_reference(seq, G, j_max))
+
+
+@pytest.mark.parametrize("G", [2 ** 16, 65537])
+def test_chunked_reference_across_chunks(log_seq, G):
+    # j_max + 1 = 2^21 + 6 terms are three chunks, whose sums W and
+    # f(0) add chunk by chunk; off the origin window the values agree
+    # with the dense ones within rounding, for even and odd G
+    J = 2 ** 21 + 5
+    vals, _ = reference_function_grid(log_seq, G, J)
+    want = _dense_reference(log_seq, G, J)
+    far = np.abs(-0.5 + np.arange(vals.size) / G) >= 1e-3
+    assert np.allclose(vals[far], want[far], rtol=1e-12, atol=0)
+    if G % 2 == 0:
+        assert vals[-1] == pytest.approx(want[-1], rel=1e-12)
+
+
+def test_reference_working_set(log2_seq):
+    # the residual benchmark's log2 reference, 4e6 second differences on a
+    # grid of 2^22 points: built whole, with lattice rows of 2^21, it
+    # peaked at 165 MB traced.  Read a chunk at a time, with rows of 2^19,
+    # it stays within 96 MB, its two 16 MB outputs included
+    G, J = 2 ** 22, 4_000_000
+    tracemalloc.start()
+    try:
+        vals, tails = reference_function_grid(log2_seq, G, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96e6
+    assert vals.shape == tails.shape == (G // 2 + 1,)
+    far = np.abs(-0.5 + np.arange(vals.size) / G) >= 1e-3
+    assert np.all(vals[far] > 0.0) and np.all(np.isfinite(tails[far]))
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda seq, j_max: reference_function_grid(seq, 16, j_max),
     lambda seq, j_max: fejer_representation(seq, j_max, 0.2),
@@ -106,12 +184,16 @@ def test_reference_grid_matches_representation(log_seq, log2_seq):
 def test_j_max_beyond_exact_range_is_refused(evaluate):
     # the top term index j_max + 1 goes through product_frac, exact below
     # 2^25: j_max = 2^25 - 1 is refused before anything is built, and
-    # 2^25 - 2 passes the check and reaches the second differences
+    # 2^25 - 2 passes the check and reaches the second differences, whole
+    # or a chunk at a time (the grid reference)
     class Reached(Exception):
         pass
 
     class Probe:
         def second_differences(self, count):
+            raise Reached(count)
+
+        def _second_difference_chunks(self, count):
             raise Reached(count)
 
     with pytest.raises(ValueError, match="j_max 33554431"):

@@ -19,6 +19,7 @@ from torusl1.kernels import (
 )
 from torusl1.quadrature import (
     _abs_bound,
+    _by_columns,
     _certify,
     _decompose,
     _grid_trapezoid,
@@ -418,6 +419,31 @@ def test_dirichlet_certifies_every_cell_edge_panel():
     _, _, (sums, ok, charge) = _certified_table(coeffs, 2 * N + 1, 2, 16)
     assert ok.all()
     assert charge.sum() < 64.0 * EPS * np.abs(sums).sum()
+
+
+@pytest.mark.parametrize("cols", [1, 1023, 1024, 1025, 3000])
+def test_certificate_products_by_column_slices(cols):
+    # _certify's products take 1024 columns at a time, with a last slice
+    # of any width; each slice is the whole product's columns
+    rng = np.random.default_rng(cols)
+    a, b = rng.normal(size=(18, 16)), rng.normal(size=(16, cols))
+    got = _by_columns(a, b)
+    assert got.shape == (18, cols)
+    assert np.allclose(got, a @ b, rtol=1e-14, atol=1e-14)
+
+
+def test_certificate_slices_keep_the_integral(log_seq, monkeypatch):
+    # at N = 2048 the panel tables have L = 4097 columns, four slices of
+    # 1024 and one of 1; with one product per call the |.| integral, its
+    # bar and its panel count are the same
+    E = IntervalUnion.parse("-0.41,-0.37;-0.2,0.05;0.11,0.33")
+    sliced = [integrate_abs_partial_sum(log_seq, 2048, S) for S in (FULL, E)]
+    monkeypatch.setattr(quadrature, "_CERTIFY_COLUMNS", 2 ** 30)
+    whole = [integrate_abs_partial_sum(log_seq, 2048, S) for S in (FULL, E)]
+    for a, b in zip(sliced, whole):
+        assert a.panels == b.panels
+        assert a.value == pytest.approx(b.value, rel=1e-15, abs=0)
+        assert a.error_estimate == pytest.approx(b.error_estimate, rel=1e-12)
 
 
 def _oracle_interpolated(rows, j, lo, hi, L, panels, nodes, delta):

@@ -70,8 +70,8 @@ def test_grid_half_spectrum_matches_points(G):
     # G/P, with P the largest power of two that divides G, is at most 32
     # and keeps M <= G/P, and at least 2 for even G; rows above P/2 are
     # read reversed from their mirrors.  The M below sit on both sides of
-    # each step of that rule (P = 32, 16, 8, 4, 2); M = G//2 + 1 and G
-    # keep P = 2, and M = G + 1 and 3G + 2 are folded onto degree G//2
+    # each step of that rule (P = 32, 16, 8, 4, 2); M = G//2 + 1 keeps
+    # P = 2, and M = G, G + 1 and 3G + 2 are folded onto degree G//2
     # first.  An odd G is one row paired with a zero row; 12, 20, 24 and
     # 96 have small odd factors.  Every index of the half is compared with
     # the direct sum
@@ -109,6 +109,93 @@ def test_half_grid_is_the_first_half(G):
         bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
         direct = cosine_poly_points(coeffs, -0.5 + np.arange(G) / G)
         assert np.max(np.abs(whole - direct)) <= bar, (G, M)
+
+
+def _dense_fold(c, G):
+    # the whole-vector fold that _fold_to_grid's pieces replaced, kept as
+    # its oracle
+    h = G // 2 + 1
+    sign = -1.0 if G % 2 else 1.0
+    whole = c.size // G
+    periods = c[:whole * G].reshape(whole, G)
+    acc = periods[0::2].sum(axis=0)
+    acc += sign * periods[1::2].sum(axis=0)
+    rest = c[whole * G:]
+    acc[:rest.size] += sign ** whole * rest
+    out = acc[:h].copy()
+    out[1:G - h + 1] += sign * acc[:h - 1:-1]
+    out[0] = 2.0 * out[0] - c[0]
+    return out
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 16, 17, 4096, 4097])
+def test_fold_pieces_keep_the_bits(G, monkeypatch):
+    # _fold_to_grid reads the coefficients in pieces of any length, cut
+    # inside and across periods: its bins are the dense fold's bit for bit,
+    # with and without whole periods and many of them, whether a piece's
+    # periods are added one or several at a time, and up to G//2 + 1
+    # terms it gives the coefficients back unfolded.  G = 1 agrees to
+    # rounding
+    rng = np.random.default_rng(G + 5)
+    for M in (1, G // 2 + 1, G // 2 + 2, G, G + 1, 2 * G + 3,
+              7 * G + G // 2, 300 * G + 5):
+        c = rng.normal(size=M) * 10.0 ** rng.integers(-6, 6, M)
+        want = _dense_fold(c, G) if M > G // 2 + 1 else c
+        for terms in (2 ** 20, 5 * G):
+            monkeypatch.setattr(trigsum, "_FOLD_TERMS", terms)
+            for cuts in (0, 1, 5):
+                pieces = np.split(c, np.sort(rng.integers(0, M + 1, cuts)))
+                got = trigsum._fold_to_grid(iter(pieces), M, G)
+                if G == 1:
+                    # numpy sums a single column pairwise, not row by row
+                    bar = 1e-14 * np.abs(c).sum()
+                    assert np.allclose(got, want, rtol=0, atol=bar)
+                else:
+                    assert np.array_equal(got, want), (G, M, terms, cuts)
+
+
+@pytest.mark.parametrize("G, M, P", [
+    (2 ** 20, 2 ** 19 + 1, 2), (2 ** 21, 2 ** 20 + 1, 4),
+    (2 ** 22, 2 ** 21 + 1, 8), (3 * 2 ** 20, 2 ** 19, 8),
+    (2 ** 21, 65537, 16), (2 ** 22, 65537, 32), (2 ** 20 + 1, 3, 1)])
+def test_grid_rows_fit_the_budget(monkeypatch, G, M, P):
+    # P rises until one complex FFT row, two offsets of 16 L bytes at
+    # L = G/P, fits _BLOCK_BYTES: the reference's folded G//2 + 1
+    # coefficients take P = 2 up to G = 2^20, 4 at 2^21 and 8 at 2^22,
+    # and short vectors keep their P; at 3 * 2^20 it takes L = 3 * 2^17.
+    # Rows 0..P/2 are asked for
+    calls = []
+
+    def spy(coeffs, cell_count, offsets):
+        calls.append((cell_count, len(offsets)))
+        return np.zeros((len(offsets), cell_count))
+
+    monkeypatch.setattr(trigsum, "cosine_poly_on_cells", spy)
+    cosine_poly_grid(np.ones(M), G)
+    assert calls == [(G // P, P // 2 + 1)]
+
+
+def test_grid_budget_rows_match_points(monkeypatch):
+    # a budget of 32 L bytes at L = 64 raises P for G = 1024 and 1000 to
+    # 16 and 8 rows, whose lattice folds the G//2 + 1 coefficients over
+    # periods of L; every index of the half matches the direct sum
+    monkeypatch.setattr(trigsum, "_BLOCK_BYTES", 32 * 64)
+    calls = []
+    on_cells = trigsum.cosine_poly_on_cells
+
+    def spy(coeffs, cell_count, offsets):
+        calls.append(cell_count)
+        return on_cells(coeffs, cell_count, offsets)
+
+    monkeypatch.setattr(trigsum, "cosine_poly_on_cells", spy)
+    rng = np.random.default_rng(9)
+    for G, L in ((1024, 64), (1000, 125)):
+        coeffs = rng.normal(size=G + 7)
+        grid = cosine_poly_grid(coeffs, G)
+        assert calls[-1] == L
+        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+        direct = cosine_poly_points(coeffs, -0.5 + np.arange(G // 2 + 1) / G)
+        assert np.max(np.abs(grid - direct)) <= bar
 
 
 def test_grid_matches_points_at_benchmark_scale():
