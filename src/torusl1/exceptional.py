@@ -102,8 +102,9 @@ def build_witness(seq, N0, b, n=None):
     Keeps nonnegative cells nearest the origin, whole, until the next cell
     would overshoot the target; that cell is trimmed on its near-origin
     side by the exact deficit, and the walk stops there.  The signed
-    integral of S_n over Q is integrate_signed's: one lattice row for the
-    whole cells, one direct sum for the trimmed one.
+    integral of S_n over Q is integrate_signed's: one chirp-z run over the
+    cells near the origin for the whole cells, one direct sum for the
+    trimmed one.
     """
     N0 = int(N0)
     b = int(b)

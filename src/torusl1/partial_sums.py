@@ -48,6 +48,7 @@ __all__ = [
 
 # values per work array in _fejer_sum: (Q + B) x points
 _SUM_BLOCK = 2 ** 16
+_EPS = float(np.finfo(float).eps)
 
 
 def partial_sum(seq, N, t):
@@ -130,13 +131,12 @@ def _sin2(u):
 
 def _tail_bounds(seq, j_max, sin2):
     """Per-point rigorous bound on the dropped tail beyond j_max, given
-    sin^2(pi u) at the points."""
-    global_bound = seq.squared_weighted_tail_beyond(j_max)
-    with np.errstate(divide="ignore"):
-        off = np.where(sin2 > 0.0,
-                       seq.first_difference(j_max + 1) / np.where(sin2 > 0.0, sin2, 1.0),
-                       np.inf)
-    return np.minimum(global_bound, off)
+    sin^2(pi u) at the points: the off-origin envelope divided into one
+    inf-filled array where sin^2 > 0, then the global bound in place, so
+    the points take one output array and one mask."""
+    out = np.full(np.shape(sin2), np.inf)
+    np.divide(seq.first_difference(j_max + 1), sin2, out=out, where=sin2 > 0.0)
+    return np.minimum(out, seq.squared_weighted_tail_beyond(j_max), out=out)
 
 
 def fejer_representation(seq, j_max, t):
@@ -249,7 +249,9 @@ def residual_identity_check(seq, N, t, j_max=100000):
     j < N - 1 plus that tail, each summed by _fejer_sum's three matrix
     products; j_max + 2 must not exceed 2^25.  Mismatch is data: the result
     records per-variant differences and which variants close within the
-    combined tail tolerance.  t must be finite and must not reduce to 0.
+    tolerance: twice the tail bound plus a rounding term, 64 eps times
+    the magnitudes both sides sum, at least 1e-8.  t must be finite and
+    must not reduce to 0.
     """
     if N != int(N) or N < 2:
         raise ValueError("N must be an integer >= 2")
@@ -284,7 +286,14 @@ def residual_identity_check(seq, N, t, j_max=100000):
         "derived": ts - N * (a_nm1 - a_n) * f_kernel - a_n * d_kernel,
         "alternate": ts - N * f_kernel * (a_nm1 - a_nm2) + d_kernel * a_n,
     }
-    tolerance = 2.0 * f_tail + 1e-8
+    # the rounding of both sides, 64 eps times the magnitudes they sum: f
+    # (nonnegative terms), S_N's weights and the kernel terms.  It scales
+    # with the sequence; at unit scale it lies far below the 1e-8 floor
+    w = seq.values(N + 1)
+    size = (abs(f_val) + abs(ts) + 2.0 * float(np.abs(w).sum()) - abs(float(w[0]))
+            + N * f_kernel * (abs(a_nm1 - a_n) + abs(a_nm1 - a_nm2))
+            + abs(a_n * d_kernel))
+    tolerance = 2.0 * f_tail + max(1e-8, 64.0 * _EPS * size)
     diff = {k: abs(lhs - v) for k, v in rhs.items()}
     matched = tuple(k for k in ("derived", "alternate") if diff[k] <= tolerance)
     return IdentityCheck(N=N, t=float(u), lhs=lhs, rhs=rhs, diff=diff,

@@ -25,9 +25,10 @@ evaluated once per call.  The error estimate is an a priori bound
 (Bernstein-ellipse bounds on the Gauss sums and the panel interpolants,
 plus the interpolated rounding of the lattice values, and a charge for
 panels whose certificate reads a kernel zero on a panel end) with a
-roundoff floor relative to the value.  Signed integrals need no panels: one
-lattice row at the cell centres gives every full cell's integral, and
-each partial remnant is one direct sum.
+roundoff floor relative to the value.  Signed integrals need no panels:
+the full cells' integrals are values at the cell centres, read by one
+chirp-z transform over the shortest run of cells that holds them
+(trigsum._centre_run), and each partial remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
 are each read off a few interleaved rows of the same lattice FFT, and the
@@ -50,7 +51,7 @@ import numpy as np
 
 from .kernels import check_index
 from .partial_sums import partial_sum_grid, reference_function_grid
-from .trigsum import cosine_poly_on_cells, cosine_poly_points
+from .trigsum import _centre_run, cosine_poly_on_cells, cosine_poly_points
 
 __all__ = [
     "QuadResult",
@@ -500,39 +501,45 @@ def _abs(coeffs, E, L, panels, nodes):
                       definite + int(j.size))
 
 
-def _norm(x):
-    """||x||_2 with x scaled by a power of two, so the squares neither
-    overflow nor change their bits where they would not have overflowed."""
-    e = math.frexp(float(np.abs(x).max()))[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
+def _span(full, L):
+    """The shortest run start..start+count-1 whose residues mod L hold
+    every cell of full: it starts after the widest gap between the
+    residues, taken round the torus, so the full torus gives (0, L)."""
+    r = np.sort(np.mod(full, L))
+    gaps = np.diff(r, prepend=r[-1] - L)  # gaps[i]: residue i less the one before
+    i = int(np.argmax(gaps))
+    return int(r[i]), L + 1 - int(gaps[i])
 
 
 def _signed(coeffs, E, L):
     """Signed integral over E, with `panels` counting the pieces.
 
     A piece of width w centred at c integrates to the cosine polynomial
-    with coefficients c_m w sinc(m w) at c: one lattice row at offset
-    1/(2L) for the full cells, one direct sum per remnant.
-    Error: 64 eps sum |piece|, plus the FFT's normwise rounding log2(L) eps
-    ||row||_2 (Higham, Accuracy and Stability, 24.1) spread evenly over
-    the cells, plus 4 eps sum |terms| per direct sum.
+    with coefficients c_m w sinc(m w) at c: the full cells are its values
+    at the cell centres, read by one chirp-z transform over the shortest
+    run of cells that holds them (trigsum._centre_run), and each remnant
+    is one direct sum.
+    Error: 64 eps sum |piece|, plus the run's normwise rounding bound, a
+    root mean square per cell (Higham, Accuracy and Stability, 24.1, for
+    each of its three FFTs), times sqrt(cells), plus 4 eps sum |terms| per
+    direct sum.
     """
     full, pieces = _decompose(E, L)
     m = np.arange(coeffs.size)
     parts = [np.empty(0)]
     rounding = 0.0
     if full.size:
-        row = cosine_poly_on_cells(coeffs * np.sinc(m / L) / L, L, 0.5 / L)[0]
-        parts.append(row[np.mod(full, L)])
-        rounding = (math.log2(L + 1) * math.sqrt(full.size / L)
-                    * _norm(row))
+        start, count = _span(full, L)
+        run, rms = _centre_run(coeffs * np.sinc(m / L) / L, L, start, count)
+        parts.append(run[np.mod(full - start, L)])
+        rounding = math.sqrt(full.size) * rms
     for _, lo, hi in pieces:
         w = hi - lo
         c = coeffs * (w * np.sinc(m * w))
         parts.append([cosine_poly_points(c, 0.5 * (lo + hi))])
-        rounding += 4.0 * (2.0 * float(np.abs(c).sum()) - abs(float(c[0])))
+        rounding += 4.0 * _EPS * (2.0 * float(np.abs(c).sum()) - abs(float(c[0])))
     vals = np.concatenate(parts)
-    err = 64.0 * _EPS * float(np.abs(vals).sum()) + _EPS * rounding + _TINY
+    err = 64.0 * _EPS * float(np.abs(vals).sum()) + rounding + _TINY
     return QuadResult(float(vals.sum()), float(err), int(vals.size))
 
 
@@ -548,7 +555,9 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     _certify) with a roundoff floor of 64 eps times the value, plus 2^-1022
     for subnormal results.  The signed
     integral uses no panels, so panels_per_cell and nodes_per_panel do not
-    affect it, and its estimate is a rounding bound.  nodes_per_panel must
+    affect it, and its estimate is a rounding bound: 64 eps per piece, the
+    chirp-z run's normwise bound for its three FFTs (_signed) and 4 eps
+    per term of each remnant's direct sum.  nodes_per_panel must
     lie in 2..64.  Lattice values, an integral or a bar that is not finite
     (coefficients whose arithmetic overflows float64) raise ValueError.
     """

@@ -1,7 +1,8 @@
 """Fast evaluation of even cosine polynomials.
 
 Everything here evaluates p(t) = c_0 + sum_{m>=1} 2 c_m cos(2 pi m t) for a
-real coefficient vector c.  There are two evaluators and one read-out:
+real coefficient vector c.  There are four evaluators, the third a read-out
+of the second:
 
   * cosine_poly_points: direct sum at scattered points (the slow oracle the
     fast path is checked against); angles go through an exact split
@@ -24,6 +25,14 @@ real coefficient vector c.  There are two evaluators and one read-out:
     vector if the caller has no whole one (_fold_to_grid).  It transforms
     nothing itself.  An odd G has P = 1, whose row is paired with a zero
     row: twice the FFT work of one real inverse FFT of length G.
+  * _centre_run: the values at the cell centres t = (k + 1/2)/L on one run
+    of M consecutive cells k, by a chirp-z (Bluestein) transform: with
+    zeta = e^{pi i/L}, mk = (m^2 + k^2 - (k - m)^2)/2 makes the run one
+    convolution of the n + 1 chirped coefficients with a chirp of n + M
+    terms, three FFTs of a 5-smooth length S >= n + M.  Every chirp angle
+    takes j^2 mod 2L in int64, exactly.  It also returns a normwise bound
+    on the rounding of its values.  The signed integrals read only the
+    cells they need this way, not a whole row of L.
 """
 
 import math
@@ -43,6 +52,7 @@ _POINTS_BLOCK = 2048  # terms and points per block in cosine_poly_points
 _BLOCK_BYTES = 2 ** 24  # working set of one offset block in cosine_poly_on_cells
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
 _FOLD_TERMS = 2 ** 20  # most terms summed at once in _fold_to_grid
+_EPS = float(np.finfo(float).eps)
 
 
 def _weights(coeffs):
@@ -286,3 +296,104 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
         out[i + 1:i + n:2] = rows.imag[:n // 2]
         del rows
     return out
+
+
+def _norm(x):
+    """||x||_2 with x scaled by a power of two, so the squares neither
+    overflow nor change their bits where they would not have overflowed;
+    a norm past the float range is inf.  A complex array is taken as its
+    real view."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        x = x.view(float)
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
+def _smooth(n):
+    """The least 2^a 3^b 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp(lo, hi, L, shift=0):
+    """zeta^(j (j + shift)) with zeta = e^{pi i/L}, for j = lo..hi-1.
+
+    The power has period 2L in j and in its exponent, so j is reduced mod
+    2L first, and j (j + shift) < 4 L^2 + 2L is exact in int64: the
+    angle's only rounding is that of (pi/L) r for the reduced r < 2L.
+    """
+    r = np.arange(lo, hi, dtype=np.int64)
+    r %= 2 * L
+    r *= r + shift
+    r %= 2 * L
+    theta = r * (np.pi / L)
+    del r
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    return z
+
+
+def _centre_run(coeffs, cell_count, start, count):
+    """Values of p at t = (k + 1/2)/cell_count, k = start..start+count-1,
+    and a bound on the root mean square of their rounding errors.
+
+    With L = cell_count, zeta = e^{pi i/L} and w_m the weights (c_0,
+    2 c_m), p((k + 1/2)/L) = Re sum_m w_m zeta^{2mk + m}, and
+    2mk = m^2 + k^2 - (k - m)^2 makes it Re zeta^{k^2} sum_m x_m h_{k-m}
+    with x_m = w_m zeta^{m^2 + m} and h_j = zeta^{-j^2}.  For the n + 1
+    coefficients and the M = count cells the chirp runs over
+    j = start - n .. start + M - 1, n + M terms, and their cyclic
+    convolution of a 5-smooth length S >= n + M holds the M sums at
+    indices n..n+M-1, clear of the wrap: three FFTs of length S.  Any
+    integer start works, runs below 0 or across L too.
+
+    The bound keeps the normwise form of Higham (Accuracy and Stability,
+    24.1) for each FFT, an error of 2-norm log2(S) eps ||y||_2 for a
+    transform y of length S, spread evenly over its S entries.  The
+    error of X = fft(x), g_x ||X||_2 with ||X||_2 = sqrt(S) ||w||_2, then
+    meets H entry by entry, which weighs it by ||H||_2 / sqrt(S) =
+    sqrt(n + M); the error of H = fft(h) likewise meets X; and the
+    inverse FFT, a factor 1/sqrt(S) in 2-norm, adds its own
+    g_c ||C||_2 / sqrt(S) for C = X H.  So the S cyclic outputs are off by
+        g_x ||w||_2 sqrt(n + M) + g_h ||w||_2 sqrt(n + M) + g_c ||C||_2 / sqrt(S)
+    in 2-norm.  The chirps of x and h round by at most 4 eps per entry
+    (angle, cosine and sine, product), so g_x = g_h = (log2(S) + 4) eps;
+    the spectrum product and the last chirp add 4 eps more to the inverse,
+    g_c = (log2(S) + 8) eps.  That 2-norm over sqrt(S), the root mean
+    square per output, is returned.  The norms are taken at a power-of-two
+    scale (_norm), so coefficients scaled by 2^k scale the values and the
+    bound by exactly 2^k.
+    """
+    L = int(cell_count)
+    w = _weights(coeffs)
+    n = w.size - 1
+    S = _smooth(n + count)
+    x = _chirp(0, n + 1, L, 1)
+    x *= w
+    w_norm = _norm(w)
+    del w
+    X = np.fft.fft(x, S)
+    del x
+    h = _chirp(start - n, start + count, L)
+    np.conjugate(h, out=h)
+    H = np.fft.fft(h, S)
+    del h
+    X *= H
+    del H
+    c_norm = _norm(X)
+    c = np.fft.ifft(X)[n:n + count]
+    del X
+    c *= _chirp(start, start + count, L)
+    log_s = math.log2(S)
+    err = _EPS * (2.0 * (log_s + 4.0) * w_norm * math.sqrt(n + count)
+                  + (log_s + 8.0) * c_norm / math.sqrt(S))
+    return c.real.copy(), err / math.sqrt(S)

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +171,29 @@ def test_interval_demo_cases(log_seq):
                                        "unbounded-signature"}
     with pytest.raises(ValueError):
         interval_limit_demo(log_seq, IntervalUnion.empty(), Ns)
+
+
+def test_witness_scales_by_powers_of_two():
+    # the constant-tail head times 2^600 (and 2^10): every integral and bar
+    # is exactly 2^k times the unscaled one, the chirp-z run's included
+    head = np.array([3.0, 2.0, 1.5, 1.2, 1.0])
+    unit = [build_witness(ConvexSequence(tuple(head), "constant"), N0, N0)
+            for N0 in (8, 16, 64)]
+    for k in (10, 600):
+        f = 2.0 ** k
+        seq = ConvexSequence(tuple(head * f), "constant")
+        for u in unit:
+            w = build_witness(seq, u.N0, u.N0)
+            assert (w.integral, w.integral_error) == \
+                (u.integral * f, u.integral_error * f), (k, u.N0)
+
+
+def test_witness_refuses_an_overflowing_head():
+    # the head 1e307, 5e306 overflows the signed cells: a ValueError, with
+    # no numpy warning, instead of an infinite integral; 1e300 runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            build_witness(ConvexSequence((1e307, 5e306)), 8, 8)
+        w = build_witness(ConvexSequence((1e300, 5e299)), 8, 8)
+    assert math.isfinite(w.integral) and 0.0 < w.integral_error < 1e-12 * w.integral

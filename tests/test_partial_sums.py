@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torusl1.coefficients import ConvexSequence
+from torusl1.kernels import dirichlet_eval
 from torusl1 import partial_sums
 from torusl1.intervals import IntervalUnion
 from torusl1.trigsum import cosine_poly_grid
@@ -281,6 +282,49 @@ def test_identity_exact_for_constant_tail():
         assert chk.f_tail_bound == 0.0
         assert chk.diff["derived"] < 1e-10
         assert chk.rhs["derived"] == pytest.approx(chk.lhs, abs=1e-10)
+
+
+def test_identity_tolerance_scales_with_the_head():
+    # the head 3, 2, 1.5, 1.2, 1 with a constant tail, as is and times 1e7,
+    # at the draws of `identity --samples 20 --seed 0`: "derived" closes at
+    # every point on both scales (an absolute 1e-8 let 4 of 20 through at
+    # 1e7), while "alternate" and "derived" with its a_N D_N term off by
+    # one part in 10^6 fail at every point on both scales
+    head = np.array([3.0, 2.0, 1.5, 1.2, 1.0])
+    for scale in (1.0, 1e7):
+        seq = ConvexSequence(tuple(head * scale), "constant")
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            N = int(rng.integers(2, 65))
+            t = float(rng.uniform(0.05, 0.45))
+            chk = residual_identity_check(seq, N, t)
+            assert chk.matched == ("derived",), (scale, N, t)
+            wrong = chk.rhs["derived"] - 1e-6 * seq.value(N) * dirichlet_eval(N, t)
+            assert abs(chk.lhs - wrong) > chk.tolerance, (scale, N, t)
+        # at unit scale the rounding term stays under the 1e-8 floor
+        if scale == 1.0:
+            assert chk.tolerance == 2.0 * chk.f_tail_bound + 1e-8
+
+
+def test_tail_bounds_in_one_output_array(log2_seq):
+    # _tail_bounds at G = 2^22 keeps the bits of the three-temporary form
+    # and peaks at two half-grid arrays (its output and the sin^2 > 0 mask,
+    # within them), not five
+    G = 2 ** 22
+    sin2 = partial_sums._sin2(-0.5 + np.arange(G // 2 + 1) / G)
+    seq = ConvexSequence((3.0, 2.0, 1.5, 1.2, 1.0), "constant")
+    for s, j_max in ((log2_seq, 4000000), (seq, 3)):
+        tracemalloc.start()
+        try:
+            tails = partial_sums._tail_bounds(s, j_max, sin2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sin2.nbytes
+        with np.errstate(divide="ignore"):
+            off = np.where(sin2 > 0.0, s.first_difference(j_max + 1)
+                           / np.where(sin2 > 0.0, sin2, 1.0), np.inf)
+        assert np.array_equal(tails, np.minimum(s.squared_weighted_tail_beyond(j_max), off))
 
 
 def test_identity_validation(log_seq):

@@ -224,25 +224,10 @@ def test_additivity_over_disjoint_pieces(xs, N):
     assert abs(signed.value) <= whole.value + tol
 
 
-_PI_LD = np.arccos(np.longdouble(-1.0))
-
-
-def _antiderivative(coeffs, x, L=None):
-    """A(x) = c_0 x + sum c_m sin(2 pi m x) / (pi m) in extended precision.
-
-    With L given, an end that is the float k/L counts as exactly k/L and
-    is summed in longdouble over the integer-reduced angles m k mod L;
-    every other end is summed in mpmath at its exact binary value.  Float
-    differences of A lose about 1e-14 to cancellation; these do not.
-    """
-    k = round(x * L) if L else None
-    if k is not None and k / L == x:
-        m = np.arange(1, coeffs.size)
-        r = ((m * k) % L).astype(np.longdouble)
-        terms = coeffs[1:] * np.sin(2 * _PI_LD * r / L) / (_PI_LD * m)
-        v = np.longdouble(coeffs[0]) * k / L + np.sum(terms)
-        hi = float(v)
-        return mpmath.mpf(hi) + mpmath.mpf(float(v - np.longdouble(hi)))
+def _antiderivative(coeffs, x):
+    """A(x) = c_0 x + sum c_m sin(2 pi m x) / (pi m), summed in mpmath at
+    the exact binary value of x; float differences of A would lose about
+    1e-14 to cancellation."""
     with mpmath.workdps(40):
         t = mpmath.mpf(x)
         return +(mpmath.mpf(coeffs[0]) * t + mpmath.fsum(
@@ -250,24 +235,69 @@ def _antiderivative(coeffs, x, L=None):
             for m, c in enumerate(coeffs[1:].tolist(), start=1)))
 
 
-def _exact_integral(coeffs, E, L=None):
+def _exact_integral(coeffs, E):
     with mpmath.workdps(40):
-        return mpmath.fsum(_antiderivative(coeffs, hi, L)
-                           - _antiderivative(coeffs, lo, L)
+        return mpmath.fsum(_antiderivative(coeffs, hi) - _antiderivative(coeffs, lo)
                            for lo, hi in E.intervals)
+
+
+_PI_LD = np.arccos(np.longdouble(-1.0))
+
+
+def _witness_exact(seq, w):
+    """The witness integral of S_n in longdouble, from closed forms.
+
+    The whole cells count as the exact [k/L, (k+1)/L), as the engine reads
+    them: they are k = 0, 2, .., 2I - 2 and k = -1, -3, .., 1 - 2J, and
+    cos is even, so with 2k + 1 = +-(4i + 1) their antiderivative
+    differences sum to c_0 (I + J)/L + sum_m (2 c_m / (pi m)) sin(pi m/L)
+    (G(I) + G(J)), G(I) = sum_{i<I} cos(pi m (4i + 1)/L)
+    = sin(2 pi m I/L) cos(pi m (2I - 1)/L) / sin(2 pi m/L).  Every angle
+    is pi r/L for an integer r reduced mod 2L.  The trim counts at its
+    float ends, where frac(m t) is exact for t split into its float32
+    part and the rest.
+    """
+    L = 2 * w.n + 1
+    c = seq.values(w.n + 1).astype(np.longdouble)
+    m = np.arange(1, w.n + 1)
+    ks = sorted(round(lo * L) for lo, _ in w.selected)
+    pos, neg = [k for k in ks if k >= 0], [k for k in ks if k < 0]
+    I, J = len(pos), len(neg)
+    assert pos == list(range(0, 2 * I, 2)) and neg == list(range(1 - 2 * J, 0, 2))
+
+    def angle(r):
+        return _PI_LD * (r % (2 * L)).astype(np.longdouble) / L
+
+    def G(count):
+        return (np.sin(angle(2 * m * count)) * np.cos(angle(m * (2 * count - 1)))
+                / np.sin(angle(2 * m)))
+
+    cells = (c[0] * (I + J) / L
+             + np.sum(2 * c[1:] * np.sin(angle(m)) * (G(I) + G(J)) / (_PI_LD * m)))
+
+    def A(t):
+        hi = float(np.float32(t))
+        frac = (m * np.longdouble(hi)) % 1 + m * np.longdouble(t - hi)
+        return c[0] * np.longdouble(t) + np.sum(
+            c[1:] * np.sin(2 * _PI_LD * frac) / (_PI_LD * m))
+
+    lo, hi = w.trim
+    return cells + A(hi) - A(lo)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="longdouble is no wider than double here")
-@pytest.mark.parametrize("family", ["log", "log2"])
+@pytest.mark.parametrize("family", ["log", "log2", "tail"])
 def test_witness_integrals_match_extended_precision(family):
-    seq = (ConvexSequence.log_reciprocal() if family == "log"
-           else ConvexSequence.log_squared_reciprocal())
-    for N0 in (8, 16, 32, 64):
+    # every witness of the certificate sweep N0 = 8..256 (n up to 65664,
+    # runs of up to 1022 cells) within its bar of the closed form
+    seq = {"log": ConvexSequence.log_reciprocal(),
+           "log2": ConvexSequence.log_squared_reciprocal(),
+           "tail": ConvexSequence((3.0, 2.0, 1.5, 1.2, 1.0), "constant")}[family]
+    for N0 in (8, 16, 32, 64, 128, 256):
         w = build_witness(seq, N0, N0)
-        ref = _exact_integral(seq.values(w.n + 1), w.Q, 2 * w.n + 1)
-        with mpmath.workdps(40):
-            assert abs(mpmath.mpf(w.integral) - ref) <= w.integral_error, N0
+        ref = _witness_exact(seq, w)
+        assert abs(np.longdouble(w.integral) - ref) <= w.integral_error, N0
 
 
 def _family_coeffs(family, N):
@@ -1101,3 +1131,24 @@ def test_norm_trace_assembly(log_seq):
     value = np.array([1.0, 2.0])
     NormTrace([4, 8], value, [0.0, 0.0])
     assert value.flags.writeable
+
+
+def test_span_is_the_shortest_covering_run():
+    assert quadrature._span(np.arange(-3, 8), 11) == (0, 11)
+    assert quadrature._span(np.array([5]), 11) == (5, 1)
+    # cells -2..1 and 4: the run 9, 10, 0, .., 4 across the seam
+    assert quadrature._span(np.array([-2, -1, 0, 1, 4]), 11) == (9, 7)
+    # the witness's cells 0, 2, 4 and -1, -3: from -3 mod 13 to 4
+    assert quadrature._span(np.array([-3, -1, 0, 2, 4]), 13) == (10, 8)
+
+
+def test_signed_reads_no_lattice_row(log_seq, monkeypatch):
+    # the signed path takes its full cells from the chirp-z run alone
+    def refuse(*args):
+        raise AssertionError("the signed path evaluated a lattice row")
+
+    monkeypatch.setattr(quadrature, "cosine_poly_on_cells", refuse)
+    for E in (FULL, IntervalUnion.parse("-0.45,-0.3;-0.05,0.02;0.2,0.4")):
+        q = integrate_signed(log_seq, 64, E)
+        assert math.isfinite(q.value) and q.error_estimate > 0.0
+    assert build_witness(log_seq, 32, 32).feasible

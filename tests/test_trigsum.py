@@ -313,3 +313,43 @@ def test_input_validation():
         cosine_poly_on_cells(np.array([1.0]), 0, np.array([0.0]))
     with pytest.raises(ValueError):
         cosine_poly_points(np.empty(0), 0.1)
+
+
+def test_smooth_is_the_least_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    want = [next(k for k in range(n, 2 * n + 1) if smooth(k))
+            for n in range(1, 3000)]
+    assert [trigsum._smooth(n) for n in range(1, 3000)] == want
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 8, 729, 1000, 1009, 2048, 131329])
+def test_centre_run_matches_the_lattice_row(L):
+    # the chirp-z run against the lattice row at offset 1/(2L), the cell
+    # centres.  L: prime (7, 1009), 5-smooth (729, 1000), even (2, 8,
+    # 1000, 2048), and 11 * 11939, a Bluestein length for numpy's FFT
+    # (the witness at N0 = 256).  Coefficient vectors of one term, of
+    # L//2 + 1 and longer than L/2; runs of the whole torus, of one cell,
+    # starting below 0 and below -L, and across the seam at L.  Every
+    # value lies within 1e-13 sum|w|, and the root mean square of the
+    # differences within the run's bound plus the row's own normwise
+    # rounding
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(L)
+    for size in (1, L // 2 + 1, L + 1, 3 * L + 2):
+        coeffs = rng.normal(size=size) / (1.0 + np.arange(size))
+        row = cosine_poly_on_cells(coeffs, L, 0.5 / L)[0]
+        row_rms = eps * np.log2(L + 1) * np.linalg.norm(row) / np.sqrt(L)
+        bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
+        for start, count in ((0, L), (3, 1), (-5, min(L, 9)),
+                             (L - 3, min(L, 7)), (-L - 2, min(L, 40))):
+            vals, rms = trigsum._centre_run(coeffs, L, start, count)
+            assert vals.shape == (count,) and vals.dtype == float
+            diff = vals - row[np.arange(start, start + count) % L]
+            assert np.max(np.abs(diff)) <= bar, (size, start, count)
+            assert np.sqrt(np.mean(diff ** 2)) <= rms + row_rms, (size, start, count)
+
