@@ -86,11 +86,11 @@ class ConvexSequence:
         of the tail rule keywords declares the tail; absent that, the last
         head value continues forever.  '#' starts a comment.  Through the
         first two tail terms the sequence must be nonincreasing and convex
-        up to rounding, else ValueError: with d_j = a_j - a_{j+1}, the rise
-        max(-d_j, d_{j+1} - d_j) may not exceed 8 eps a_j.  The test
-        multiplies the rise by 2^49 = 1/(8 eps), which rounds nothing, so
-        scaling a file by 2^k never changes its verdict; a rise that
-        overflows is one that fails.
+        up to rounding, else ValueError: with d_j = a_j - a_{j+1}, neither
+        the rise -d_j nor the bend d_{j+1} - d_j (_bends) may exceed
+        8 eps a_j.  The test multiplies them by 2^49 = 1/(8 eps), which
+        rounds nothing, so scaling a file by 2^k never changes its verdict;
+        a rise or bend that overflows is one that fails.
         """
         head = []
         rule = "constant"
@@ -106,10 +106,10 @@ class ConvexSequence:
         seq = cls(head=tuple(head), tail_rule=rule,
                   label=os.path.basename(str(path)))
         a = seq.values(len(seq.head) + 2)
-        d = a[:-1] - a[1:]
         with np.errstate(over="ignore"):
-            rise = np.maximum(-d, np.append(d[1:] - d[:-1], -np.inf))
-            bad = np.flatnonzero(rise * _INV_SLACK > a[:-1])
+            rises = (a[1:] - a[:-1]) * _INV_SLACK > a[:-1]
+        rises[:-1] |= _bends(a)
+        bad = np.flatnonzero(rises)
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"sequence file {path}: a_{j}, a_{j + 1}, "
@@ -226,6 +226,16 @@ class ConvexSequence:
         return float(np.sum((j + 1) ** 2 * d2))
 
 
+def _bends(a):
+    """Where a_j, a_{j+1}, a_{j+2} bend concave beyond rounding: with
+    d_j = a_j - a_{j+1}, d_{j+1} - d_j > 8 eps a_j.  The bend is multiplied
+    by 2^49 = 1/(8 eps), which rounds nothing, so scaling a by 2^k never
+    changes the verdict; a bend that overflows is one that fails."""
+    d = a[:-1] - a[1:]
+    with np.errstate(over="ignore"):
+        return (d[1:] - d[:-1]) * _INV_SLACK > a[:-2]
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     min_second_difference: float
@@ -247,7 +257,13 @@ class GrowthReport:
 
 
 def verify_convex(seq, horizon):
-    """Scan a_n > 0 and second differences >= -1e-12 for 0 <= j <= horizon."""
+    """Scan a_n > 0 and convexity for 0 <= j <= horizon.
+
+    Convexity is from_file's rule (_bends): a_j, a_{j+1}, a_{j+2} may bend
+    concave by at most 8 eps a_j, relative to the sequence, so a head and
+    its scalings by 2^k get one verdict.  The report also gives the
+    smallest second difference a_j + a_{j+2} - 2 a_{j+1} and its j.
+    """
     horizon = int(horizon)
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -257,7 +273,7 @@ def verify_convex(seq, horizon):
     argmin = int(np.argmin(d2))
     min_d2 = float(d2[argmin])
     min_a = float(np.min(a))
-    passed = (min_d2 >= -1e-12) and (min_a > 0.0)
+    passed = not _bends(a)[:horizon + 1].any() and min_a > 0.0
     return ConvexityReport(min_d2, argmin, min_a, horizon, passed)
 
 

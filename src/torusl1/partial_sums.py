@@ -125,8 +125,11 @@ def _fejer_sum(d2, j_lo, j_hi, u):
     return out / np.where(at_zero, 1.0, _sin2(u))
 
 
-def _sin2(u):
-    return np.sin(np.pi * u) ** 2
+def _sin2(u, out=None):
+    """sin^2(pi u) for an array u, into out if given (which may be u)."""
+    out = np.multiply(np.pi, u, out=out)
+    np.sin(out, out=out)
+    return np.square(out, out=out)
 
 
 def _tail_bounds(seq, j_max, sin2):
@@ -175,7 +178,10 @@ def reference_function_grid(seq, grid_size, j_max):
     (trigsum._fold_to_grid) and freed.  So no array of j_max terms is
     built, and up to one chunk the values are those of the whole vector
     bit for bit.  The grid arithmetic then runs in place on the half
-    grid.  The term index goes through product_frac, so j_max + 2 <= 2^25.
+    grid, and sin^2(pi t_k) is built in place in one more, so with the
+    tail bounds and their mask the last stage holds about 3 1/8 half-grid
+    arrays.  The term index goes through product_frac, so
+    j_max + 2 <= 2^25.
     """
     G = int(grid_size)
     if G < 2:
@@ -206,7 +212,10 @@ def reference_function_grid(seq, grid_size, j_max):
     values *= 0.5  # sum_j d2_j cos(2 pi (j+1) t)
     np.subtract(W, values, out=values)
     values *= 0.5
-    sin2 = _sin2(-0.5 + np.arange(values.size) / G)
+    sin2 = np.arange(values.size, dtype=float)
+    sin2 /= G
+    sin2 -= 0.5  # t_k, then sin^2(pi t_k) in place
+    _sin2(sin2, out=sin2)
     if G % 2:
         values /= sin2
     else:

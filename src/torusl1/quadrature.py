@@ -36,9 +36,11 @@ grid must exceed 2N points.  Both are even, so the grid functions return
 only the half grid t_k = -1/2 + k/G, k = 0..G//2
 (partial_sums.partial_sum_grid, partial_sums.reference_function_grid),
 which is all that is stored and subtracted; the trapezoid reads
-full-grid index i > G//2 at G - i.  The reference carries per-point
-truncation bounds; the integrated bound, the grid-refinement difference,
-and end slivers are combined into the error estimate.  Sets must stay
+full-grid index i > G//2 at G - i.  The reference comes with per-point
+truncation bounds, which are integrated over E as soon as they are built
+and then dropped, so a trace over one E keeps f's half grid and that one
+number; the integrated bound, the grid-refinement difference, and end
+slivers are combined into the error estimate.  Sets must stay
 clear of the origin when the reference tail diverges there; the mass of
 the excluded window is bounded in closed form and reported.
 """
@@ -602,15 +604,22 @@ def integrate_signed(seq, N, E):
 
 
 @lru_cache(maxsize=8)
-def _cached_reference(seq, grid_size, j_max):
-    """The reference and its tail bounds on the half grid k <= G//2."""
+def _cached_reference(seq, grid_size, j_max, E):
+    """The reference on the half grid k <= G//2 and the trapezoid of its
+    tail bounds over E.
+
+    The tail bounds are integrated as soon as reference_function_grid
+    returns them and then dropped, so an entry holds one half-grid array,
+    and the orders of a trace over one E share it.
+    """
     vals, tails = reference_function_grid(seq, grid_size, j_max)
     if not np.isfinite(vals).all():
         raise ValueError("reference function f is not finite on the grid: "
                          "the coefficients overflow float64")
+    tail_int = _grid_trapezoid(tails, E, grid_size, 1)[0]
+    del tails
     vals.setflags(write=False)
-    tails.setflags(write=False)
-    return vals, tails
+    return vals, tail_int
 
 
 def _grid_trapezoid(y, E, G, stride):
@@ -702,11 +711,14 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
     whenever the reference tail diverges there (both log families); the
     bound on the mass excluded by that window is reported alongside.  The
     grid must resolve S_N: grid_size > 2 N, else ValueError.  The half
-    grid k <= G//2 holds everything (about 8 (G/2 + 1) bytes per array:
-    the cached reference and its tail bounds, and one residual buffer).
-    Building the reference peaks at about four such arrays whatever
-    j_max, since reference_function_grid takes its terms a chunk at a
-    time and the lattice rows of every grid fit trigsum's byte budget.
+    grid k <= G//2 holds everything, h = 8 (G/2 + 1) bytes per array:
+    the cached reference (its tail bounds are integrated over E when it
+    is built, and dropped) and one residual buffer.  Building the
+    reference peaks at about 2 h plus one lattice block of trigsum's byte
+    budget, or 3 h at its tail bounds, whatever j_max, since
+    reference_function_grid takes its terms a chunk at a time and the
+    lattice blocks go straight into the half grid; an order holds the
+    reference, its own half grid and one block.
     A reference or residual that is not finite (coefficients whose grid
     arithmetic overflows float64) raises ValueError.
     """
@@ -728,13 +740,12 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
         if d0 < 1.0 / G:
             raise ValueError("origin window is narrower than the grid spacing")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        f_vals, f_tails = _cached_reference(seq, G, j_max)
+        f_vals, tail_int = _cached_reference(seq, G, j_max, E)
         r = partial_sum_grid(seq, N, G)  # fresh; f_vals is cached
         np.subtract(f_vals, r, out=r)
         np.abs(r, out=r)
         i_fine, sliver, used = _grid_trapezoid(r, E, G, 1)
         i_coarse, _, _ = _grid_trapezoid(r, E, G, 2)
-        tail_int, _, _ = _grid_trapezoid(f_tails, E, G, 1)
         err = (abs(i_fine - i_coarse) + tail_int + sliver
                + 64.0 * _EPS * abs(i_fine))
     if not (math.isfinite(i_fine) and math.isfinite(err)):

@@ -2,7 +2,7 @@
 
 Everything here evaluates p(t) = c_0 + sum_{m>=1} 2 c_m cos(2 pi m t) for a
 real coefficient vector c.  There are four evaluators, the third a read-out
-of the second:
+of the lattice transforms of the second:
 
   * cosine_poly_points: direct sum at scattered points (the slow oracle the
     fast path is checked against); angles go through an exact split
@@ -14,8 +14,11 @@ of the second:
     about 2 sqrt(L) exponentials per offset and period of L terms, built a
     slice at a time.  Offsets are taken in blocks of an even count sized
     from L, so that one byte budget bounds the working set: 8 offsets up to
-    L = 65537, 6 at L = 131073 and 2 from L = 262145 on.  This is what lets
-    cell-aligned quadrature touch every kernel cell at once.
+    L = 65537, 6 at L = 131073 and 2 from L = 262145 on.  The weights are
+    formed a phase slice at a time, with no copy of the coefficients, and
+    the private generator _cell_blocks hands out each block's transforms
+    for its caller to copy.  This is what lets cell-aligned quadrature
+    touch every kernel cell at once.
   * cosine_poly_grid: the half k = 0..G//2 of the uniform grid
     t_k = -1/2 + k/G, read off P <= 32 interleaved lattice rows of length
     G/P, with P raised until one complex FFT row fits the same byte
@@ -23,8 +26,10 @@ of the second:
     0..P/2 are evaluated and only the half is returned.  Coefficients
     running past degree G//2 are first folded onto it, from pieces of the
     vector if the caller has no whole one (_fold_to_grid).  It transforms
-    nothing itself.  An odd G has P = 1, whose row is paired with a zero
-    row: twice the FFT work of one real inverse FFT of length G.
+    nothing itself: it copies each block of _cell_blocks into the half
+    grid as it comes, so beside the coefficients and the half grid only
+    one block is alive.  An odd G has P = 1, whose row is paired with a
+    zero row: twice the FFT work of one real inverse FFT of length G.
   * _centre_run: the values at the cell centres t = (k + 1/2)/L on one run
     of M consecutive cells k, by a chirp-z (Bluestein) transform: with
     zeta = e^{pi i/L}, mk = (m^2 + k^2 - (k - m)^2)/2 makes the run one
@@ -52,13 +57,19 @@ _POINTS_BLOCK = 2048  # terms and points per block in cosine_poly_points
 _BLOCK_BYTES = 2 ** 24  # working set of one offset block in cosine_poly_on_cells
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
 _FOLD_TERMS = 2 ** 20  # most terms summed at once in _fold_to_grid
+_TILE = 1024  # lattice columns per tile of cosine_poly_grid's copies
 _EPS = float(np.finfo(float).eps)
 
 
-def _weights(coeffs):
-    w = np.asarray(coeffs, dtype=float).copy()
-    if w.ndim != 1 or w.size == 0:
+def _coeffs(coeffs):
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
         raise ValueError("coeffs must be a nonempty 1-d array")
+    return c
+
+
+def _weights(coeffs):
+    w = _coeffs(coeffs).copy()
     w[1:] *= 2.0
     return w
 
@@ -155,11 +166,11 @@ def cosine_poly_grid(coeffs, grid_size):
     first folded onto it (_fold_to_grid), which leaves the grid values
     alone; shorter ones go to the lattice as they are.  For P dividing G,
     t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P, so the grid is P
-    interleaved lattices: row j of cosine_poly_on_cells at offset
-    1/2 + j/G holds grid values j, j + P, ...  P is the largest power of
-    two that divides G, is at most _GRID_ROWS and keeps len(coeffs) <= L,
-    and at least 2 for even G, whose two rows then share one complex FFT
-    of length G/2.  It is raised further, as far as G's factors of two
+    interleaved lattices: the lattice row at offset 1/2 + j/G
+    (cosine_poly_on_cells) holds grid values j, j + P, ...  P is the
+    largest power of two that divides G, is at most _GRID_ROWS and keeps
+    len(coeffs) <= L, and at least 2 for even G, whose two rows then share
+    one complex FFT of length G/2.  It is raised further, as far as G's factors of two
     and _GRID_ROWS allow, until one complex FFT row, two offsets of
     16 L bytes (_block_size), fits _BLOCK_BYTES: G = 2^20 keeps P = 2 for
     G//2 + 1 coefficients, 2^21 takes 4 and 2^22 takes 8, and the
@@ -168,6 +179,14 @@ def cosine_poly_grid(coeffs, grid_size):
     value kP + j for P/2 < j < P is value L-1-k of row P - j, and only
     rows 0..P/2 are evaluated.  Each grid point up to G//2 is read from
     exactly one evaluated row entry.
+
+    The rows come a block at a time (_cell_blocks) and are copied straight
+    into the (K, P) half grid, so no (P/2 + 1) x L array of rows is built:
+    rows j and j + 1 of one complex FFT are its real and imaginary parts,
+    one complex column of the grid, and the mirrored rows go to their
+    columns reversed.  The copies run a tile of _TILE lattice columns at a
+    time, so each stretch of the grid is written once per block while it
+    is in cache.
     """
     G = int(grid_size)
     if G < 1:
@@ -183,22 +202,41 @@ def cosine_poly_grid(coeffs, grid_size):
         P *= 2
     L = G // P
     K = G // 2 // P + 1  # lattice columns that reach index G//2
-    rows = cosine_poly_on_cells(c, L, 0.5 + np.arange(P // 2 + 1) / G)
     out = np.empty((K, P))
-    out[:, :P // 2 + 1] = rows[:, :K].T
-    out[:, P // 2 + 1:] = rows[P // 2 - 1:0:-1, ::-1][:, :K].T
+    pairs = out.view(complex) if P > 1 else None
+    for i, n, rows in _cell_blocks(c, L, 0.5 + np.arange(P // 2 + 1) / G):
+        m = n // 2
+        copies = []
+        if m:
+            copies.append((pairs[:, i // 2:i // 2 + m], rows[:m, :K].T))
+        if n % 2:
+            copies.append((out[:, i + n - 1], rows[m, :K].real))
+        for j, part in ((i, rows.real), (i + 1, rows.imag[:m])):
+            # part[a] is row j + 2a; while 0 < j + 2a < P/2 it is also
+            # column P - j - 2a, reversed
+            lo, hi = int(j == 0), min(len(part), (P // 2 - j + 1) // 2)
+            if lo < hi:
+                copies.append((out[:, P - j - 2 * lo:P - j - 2 * hi:-2],
+                               part[lo:hi, ::-1][:, :K].T))
+        for k in range(0, K, _TILE):
+            for dst, src in copies:
+                dst[k:k + _TILE] = src[k:k + _TILE]
+        del rows, part, copies, dst, src  # before the next block is built
     return out.ravel()[:G // 2 + 1]
 
 
 def _block_size(L):
-    """Offsets per block of cosine_poly_on_cells at cell count L.
+    """Offsets per block of _cell_blocks at cell count L.
 
     Each offset holds L/2 complex values in each of three stages: its half
     spectrum, its share of the packed spectra, its share of their inverse
-    FFT.  No more than two stages are alive at once, so an offset costs
-    16 L bytes.  A block takes the largest even count that fits
-    _BLOCK_BYTES, at most 8 and at least 2, one complex FFT row: so 8 up
-    to L = 65537, 6 at L = 131073 and 2 from L = 262145 on.  Even counts
+    FFT.  No more than two stages are alive at once (the half spectra with
+    the packed ones, then the packed ones with the transforms), and only
+    the transforms are handed out, so an offset costs 16 L bytes beside
+    the caller's coefficients, of which no weighted copy is made.  A block
+    takes the largest even count that fits _BLOCK_BYTES, at most 8 and at
+    least 2, one complex FFT row: so 8 up to L = 65537, 6 at L = 131073
+    and 2 from L = 262145 on.  Even counts
     keep every FFT's row pairs, so the values do not depend on the block.
     """
     return max(2, min(8, _BLOCK_BYTES // (16 * L)) // 2 * 2)
@@ -229,6 +267,61 @@ def _phases(lo, hi, x, terms):
         del z  # the caller drops its view too before the next slice is built
 
 
+def _cell_blocks(coeffs, L, offsets):
+    """The lattice transforms of cosine_poly_on_cells, a block of offsets at
+    a time.
+
+    Yields (i, n, rows) for offsets i..i+n-1, rows a complex array of shape
+    (ceil(n/2), L): offset i + 2a is rows[a].real and offset i + 2a + 1 is
+    rows[a].imag.  rows is the block's only array once it is handed out,
+    and the caller copies what it keeps before asking for the next block.
+    The weights w_m = (c_0, 2 c_m) times L/2 are formed a phase slice at a
+    time from coeffs, in the same two products, so no copy of coeffs is
+    made and the values are those of whole weights bit for bit.
+    """
+    c = _coeffs(coeffs)
+    h = L // 2 + 1
+    block = _block_size(L)
+    for i in range(0, offsets.size, block):
+        x = offsets[i:i + block]
+        n = x.size
+        half = np.zeros((n + n % 2, h), dtype=complex)
+        for lo in range(0, c.size, L):
+            for s, z in _phases(lo, min(lo + L, c.size), x, _BLOCK_BYTES // (64 * n)):
+                e = s + z.shape[1]
+                w = c[lo + s:lo + e] * 2.0
+                if lo + s == 0:
+                    w[0] = c[0]
+                w *= 0.5 * L
+                z *= w
+                del w
+                k = max(min(e, h) - s, 0)  # residues s..s+k-1 lie below h
+                half[:n, s:s + k] += z[:, :k]
+                # r = s+k..e-1 (all >= h) lands on L - r, descending
+                upper = z[:, k:]
+                np.conjugate(upper, out=upper)
+                half[:n, L - s - k:L - e:-1] += upper
+                del z, upper  # each temporary goes before the next is allocated
+        half[:, 0] = 2.0 * half[:, 0].real
+        if L % 2 == 0:
+            half[:, -1] = 2.0 * half[:, -1].real
+        a, b = half[0::2], half[1::2]
+        packed = np.empty((a.shape[0], L), dtype=complex)
+        lower, upper = packed[:, :h], packed[:, h:]
+        np.multiply(b, 1j, out=lower)
+        lower += a
+        # H_{L-r} = conj H_r for r = 1..L-h, stored at h..L-1:
+        # conj(a_r) + i conj(b_r) = conj(a_r - i b_r)
+        np.multiply(b[:, L - h:0:-1], -1j, out=upper)
+        upper += a[:, L - h:0:-1]
+        np.conjugate(upper, out=upper)
+        del half, a, b, lower, upper
+        rows = np.fft.ifft(packed, axis=1)
+        del packed
+        yield i, n, rows
+        del rows
+
+
 def cosine_poly_on_cells(coeffs, cell_count, offsets):
     """Values of p at t = k/cell_count + x for every residue k and offset x.
 
@@ -245,53 +338,24 @@ def cosine_poly_on_cells(coeffs, cell_count, offsets):
     conj H_r fills the rest.  Since both rows of a pair are real, one
     complex inverse FFT of H_a + i H_b returns row a as its real part and
     row b as its imaginary part; an unpaired last row is paired with a zero
-    row.  The factor L is folded into the weights, in place.
+    row.  The factor L is folded into the weights, a phase slice at a time
+    (_cell_blocks).
 
     One byte budget, _BLOCK_BYTES, bounds the working set whatever
     len(coeffs): offsets are taken _block_size(L) at a time, whose half
     spectra, packed spectra and transforms are each about block/2 x L
     complex values, no more than two of them alive at once, and terms one
-    period of L at a time in phase slices of a quarter of the budget.  Each bin still receives its terms in
-    increasing m, so the values do not depend on the block or the slice.
+    period of L at a time in phase slices of a quarter of the budget.  Each
+    bin still receives its terms in increasing m, so the values do not
+    depend on the block or the slice.  Each block's transforms are copied
+    into the result as they come.
     """
     L = int(cell_count)
     if L < 1:
         raise ValueError("cell_count must be >= 1")
-    w = _weights(coeffs)
-    w *= 0.5 * L
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    h = L // 2 + 1
-    block = _block_size(L)
     out = np.empty((offsets.size, L))
-    for i in range(0, offsets.size, block):
-        x = offsets[i:i + block]
-        n = x.size
-        half = np.zeros((n + n % 2, h), dtype=complex)
-        for lo in range(0, w.size, L):
-            for s, z in _phases(lo, min(lo + L, w.size), x, _BLOCK_BYTES // (64 * n)):
-                e = s + z.shape[1]
-                z *= w[lo + s:lo + e]
-                k = max(min(e, h) - s, 0)  # residues s..s+k-1 lie below h
-                half[:n, s:s + k] += z[:, :k]
-                # r = s+k..e-1 (all >= h) lands on L - r, descending
-                half[:n, L - s - k:L - e:-1] += z[:, k:].conj()
-                del z  # each temporary goes before the next is allocated
-        half[:, 0] = 2.0 * half[:, 0].real
-        if L % 2 == 0:
-            half[:, -1] = 2.0 * half[:, -1].real
-        a, b = half[0::2], half[1::2]
-        packed = np.empty((a.shape[0], L), dtype=complex)
-        lower, upper = packed[:, :h], packed[:, h:]
-        np.multiply(b, 1j, out=lower)
-        lower += a
-        # H_{L-r} = conj H_r for r = 1..L-h, stored at h..L-1:
-        # conj(a_r) + i conj(b_r) = conj(a_r - i b_r)
-        np.multiply(b[:, L - h:0:-1], -1j, out=upper)
-        upper += a[:, L - h:0:-1]
-        np.conjugate(upper, out=upper)
-        del half, a, b
-        rows = np.fft.ifft(packed, axis=1)
-        del packed, lower, upper
+    for i, n, rows in _cell_blocks(coeffs, L, offsets):
         out[i:i + n:2] = rows.real
         out[i + 1:i + n:2] = rows.imag[:n // 2]
         del rows

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from torusl1 import cli
 from torusl1.cli import RunConfig, Table, main, parse_n_values, render
 
 
@@ -411,6 +412,75 @@ def test_csv_and_json_rows_agree(capsys, argv, key):
         assert len(csv_row) == len(columns)
         for column, text in zip(columns, csv_row):
             assert csv_cell(text) == json_cell(json_row, column), column
+
+
+def _json_module_text(cfg, table):
+    # the layout Table documents, written by the json module's own indent
+    payload = {"config": cfg.resolved(), "config_hash": cfg.hash(), **table.body}
+    if table.key is None:
+        payload.update(table.rows[0])
+    else:
+        payload[table.key] = table.rows
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("norms", "--n", "2..64x2", "--set", "0.1,0.3"),  # with a verdict body
+    ("norms", "--kind", "residual", "--n", "8,16", "--grid-size", "4096",
+     "--set", "0.1,0.3"),  # verdict null
+    ("extrema", "--n", "4"),
+    ("extrema", "--sweep", "1,4"),  # the null of order 1
+    ("witness", "--n0", "4,8"),
+    ("witness", "--n0", "4", "--b", "4"),  # one row merged, nested lists
+    ("identity", "--samples", "3", "--seed", "1", "--j-max", "20000"),
+    ("identity", "--n", "8", "--t", "0.7", "--j-max", "20000"),  # a note
+])
+def test_json_matches_the_json_module(argv):
+    # every subcommand's Table renders to the bytes of json.dumps with
+    # sort_keys and indent=2
+    args = cli._build_parser().parse_args([*argv, "--format", "json"])
+    cfg = cli._config_from_args(args)
+    table = cli._RUNNERS[cfg.command](cfg)
+    assert render(cfg, table) == _json_module_text(cfg, table)
+
+
+def test_json_edge_values_match_the_json_module():
+    # bools, null, ints past 2^64, -0.0, 1e-300, strings that hold
+    # brackets, quotes, escapes and non-ASCII text, empty containers,
+    # nested x_y rows, tuples, and rows of unequal keys or nesting
+    rows = [{"N": 2 ** 70, "value": -0.0, "ok": True, "x": {"y": 1e-300},
+             "tags": ("a", "b"), "s": 'q"}, {\\\n\u00e9\u2028'},
+            {"N": -3, "value": 5e-324, "ok": False, "x": {"y": None},
+             "tags": (), "s": ""},
+            {"N": 0, "value": 1.7976931348623157e308, "extra": {}}]
+    table = Table(("N", "value"), rows, "rows",
+                  body={"flag": False, "none": None, "big": -(2 ** 80),
+                        "nested": [[1, [2.5, []]], {"k": [True]}],
+                        "crossings": [3, 1, 2], "empty": [], "text": "}, {"})
+    cfg = RunConfig(command="norms", fmt="json")
+    for t in (table, dataclasses.replace(table, rows=rows[:2]),
+              dataclasses.replace(table, rows=rows[:1], key=None),
+              dataclasses.replace(table, rows=[{"a": 1}, {"b": [1]}])):
+        assert render(cfg, t) == _json_module_text(cfg, t)
+    # non-finite floats are refused in flat and in nested containers
+    for body in ({"x": math.nan}, {"x": [math.inf]}, {"x": [{"y": -math.inf}]}):
+        with pytest.raises(ValueError):
+            render(cfg, dataclasses.replace(table, body=body))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                 | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+                    max_leaves=30))
+def test_json_layout_matches_the_json_module(value):
+    # any nesting of lists, string-keyed dicts and scalars, rows of flat
+    # dicts among them
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2,
+                                          allow_nan=False)
 
 
 _TAIL_LINES = ("", "constant\n", "log_reciprocal\n", "log_squared_reciprocal\n")

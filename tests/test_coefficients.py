@@ -75,6 +75,26 @@ def test_verify_convex_flags_concave_head():
     assert rep.min_second_difference < -1.0
 
 
+def test_verify_convex_is_scale_free():
+    # the verdict is from_file's relative rule, so a head and its scalings
+    # by 2^+-600 and 1e+-20 get one verdict.  The absolute -1e-12 it
+    # replaced failed 1, 3, 1, 1 but passed the same head times 1e-20
+    heads = {(3.0, 2.0, 1.5, 1.2, 1.0): True,
+             (1.0, 0.9, 0.8, 0.7): True,  # linear up to decimal rounding
+             (1.0, 3.0, 1.0, 1.0): False,
+             (3.0, 2.0, 1.5, 1.4, 1.0): False,
+             (1.0, 1.0, 1.0 - 1e-6): False}  # bends 1e-6 at a_0 = 1
+    for head, convex in heads.items():
+        for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 1e20, 1e-20):
+            seq = ConvexSequence(tuple(v * scale for v in head))
+            rep = verify_convex(seq, 10)
+            assert rep.passed is convex, (head, scale)
+            assert rep.min_value == min(seq.head)
+    # the report keeps the smallest second difference and where it lies
+    rep = verify_convex(ConvexSequence((1.0, 3.0, 1.0, 1.0)), 10)
+    assert (rep.min_second_difference, rep.argmin, rep.horizon) == (-4.0, 0, 10)
+
+
 def test_second_differences_match_brute_force():
     seq = ConvexSequence.log_reciprocal()
     a = seq.values(203)

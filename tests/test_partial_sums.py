@@ -5,7 +5,7 @@ import pytest
 
 from torusl1.coefficients import ConvexSequence
 from torusl1.kernels import dirichlet_eval
-from torusl1 import partial_sums
+from torusl1 import partial_sums, trigsum
 from torusl1.intervals import IntervalUnion
 from torusl1.trigsum import cosine_poly_grid
 from torusl1.partial_sums import (
@@ -162,16 +162,20 @@ def test_chunked_reference_across_chunks(log_seq, G):
 def test_reference_working_set(log2_seq):
     # the residual benchmark's log2 reference, 4e6 second differences on a
     # grid of 2^22 points: built whole, with lattice rows of 2^21, it
-    # peaked at 165 MB traced.  Read a chunk at a time, with rows of 2^19,
-    # it stays within 96 MB, its two 16 MB outputs included
+    # peaked at 165 MB traced, and with the rows of 2^19 gathered whole at
+    # 72 MB.  With h = 8 (G/2 + 1) bytes per half-grid array and one
+    # lattice block of B = _BLOCK_BYTES, it peaks at 2 h + B in the lattice
+    # (folded coefficients, half grid, block) and 3 h + h/8 at the tail
+    # bounds (f, sin^2, bounds, mask), within 2.25 h + B = 54.5 MB
     G, J = 2 ** 22, 4_000_000
+    h = 8 * (G // 2 + 1)
     tracemalloc.start()
     try:
         vals, tails = reference_function_grid(log2_seq, G, J)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 96e6
+    assert peak <= 2.25 * h + trigsum._BLOCK_BYTES
     assert vals.shape == tails.shape == (G // 2 + 1,)
     far = np.abs(-0.5 + np.arange(vals.size) / G) >= 1e-3
     assert np.all(vals[far] > 0.0) and np.all(np.isfinite(tails[far]))

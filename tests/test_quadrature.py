@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from torusl1.coefficients import ConvexSequence
 from torusl1.exceptional import build_witness
 from torusl1.intervals import IntervalUnion
-from torusl1 import quadrature
+from torusl1 import quadrature, trigsum
 from torusl1.kernels import (
     dirichlet_coefficients,
     fejer_coefficients,
@@ -37,6 +37,7 @@ from torusl1.quadrature import (
     origin_window_bound,
     norm_trace,
 )
+from torusl1.partial_sums import partial_sum_grid, reference_function_grid
 from torusl1.trigsum import cosine_poly_on_cells, cosine_poly_points
 
 FULL = IntervalUnion.full_torus()
@@ -819,6 +820,58 @@ def test_residual_reads_the_public_grid_functions(monkeypatch):
     seq = ConvexSequence((3.0, 2.0, 1.0, 0.5), "constant")
     residual_l1(seq, 3, IntervalUnion.parse("0.1,0.3"), j_max=50, grid_size=64)
     assert calls == ["reference_function_grid", "partial_sum_grid"]
+
+
+def test_cached_reference_holds_no_tail_array():
+    # the tail bounds are integrated over E when the reference is built
+    # and dropped: the cached entry is f's half grid and one float, and
+    # the result keeps the bits of the bar taken from the whole tail array
+    quadrature._cached_reference.cache_clear()
+    seq = ConvexSequence.log_reciprocal()
+    E = IntervalUnion.parse("-0.4,-0.3;0.1,0.3")
+    G, j_max = 4096, 20000
+    r = residual_l1(seq, 64, E, j_max=j_max, grid_size=G)
+    vals, tail_int = quadrature._cached_reference(seq, G, j_max, E)
+    assert quadrature._cached_reference.cache_info().hits == 1
+    assert isinstance(vals, np.ndarray) and vals.shape == (G // 2 + 1,)
+    assert isinstance(tail_int, float)
+    f_vals, tails = reference_function_grid(seq, G, j_max)
+    assert np.array_equal(vals, f_vals)
+    assert tail_int == _grid_trapezoid(tails, E, G, 1)[0] > 0.0
+    s = partial_sum_grid(seq, 64, G)
+    fine = _grid_trapezoid(np.abs(f_vals - s), E, G, 1)
+    coarse = _grid_trapezoid(np.abs(f_vals - s), E, G, 2)[0]
+    assert r.value == fine[0]
+    assert r.error_estimate == (abs(fine[0] - coarse) + tail_int + fine[1]
+                                + 64.0 * np.finfo(float).eps * abs(fine[0]))
+
+
+def test_residual_working_set():
+    # the residual benchmark's log2 run (G = 2^22, j_max = 4e6), traced
+    # from an empty cache.  h = 8 (G/2 + 1) bytes is one half-grid array
+    # and B = _BLOCK_BYTES one lattice block (h = B here).  The reference
+    # peaks at 2 h + B in the lattice (the folded coefficients, the half
+    # grid, a block) and 3 h + h/8 at the tail bounds (f, sin^2, the
+    # bounds, the sin^2 > 0 mask); an order holds f, its own half grid and
+    # a block.  Holding the lattice rows, a copy of the weights and the
+    # tail array took the reference to 4.3 h and an order to 3.1 h + B
+    quadrature._cached_reference.cache_clear()
+    seq = ConvexSequence.log_squared_reciprocal()
+    G, j_max = 2 ** 22, 4_000_000
+    h, B = 8 * (G // 2 + 1), trigsum._BLOCK_BYTES
+    E = IntervalUnion.parse("0.1,0.3")
+    peaks = []
+    tracemalloc.start()
+    try:
+        for N in (16, 65536):
+            tracemalloc.reset_peak()
+            residual_l1(seq, N, E, j_max=j_max, grid_size=G)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        quadrature._cached_reference.cache_clear()
+    assert peaks[0] <= 2.25 * h + B, peaks
+    assert peaks[1] <= 2.1 * h + B, peaks
 
 
 def test_residual_constant_tail_exact():

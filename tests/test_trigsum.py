@@ -163,16 +163,59 @@ def test_grid_rows_fit_the_budget(monkeypatch, G, M, P):
     # L = G/P, fits _BLOCK_BYTES: the reference's folded G//2 + 1
     # coefficients take P = 2 up to G = 2^20, 4 at 2^21 and 8 at 2^22,
     # and short vectors keep their P; at 3 * 2^20 it takes L = 3 * 2^17.
-    # Rows 0..P/2 are asked for
+    # The rows of offsets 0..P/2 are asked for, from the block generator
     calls = []
 
     def spy(coeffs, cell_count, offsets):
         calls.append((cell_count, len(offsets)))
-        return np.zeros((len(offsets), cell_count))
+        return iter(())
 
-    monkeypatch.setattr(trigsum, "cosine_poly_on_cells", spy)
+    monkeypatch.setattr(trigsum, "_cell_blocks", spy)
     cosine_poly_grid(np.ones(M), G)
     assert calls == [(G // P, P // 2 + 1)]
+
+
+def _grid_from_rows(coeffs, G, L):
+    # the half grid assembled from whole cosine_poly_on_cells rows: the
+    # (P/2 + 1) x L row array and its transpose that cosine_poly_grid built
+    # before it took the rows a block at a time
+    P = G // L
+    K = G // 2 // P + 1
+    if coeffs.size > G // 2 + 1:
+        coeffs = trigsum._fold_to_grid((coeffs,), coeffs.size, G)
+    rows = cosine_poly_on_cells(coeffs, L, 0.5 + np.arange(P // 2 + 1) / G)
+    out = np.empty((K, P))
+    out[:, :P // 2 + 1] = rows[:, :K].T
+    out[:, P // 2 + 1:] = rows[P // 2 - 1:0:-1, ::-1][:, :K].T
+    return out.ravel()[:G // 2 + 1]
+
+
+def test_grid_matches_the_row_assembly(monkeypatch):
+    # the blocks go straight into the half grid, bit for bit as the whole
+    # rows did, for every row count P = 1..32 (odd G take 1; the budget
+    # raises 3 * 2^20 to 8), short and folded coefficients
+    seen = set()
+    blocks = trigsum._cell_blocks
+
+    def spy(coeffs, cell_count, offsets):
+        lattice.append(cell_count)
+        return blocks(coeffs, cell_count, offsets)
+
+    monkeypatch.setattr(trigsum, "_cell_blocks", spy)
+    rng = np.random.default_rng(26)
+    for G in (16, 4095, 4096, 4097, 2 ** 16, 3 * 2 ** 20):
+        sizes = {1, 3, G // 2 + 1, G + 5}
+        sizes |= {G // (2 * P) for P in (2, 4, 8, 16, 32) if G // (2 * P)}
+        if G > 2 ** 16:
+            sizes = {3, G // 64, G // 2 + 1}
+        for M in sorted(sizes):
+            coeffs = rng.normal(size=M)
+            lattice = []
+            grid = cosine_poly_grid(coeffs, G)
+            (L,) = lattice
+            seen.add(G // L)
+            assert np.array_equal(grid, _grid_from_rows(coeffs, G, L)), (G, M)
+    assert seen == {1, 2, 4, 8, 16, 32}
 
 
 def test_grid_budget_rows_match_points(monkeypatch):
@@ -181,13 +224,13 @@ def test_grid_budget_rows_match_points(monkeypatch):
     # periods of L; every index of the half matches the direct sum
     monkeypatch.setattr(trigsum, "_BLOCK_BYTES", 32 * 64)
     calls = []
-    on_cells = trigsum.cosine_poly_on_cells
+    blocks = trigsum._cell_blocks
 
     def spy(coeffs, cell_count, offsets):
         calls.append(cell_count)
-        return on_cells(coeffs, cell_count, offsets)
+        return blocks(coeffs, cell_count, offsets)
 
-    monkeypatch.setattr(trigsum, "cosine_poly_on_cells", spy)
+    monkeypatch.setattr(trigsum, "_cell_blocks", spy)
     rng = np.random.default_rng(9)
     for G, L in ((1024, 64), (1000, 125)):
         coeffs = rng.normal(size=G + 7)
@@ -313,6 +356,11 @@ def test_input_validation():
         cosine_poly_on_cells(np.array([1.0]), 0, np.array([0.0]))
     with pytest.raises(ValueError):
         cosine_poly_points(np.empty(0), 0.1)
+    for bad in (np.empty(0), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            cosine_poly_grid(bad, 16)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            cosine_poly_on_cells(bad, 4, np.array([0.0]))
 
 
 def test_smooth_is_the_least_5_smooth_length():
