@@ -16,13 +16,10 @@ said); 2 means the configuration did not parse or validate.
 
 import argparse
 import dataclasses
-import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -154,55 +151,6 @@ def _column(row, name):
     return row[outer][inner]
 
 
-_CONTAINERS = (list, tuple, dict)
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(inner):
-    """json's C encoder with the item separator of one indent=2 level."""
-    return json.JSONEncoder(sort_keys=True, allow_nan=False,
-                            separators=(",\n" + inner, ": ")).encode
-
-
-def _nested(values):
-    """Whether any of values is a container, by the set of their types."""
-    return any(issubclass(t, _CONTAINERS) for t in {*map(type, values)})
-
-
-def _json(value, pad=""):
-    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False) for a
-    value that starts pad deep, byte for byte, through json's C encoder.
-
-    With indent set, json encodes in pure Python.  Here a container that
-    holds no container is one C-encoder call whose item separator is the
-    newline and indent of its items, so only its brackets are laid out;
-    so is a list of such dicts (table rows), whose row boundaries are the
-    only places "}" + separator + "{" occurs, since no scalar ends in "}"
-    and every key starts with a quote.  Other containers are laid out here
-    item by item; their keys must be strings (else TypeError).
-    """
-    if not isinstance(value, _CONTAINERS):
-        return json.dumps(value, allow_nan=False)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = pad + "  "
-    if not _nested(value.values() if isinstance(value, dict) else value):
-        text = _flat_encoder(inner)(value)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-    if isinstance(value, dict):
-        parts = [f"{_encode_str(k)}: {_json(value[k], inner)}"
-                 for k in sorted(value)]
-        return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{pad}}}"
-    if ({*map(type, value)} == {dict} and all(value)
-            and not _nested(itertools.chain.from_iterable(map(dict.values, value)))):
-        row = inner + "  "
-        text = _flat_encoder(row)(value)[2:-2]
-        text = text.replace(f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
-        return f"[\n{inner}{{\n{row}{text}\n{inner}}}\n{pad}]"
-    parts = [_json(v, inner) for v in value]
-    return "[\n" + inner + f",\n{inner}".join(parts) + f"\n{pad}]"
-
-
 def render(cfg, table):
     """Lay `table` out as CSV or JSON text, whichever `cfg.fmt` names.
 
@@ -218,7 +166,8 @@ def render(cfg, table):
             payload.update(table.rows[0])
         else:
             payload[table.key] = table.rows
-        return _json(payload) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     lines = [f"# config_hash={cfg.hash()}", f"# config={cfg.canonical_json()}"]
     lines += [f"# {k}={_csv_field(v, False)}" for k, v in table.head.items()]
     lines.append(",".join(table.columns))

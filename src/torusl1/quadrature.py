@@ -39,7 +39,7 @@ which is all that is stored and subtracted; the trapezoid reads
 full-grid index i > G//2 at G - i.  The reference comes with per-point
 truncation bounds, which are integrated over E as soon as they are built
 and then dropped, so a trace over one E keeps f's half grid and that one
-number; the integrated bound, the grid-refinement difference, and end
+number, and another E rebuilds only the bounds; the integrated bound, the grid-refinement difference, and end
 slivers are combined into the error estimate.  Sets must stay
 clear of the origin when the reference tail diverges there; the mass of
 the excluded window is bounded in closed form and reported.
@@ -52,7 +52,8 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import check_index
-from .partial_sums import partial_sum_grid, reference_function_grid
+from .partial_sums import (_reference_tail_grid, partial_sum_grid,
+                           reference_function_grid)
 from .trigsum import _centre_run, cosine_poly_on_cells, cosine_poly_points
 
 __all__ = [
@@ -604,22 +605,33 @@ def integrate_signed(seq, N, E):
 
 
 @lru_cache(maxsize=8)
-def _cached_reference(seq, grid_size, j_max, E):
-    """The reference on the half grid k <= G//2 and the trapezoid of its
-    tail bounds over E.
+def _cached_reference(seq, grid_size, j_max):
+    """The reference on the half grid k <= G//2, read-only, and a list that
+    holds its tail bounds until the first _cached_tail_integral takes them.
 
-    The tail bounds are integrated as soon as reference_function_grid
-    returns them and then dropped, so an entry holds one half-grid array,
-    and the orders of a trace over one E share it.
+    So an entry holds one half-grid array once a residual has read it, and
+    every set and order over (seq, G, j_max) shares it.
     """
     vals, tails = reference_function_grid(seq, grid_size, j_max)
     if not np.isfinite(vals).all():
         raise ValueError("reference function f is not finite on the grid: "
                          "the coefficients overflow float64")
-    tail_int = _grid_trapezoid(tails, E, grid_size, 1)[0]
-    del tails
     vals.setflags(write=False)
-    return vals, tail_int
+    return vals, [tails]
+
+
+@lru_cache(maxsize=32)
+def _cached_tail_integral(seq, grid_size, j_max, E):
+    """The trapezoid over E of the reference's tail bounds.
+
+    The first set takes the bounds that came with the reference, which
+    are then dropped; a later set rebuilds them alone
+    (partial_sums._reference_tail_grid: sin^2 on the half grid, no
+    lattice transform), with the same bits.
+    """
+    _, pending = _cached_reference(seq, grid_size, j_max)
+    tails = pending.pop() if pending else _reference_tail_grid(seq, grid_size, j_max)
+    return _grid_trapezoid(tails, E, grid_size, 1)[0]
 
 
 def _grid_trapezoid(y, E, G, stride):
@@ -712,13 +724,15 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
     bound on the mass excluded by that window is reported alongside.  The
     grid must resolve S_N: grid_size > 2 N, else ValueError.  The half
     grid k <= G//2 holds everything, h = 8 (G/2 + 1) bytes per array:
-    the cached reference (its tail bounds are integrated over E when it
-    is built, and dropped) and one residual buffer.  Building the
-    reference peaks at about 2 h plus one lattice block of trigsum's byte
-    budget, or 3 h at its tail bounds, whatever j_max, since
-    reference_function_grid takes its terms a chunk at a time and the
-    lattice blocks go straight into the half grid; an order holds the
-    reference, its own half grid and one block.
+    the cached reference and one residual buffer.  The reference is
+    cached per (seq, G, j_max) and its tail bounds are integrated over E
+    as soon as it is built, then dropped; a new E reuses f and rebuilds
+    only the bounds (sin^2 on the half grid, no lattice transform), whose
+    integral is cached per E.  Building the reference peaks at about 2 h
+    plus one lattice block of trigsum's byte budget, or 3 h at its tail
+    bounds, whatever j_max, since reference_function_grid takes its terms
+    a chunk at a time and the lattice blocks go straight into the half
+    grid; an order holds the reference, its own half grid and one block.
     A reference or residual that is not finite (coefficients whose grid
     arithmetic overflows float64) raises ValueError.
     """
@@ -740,7 +754,9 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
         if d0 < 1.0 / G:
             raise ValueError("origin window is narrower than the grid spacing")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        f_vals, tail_int = _cached_reference(seq, G, j_max, E)
+        f_vals, pending = _cached_reference(seq, G, j_max)
+        tail_int = _cached_tail_integral(seq, G, j_max, E)
+        pending.clear()  # unread if the integral was cached
         r = partial_sum_grid(seq, N, G)  # fresh; f_vals is cached
         np.subtract(f_vals, r, out=r)
         np.abs(r, out=r)

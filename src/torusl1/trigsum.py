@@ -68,9 +68,12 @@ def _coeffs(coeffs):
     return c
 
 
-def _weights(coeffs):
-    w = _coeffs(coeffs).copy()
-    w[1:] *= 2.0
+def _weights(coeffs, lo=0, hi=None):
+    """The weights w_m = (c_0, 2 c_m) for m = lo..hi-1, a fresh array."""
+    c = _coeffs(coeffs)
+    w = c[lo:hi] * 2.0
+    if lo == 0:
+        w[0] = c[0]
     return w
 
 
@@ -275,9 +278,9 @@ def _cell_blocks(coeffs, L, offsets):
     (ceil(n/2), L): offset i + 2a is rows[a].real and offset i + 2a + 1 is
     rows[a].imag.  rows is the block's only array once it is handed out,
     and the caller copies what it keeps before asking for the next block.
-    The weights w_m = (c_0, 2 c_m) times L/2 are formed a phase slice at a
-    time from coeffs, in the same two products, so no copy of coeffs is
-    made and the values are those of whole weights bit for bit.
+    The weights times L/2 are formed a phase slice at a time
+    (_weights(c, lo, hi)), so no copy of coeffs is made and the values are
+    those of whole weights bit for bit.
     """
     c = _coeffs(coeffs)
     h = L // 2 + 1
@@ -289,9 +292,7 @@ def _cell_blocks(coeffs, L, offsets):
         for lo in range(0, c.size, L):
             for s, z in _phases(lo, min(lo + L, c.size), x, _BLOCK_BYTES // (64 * n)):
                 e = s + z.shape[1]
-                w = c[lo + s:lo + e] * 2.0
-                if lo + s == 0:
-                    w[0] = c[0]
+                w = _weights(c, lo + s, lo + e)
                 w *= 0.5 * L
                 z *= w
                 del w

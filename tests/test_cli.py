@@ -468,21 +468,6 @@ def test_json_edge_values_match_the_json_module():
             render(cfg, dataclasses.replace(table, body=body))
 
 
-_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
-                 | st.floats(allow_nan=False, allow_infinity=False))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
-                    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
-                    max_leaves=30))
-def test_json_layout_matches_the_json_module(value):
-    # any nesting of lists, string-keyed dicts and scalars, rows of flat
-    # dicts among them
-    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2,
-                                          allow_nan=False)
-
-
 _TAIL_LINES = ("", "constant\n", "log_reciprocal\n", "log_squared_reciprocal\n")
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from torusl1.coefficients import ConvexSequence
 from torusl1.exceptional import build_witness
 from torusl1.intervals import IntervalUnion
-from torusl1 import quadrature, trigsum
+from torusl1 import partial_sums, quadrature, trigsum
 from torusl1.kernels import (
     dirichlet_coefficients,
     fejer_coefficients,
@@ -822,17 +822,27 @@ def test_residual_reads_the_public_grid_functions(monkeypatch):
     assert calls == ["reference_function_grid", "partial_sum_grid"]
 
 
+def _clear_residual_caches():
+    quadrature._cached_reference.cache_clear()
+    quadrature._cached_tail_integral.cache_clear()
+
+
 def test_cached_reference_holds_no_tail_array():
     # the tail bounds are integrated over E when the reference is built
-    # and dropped: the cached entry is f's half grid and one float, and
-    # the result keeps the bits of the bar taken from the whole tail array
-    quadrature._cached_reference.cache_clear()
+    # and dropped: the cached entry is f's half grid and an empty list, the
+    # integral is cached per set, and the result keeps the bits of the bar
+    # taken from the whole tail array.  A second set reuses f and rebuilds
+    # the bounds alone, with the same bits
+    _clear_residual_caches()
     seq = ConvexSequence.log_reciprocal()
     E = IntervalUnion.parse("-0.4,-0.3;0.1,0.3")
     G, j_max = 4096, 20000
     r = residual_l1(seq, 64, E, j_max=j_max, grid_size=G)
-    vals, tail_int = quadrature._cached_reference(seq, G, j_max, E)
-    assert quadrature._cached_reference.cache_info().hits == 1
+    vals, pending = quadrature._cached_reference(seq, G, j_max)
+    assert pending == []
+    tail_int = quadrature._cached_tail_integral(seq, G, j_max, E)
+    assert quadrature._cached_reference.cache_info().hits == 2
+    assert quadrature._cached_tail_integral.cache_info().hits == 1
     assert isinstance(vals, np.ndarray) and vals.shape == (G // 2 + 1,)
     assert isinstance(tail_int, float)
     f_vals, tails = reference_function_grid(seq, G, j_max)
@@ -844,6 +854,15 @@ def test_cached_reference_holds_no_tail_array():
     assert r.value == fine[0]
     assert r.error_estimate == (abs(fine[0] - coarse) + tail_int + fine[1]
                                 + 64.0 * np.finfo(float).eps * abs(fine[0]))
+    E2 = IntervalUnion.parse("-0.2,-0.05")
+    residual_l1(seq, 64, E2, j_max=j_max, grid_size=G)
+    assert quadrature._cached_reference.cache_info().misses == 1
+    assert (quadrature._cached_tail_integral(seq, G, j_max, E2)
+            == _grid_trapezoid(tails, E2, G, 1)[0])
+    for grid in (G, G + 1):
+        rebuilt = partial_sums._reference_tail_grid(seq, grid, j_max)
+        assert np.array_equal(rebuilt, reference_function_grid(seq, grid, j_max)[1])
+    _clear_residual_caches()
 
 
 def test_residual_working_set():
@@ -853,25 +872,26 @@ def test_residual_working_set():
     # peaks at 2 h + B in the lattice (the folded coefficients, the half
     # grid, a block) and 3 h + h/8 at the tail bounds (f, sin^2, the
     # bounds, the sin^2 > 0 mask); an order holds f, its own half grid and
-    # a block.  Holding the lattice rows, a copy of the weights and the
+    # a block, and a new set adds the rebuilt tail bounds' 2 h + h/8
+    # beside f.  Holding the lattice rows, a copy of the weights and the
     # tail array took the reference to 4.3 h and an order to 3.1 h + B
-    quadrature._cached_reference.cache_clear()
+    _clear_residual_caches()
     seq = ConvexSequence.log_squared_reciprocal()
     G, j_max = 2 ** 22, 4_000_000
     h, B = 8 * (G // 2 + 1), trigsum._BLOCK_BYTES
-    E = IntervalUnion.parse("0.1,0.3")
     peaks = []
     tracemalloc.start()
     try:
-        for N in (16, 65536):
+        for N, E in ((16, "0.1,0.3"), (65536, "0.1,0.3"), (16, "-0.3,-0.1")):
             tracemalloc.reset_peak()
-            residual_l1(seq, N, E, j_max=j_max, grid_size=G)
+            residual_l1(seq, N, IntervalUnion.parse(E), j_max=j_max, grid_size=G)
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-        quadrature._cached_reference.cache_clear()
+        _clear_residual_caches()
     assert peaks[0] <= 2.25 * h + B, peaks
     assert peaks[1] <= 2.1 * h + B, peaks
+    assert peaks[2] <= 2.25 * h + B, peaks
 
 
 def test_residual_constant_tail_exact():
