@@ -18,9 +18,7 @@ import numpy as np
 __all__ = [
     "ConvexSequence",
     "ConvexityReport",
-    "GrowthReport",
     "verify_convex",
-    "growth_classification",
 ]
 
 _TAIL_RULES = ("log_reciprocal", "log_squared_reciprocal", "constant")
@@ -245,17 +243,6 @@ class ConvexityReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    sup_product: float
-    sup_at: int
-    start_product: float
-    end_product: float
-    ratio: float
-    label: str
-    horizon: int
-
-
 def verify_convex(seq, horizon):
     """Scan a_n > 0 and convexity for 0 <= j <= horizon.
 
@@ -276,27 +263,3 @@ def verify_convex(seq, horizon):
     passed = not _bends(a)[:horizon + 1].any() and min_a > 0.0
     return ConvexityReport(min_d2, argmin, min_a, horizon, passed)
 
-
-def growth_classification(seq, horizon):
-    """Heuristic class of a_n * ln n over 2 <= n <= horizon.
-
-    Labels: "unbounded" when the product grows by at least 2x from n=2 to the
-    horizon, "o(1)" when it shrinks to at most half, "O(1)-not-o(1)"
-    otherwise.  A finite-horizon heuristic, not a proof.
-    """
-    horizon = int(horizon)
-    if horizon < 16:
-        raise ValueError("horizon must be >= 16")
-    n = np.arange(2, horizon + 1, dtype=float)
-    p = seq.values(horizon + 1)[2:] * np.log(n)
-    sup_at = int(np.argmax(p))
-    start, end = float(p[0]), float(p[-1])
-    ratio = end / start
-    if ratio >= 2.0:
-        label = "unbounded"
-    elif ratio <= 0.5:
-        label = "o(1)"
-    else:
-        label = "O(1)-not-o(1)"
-    return GrowthReport(float(p[sup_at]), sup_at + 2, start, end, ratio,
-                        label, horizon)

@@ -11,9 +11,7 @@ data cannot support at that window size comes back "inconclusive".
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["ConvergenceVerdict", "analyze_trace", "boundedness_report"]
+__all__ = ["ConvergenceVerdict", "analyze_trace"]
 
 # entries per window; a trace needs TAIL_WINDOW + 2 entries for a verdict
 TAIL_WINDOW = 4
@@ -93,9 +91,3 @@ def analyze_trace(trace):
                               window_gaps=gaps,
                               window_means=means)
 
-
-def boundedness_report(trace):
-    """(sup of |values|, N attaining it) over the trace."""
-    vals = np.abs(trace.value)
-    k = int(vals.argmax())
-    return float(vals[k]), int(trace.N[k])

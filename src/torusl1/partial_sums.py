@@ -212,33 +212,16 @@ def reference_function_grid(seq, grid_size, j_max):
     values *= 0.5  # sum_j d2_j cos(2 pi (j+1) t)
     np.subtract(W, values, out=values)
     values *= 0.5
-    sin2 = _half_grid_sin2(G)
+    sin2 = np.arange(values.size, dtype=float)  # sin^2(pi t_k), in place
+    sin2 /= G
+    sin2 -= 0.5  # t_k
+    _sin2(sin2, out=sin2)
     if G % 2:
         values /= sin2
     else:
         values[:-1] /= sin2[:-1]
         values[-1] = at_zero
     return values, _tail_bounds(seq, j_max, sin2)
-
-
-def _half_grid_sin2(G):
-    """sin^2(pi t_k) on the half grid t_k = -1/2 + k/G, k = 0..G//2, built
-    in place in one array."""
-    sin2 = np.arange(G // 2 + 1, dtype=float)
-    sin2 /= G
-    sin2 -= 0.5  # t_k
-    return _sin2(sin2, out=sin2)
-
-
-def _reference_tail_grid(seq, grid_size, j_max):
-    """The tail bounds of reference_function_grid alone, bit for bit.
-
-    They need only sin^2 on the half grid, not f's lattice transform, so a
-    caller that kept f and dropped its bounds can rebuild them cheaply.
-    """
-    j_max = int(j_max)
-    _check_term_range(j_max)
-    return _tail_bounds(seq, j_max, _half_grid_sin2(int(grid_size)))
 
 
 @lru_cache(maxsize=4)

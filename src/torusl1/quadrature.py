@@ -36,10 +36,10 @@ grid must exceed 2N points.  Both are even, so the grid functions return
 only the half grid t_k = -1/2 + k/G, k = 0..G//2
 (partial_sums.partial_sum_grid, partial_sums.reference_function_grid),
 which is all that is stored and subtracted; the trapezoid reads
-full-grid index i > G//2 at G - i.  The reference comes with per-point
-truncation bounds, which are integrated over E as soon as they are built
-and then dropped, so a trace over one E keeps f's half grid and that one
-number, and another E rebuilds only the bounds; the integrated bound, the grid-refinement difference, and end
+full-grid index i > G//2 at G - i.  A sweep of orders over one set builds
+f once; its per-point truncation bounds are integrated over the set and
+dropped before the first order, so each order holds f's half grid and its
+own.  The integrated bound, the grid-refinement difference, and end
 slivers are combined into the error estimate.  Sets must stay
 clear of the origin when the reference tail diverges there; the mass of
 the excluded window is bounded in closed form and reported.
@@ -52,8 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import check_index
-from .partial_sums import (_reference_tail_grid, partial_sum_grid,
-                           reference_function_grid)
+from .partial_sums import partial_sum_grid, reference_function_grid
 from .trigsum import _centre_run, cosine_poly_on_cells, cosine_poly_points
 
 __all__ = [
@@ -604,36 +603,6 @@ def integrate_signed(seq, N, E):
 # -- residual engine ----------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _cached_reference(seq, grid_size, j_max):
-    """The reference on the half grid k <= G//2, read-only, and a list that
-    holds its tail bounds until the first _cached_tail_integral takes them.
-
-    So an entry holds one half-grid array once a residual has read it, and
-    every set and order over (seq, G, j_max) shares it.
-    """
-    vals, tails = reference_function_grid(seq, grid_size, j_max)
-    if not np.isfinite(vals).all():
-        raise ValueError("reference function f is not finite on the grid: "
-                         "the coefficients overflow float64")
-    vals.setflags(write=False)
-    return vals, [tails]
-
-
-@lru_cache(maxsize=32)
-def _cached_tail_integral(seq, grid_size, j_max, E):
-    """The trapezoid over E of the reference's tail bounds.
-
-    The first set takes the bounds that came with the reference, which
-    are then dropped; a later set rebuilds them alone
-    (partial_sums._reference_tail_grid: sin^2 on the half grid, no
-    lattice transform), with the same bits.
-    """
-    _, pending = _cached_reference(seq, grid_size, j_max)
-    tails = pending.pop() if pending else _reference_tail_grid(seq, grid_size, j_max)
-    return _grid_trapezoid(tails, E, grid_size, 1)[0]
-
-
 def _grid_trapezoid(y, E, G, stride):
     """Trapezoid over the grid points of E at the given stride.
 
@@ -716,35 +685,25 @@ def origin_window_bound(seq, N, eta):
     return 2.0 * eta * (f_peak + s_peak) + dropped
 
 
-def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
-    """integral over E of |f - S_N| dt on a uniform grid, with tail bounds.
+def _residual_sweep(seq, Ns, E, j_max, grid_size):
+    """One ResidualResult per order of Ns, all over the set E.
 
-    E must keep a positive distance >= one grid spacing from the origin
-    whenever the reference tail diverges there (both log families); the
-    bound on the mass excluded by that window is reported alongside.  The
-    grid must resolve S_N: grid_size > 2 N, else ValueError.  The half
-    grid k <= G//2 holds everything, h = 8 (G/2 + 1) bytes per array:
-    the cached reference and one residual buffer.  The reference is
-    cached per (seq, G, j_max) and its tail bounds are integrated over E
-    as soon as it is built, then dropped; a new E reuses f and rebuilds
-    only the bounds (sin^2 on the half grid, no lattice transform), whose
-    integral is cached per E.  Building the reference peaks at about 2 h
-    plus one lattice block of trigsum's byte budget, or 3 h at its tail
-    bounds, whatever j_max, since reference_function_grid takes its terms
-    a chunk at a time and the lattice blocks go straight into the half
-    grid; an order holds the reference, its own half grid and one block.
-    A reference or residual that is not finite (coefficients whose grid
-    arithmetic overflows float64) raises ValueError.
+    Every order is checked before any work.  f's half grid is built once,
+    and its tail bounds are integrated over E and dropped before the first
+    order; each order then runs on f and its own half grid.
     """
-    N = check_index(N, "N")
     G = int(grid_size)
-    if G < 16:
-        raise ValueError("grid_size must be >= 16")
-    if 2 * N >= G:
-        raise ValueError(f"grid_size {G} is below Nyquist for order {N}: "
-                         "it must exceed 2 N")
-    if E.is_empty:
-        return ResidualResult(0.0, 0.0, 0, (0.0, 0.0), 0.0)
+    orders = []
+    for N in Ns:
+        N = check_index(N, "N")
+        if G < 16:
+            raise ValueError("grid_size must be >= 16")
+        if 2 * N >= G:
+            raise ValueError(f"grid_size {G} is below Nyquist for order {N}: "
+                             "it must exceed 2 N")
+        orders.append(N)
+    if E.is_empty or not orders:
+        return [ResidualResult(0.0, 0.0, 0, (0.0, 0.0), 0.0)] * len(orders)
     d0 = E.distance_from_zero()
     unbounded_at_zero = not math.isfinite(seq.squared_weighted_tail_beyond(j_max))
     if unbounded_at_zero:
@@ -753,24 +712,53 @@ def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
                              "reference function's tail bound diverges there")
         if d0 < 1.0 / G:
             raise ValueError("origin window is narrower than the grid spacing")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        f_vals, pending = _cached_reference(seq, G, j_max)
-        tail_int = _cached_tail_integral(seq, G, j_max, E)
-        pending.clear()  # unread if the integral was cached
-        r = partial_sum_grid(seq, N, G)  # fresh; f_vals is cached
-        np.subtract(f_vals, r, out=r)
-        np.abs(r, out=r)
-        i_fine, sliver, used = _grid_trapezoid(r, E, G, 1)
-        i_coarse, _, _ = _grid_trapezoid(r, E, G, 2)
-        err = (abs(i_fine - i_coarse) + tail_int + sliver
-               + 64.0 * _EPS * abs(i_fine))
-    if not (math.isfinite(i_fine) and math.isfinite(err)):
-        raise ValueError(f"|f - S_N| is not finite on the grid at N = {N}: "
-                         "the coefficients overflow float64")
     window = (-d0, d0) if d0 > 0.0 else (0.0, 0.0)
-    bound = origin_window_bound(seq, N, d0) if d0 > 0.0 else 0.0
-    return ResidualResult(float(i_fine), float(err), int(used), window,
-                          float(bound))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        f_vals, tails = reference_function_grid(seq, G, j_max)
+        if not np.isfinite(f_vals).all():
+            raise ValueError("reference function f is not finite on the grid: "
+                             "the coefficients overflow float64")
+        tail_int = _grid_trapezoid(tails, E, G, 1)[0]
+        del tails
+    results = []
+    for N in orders:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            r = partial_sum_grid(seq, N, G)
+            np.subtract(f_vals, r, out=r)
+            np.abs(r, out=r)
+            i_fine, sliver, used = _grid_trapezoid(r, E, G, 1)
+            i_coarse, _, _ = _grid_trapezoid(r, E, G, 2)
+            del r  # before the next order's grid
+            err = (abs(i_fine - i_coarse) + tail_int + sliver
+                   + 64.0 * _EPS * abs(i_fine))
+        if not (math.isfinite(i_fine) and math.isfinite(err)):
+            raise ValueError(f"|f - S_N| is not finite on the grid at N = {N}: "
+                             "the coefficients overflow float64")
+        bound = origin_window_bound(seq, N, d0) if d0 > 0.0 else 0.0
+        results.append(ResidualResult(float(i_fine), float(err), int(used),
+                                      window, float(bound)))
+    return results
+
+
+def residual_l1(seq, N, E, j_max=100000, grid_size=2 ** 16):
+    """integral over E of |f - S_N| dt on a uniform grid, with tail bounds.
+
+    E must keep a positive distance >= one grid spacing from the origin
+    whenever the reference tail diverges there (both log families); the
+    bound on the mass excluded by that window is reported alongside.  The
+    grid must resolve S_N: grid_size > 2 N, else ValueError.  This is the
+    one-order sweep of norm_trace(kind="residual"), so each call builds f.
+    The half grid k <= G//2 holds everything, h = 8 (G/2 + 1) bytes per
+    array.  Building f peaks at about 2 h plus one lattice block of
+    trigsum's byte budget, or 3 h at its tail bounds, whatever j_max,
+    since reference_function_grid takes its terms a chunk at a time and
+    the lattice blocks go straight into the half grid; the bounds are
+    integrated over E and dropped, and an order holds f, its own half
+    grid and one block.  A reference or residual that is not finite
+    (coefficients whose grid arithmetic overflows float64) raises
+    ValueError.
+    """
+    return _residual_sweep(seq, [N], E, j_max, grid_size)[0]
 
 
 def norm_trace(seq, Ns, E, kind="abs", panels_per_cell=2, nodes_per_panel=16,
@@ -779,19 +767,16 @@ def norm_trace(seq, Ns, E, kind="abs", panels_per_cell=2, nodes_per_panel=16,
 
     kind "abs" integrates |S_N| with the cell-aligned engine; kind
     "residual" integrates |f - S_N| with the grid engine (E must already
-    exclude the origin window).
+    exclude the origin window), building f once for the whole trace.
     """
     Ns = [int(n) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
-    value, error = np.empty(len(Ns)), np.empty(len(Ns))
-    for i, N in enumerate(Ns):
-        if kind == "abs":
-            q = integrate_abs_partial_sum(seq, N, E, panels_per_cell,
-                                          nodes_per_panel)
-        elif kind == "residual":
-            q = residual_l1(seq, N, E, j_max, grid_size)
-        else:
-            raise ValueError(f"unknown trace kind {kind!r}")
-        value[i], error[i] = q.value, q.error_estimate
-    return NormTrace(Ns, value, error)
+    if kind == "abs":
+        qs = [integrate_abs_partial_sum(seq, N, E, panels_per_cell,
+                                        nodes_per_panel) for N in Ns]
+    elif kind == "residual":
+        qs = _residual_sweep(seq, Ns, E, j_max, grid_size)
+    else:
+        raise ValueError(f"unknown trace kind {kind!r}")
+    return NormTrace(Ns, [q.value for q in qs], [q.error_estimate for q in qs])

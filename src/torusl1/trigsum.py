@@ -54,7 +54,9 @@ __all__ = [
 
 
 _POINTS_BLOCK = 2048  # terms and points per block in cosine_poly_points
-_BLOCK_BYTES = 2 ** 24  # working set of one offset block in cosine_poly_on_cells
+# working set of one offset block in cosine_poly_on_cells; numpy's FFT plan
+# and work buffers come on top (about 14 MB at L = 2^19)
+_BLOCK_BYTES = 2 ** 24
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
 _FOLD_TERMS = 2 ** 20  # most terms summed at once in _fold_to_grid
 _TILE = 1024  # lattice columns per tile of cosine_poly_grid's copies
@@ -241,6 +243,9 @@ def _block_size(L):
     least 2, one complex FFT row: so 8 up to L = 65537, 6 at L = 131073
     and 2 from L = 262145 on.  Even counts
     keep every FFT's row pairs, so the values do not depend on the block.
+    numpy's FFT plan and work buffers are outside the budget: they add
+    about 14 MB of RSS beside a block at L = 2^19, the log2 residual
+    reference's rows at G = 2^22, and tracemalloc does not see them.
     """
     return max(2, min(8, _BLOCK_BYTES // (16 * L)) // 2 * 2)
 

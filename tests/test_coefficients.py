@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusl1 import ConvexSequence, verify_convex, growth_classification
+from torusl1 import ConvexSequence, verify_convex
 
 
 def test_log_family_head_and_tail_values():
@@ -167,15 +167,6 @@ def test_squared_weighted_tail_divergence_marker():
     seq = ConvexSequence((4.0, 3.0, 2.0, 1.0, 1.0))
     assert seq.squared_weighted_tail_beyond(1) == pytest.approx(9.0, abs=1e-14)
     assert seq.squared_weighted_tail_beyond(10) == 0.0
-
-
-def test_growth_classification_labels():
-    assert growth_classification(ConvexSequence.log_reciprocal(), 100000).label \
-        == "O(1)-not-o(1)"
-    assert growth_classification(ConvexSequence.log_squared_reciprocal(), 100000).label \
-        == "o(1)"
-    const = ConvexSequence((1.0, 1.0), tail_rule="constant")
-    assert growth_classification(const, 100000).label == "unbounded"
 
 
 def test_from_file_round_trip(tmp_path):

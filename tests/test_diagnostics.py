@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusl1.diagnostics import TAIL_WINDOW, analyze_trace, boundedness_report
+from torusl1.diagnostics import TAIL_WINDOW, analyze_trace
 from torusl1.quadrature import NormTrace
 
 
@@ -106,12 +106,6 @@ def test_tail_stats_invariant_under_window_permutation(perm):
     # summation order inside the window may differ in the last ulp
     assert a.limit_estimate == pytest.approx(b.limit_estimate, rel=1e-12)
     assert a.uncertainty == pytest.approx(b.uncertainty, rel=1e-12)
-
-
-def test_boundedness_report():
-    sup, at = boundedness_report(_trace([1.0, -7.5, 3.0, 2.0, 1.0, 1.0]))
-    assert sup == 7.5
-    assert at == 8 and type(at) is int  # second entry, N = 2**3
 
 
 def test_validation():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from torusl1.coefficients import ConvexSequence
 from torusl1.exceptional import build_witness
 from torusl1.intervals import IntervalUnion
-from torusl1 import partial_sums, quadrature, trigsum
+from torusl1 import quadrature, trigsum
 from torusl1.kernels import (
     dirichlet_coefficients,
     fejer_coefficients,
@@ -776,9 +776,10 @@ def test_trace_entry_validation():
             NormTrace(N, value, error)
     with pytest.raises(ValueError):
         norm_trace(ConvexSequence.log_reciprocal(), [8, 4], FULL)
-    with pytest.raises(ValueError):
-        norm_trace(ConvexSequence.log_reciprocal(), [4, 8], FULL,
-                   kind="nonsense")
+    for Ns in ([4, 8], []):  # an unknown kind is refused with no orders too
+        with pytest.raises(ValueError, match="unknown trace kind 'nonsense'"):
+            norm_trace(ConvexSequence.log_reciprocal(), Ns, FULL,
+                       kind="nonsense")
 
 
 @pytest.mark.parametrize("absolute", [False, True], ids=["signed", "abs"])
@@ -805,7 +806,9 @@ def test_overflowing_coefficients_are_refused(absolute, E):
 
 def test_residual_reads_the_public_grid_functions(monkeypatch):
     # S_N and the reference come from the half-grid API that the
-    # benchmark's tracer wraps by name
+    # benchmark's tracer wraps by name: a residual trace builds the
+    # reference once and one S_N grid per order, and residual_l1 is the
+    # one-order sweep
     calls = []
 
     def spy(fn):
@@ -816,82 +819,72 @@ def test_residual_reads_the_public_grid_functions(monkeypatch):
 
     for name in ("partial_sum_grid", "reference_function_grid"):
         monkeypatch.setattr(quadrature, name, spy(getattr(quadrature, name)))
-    quadrature._cached_reference.cache_clear()  # a cached reference skips its call
     seq = ConvexSequence((3.0, 2.0, 1.0, 0.5), "constant")
-    residual_l1(seq, 3, IntervalUnion.parse("0.1,0.3"), j_max=50, grid_size=64)
+    E = IntervalUnion.parse("0.1,0.3")
+    norm_trace(seq, [1, 2, 3], E, kind="residual", j_max=50, grid_size=64)
+    assert calls == ["reference_function_grid"] + 3 * ["partial_sum_grid"]
+    calls.clear()
+    residual_l1(seq, 3, E, j_max=50, grid_size=64)
     assert calls == ["reference_function_grid", "partial_sum_grid"]
 
 
-def _clear_residual_caches():
-    quadrature._cached_reference.cache_clear()
-    quadrature._cached_tail_integral.cache_clear()
+@pytest.mark.parametrize("G", [4096, 4097])
+@pytest.mark.parametrize("seq", [ConvexSequence.log_reciprocal(),
+                                 ConvexSequence((3.0, 2.0, 1.5, 1.2, 1.0),
+                                                "constant")],
+                         ids=["log", "constant"])
+def test_residual_trace_is_per_order_residual_l1(seq, G):
+    # the sweep gives each order the bits of its own residual_l1 call, on
+    # two sets; and an order's bar is the one taken from the whole tail
+    # array, although the sweep drops the bounds before the first order
+    Ns, j_max = [16, 64, 256], 20000
+    for E in (IntervalUnion.parse("-0.4,-0.3;0.1,0.3"),
+              IntervalUnion.parse("-0.2,-0.05")):
+        trace = norm_trace(seq, Ns, E, kind="residual", j_max=j_max, grid_size=G)
+        for N, value, error in zip(Ns, trace.value, trace.error_estimate):
+            r = residual_l1(seq, N, E, j_max=j_max, grid_size=G)
+            assert (value, error) == (r.value, r.error_estimate)
+        f_vals, tails = reference_function_grid(seq, G, j_max)
+        res = np.abs(f_vals - partial_sum_grid(seq, 64, G))
+        fine = _grid_trapezoid(res, E, G, 1)
+        coarse = _grid_trapezoid(res, E, G, 2)[0]
+        tail_int = _grid_trapezoid(tails, E, G, 1)[0]
+        assert trace.value[1] == fine[0]
+        assert trace.error_estimate[1] == (abs(fine[0] - coarse) + tail_int
+                                           + fine[1] + 64.0 * EPS * abs(fine[0]))
 
 
-def test_cached_reference_holds_no_tail_array():
-    # the tail bounds are integrated over E when the reference is built
-    # and dropped: the cached entry is f's half grid and an empty list, the
-    # integral is cached per set, and the result keeps the bits of the bar
-    # taken from the whole tail array.  A second set reuses f and rebuilds
-    # the bounds alone, with the same bits
-    _clear_residual_caches()
-    seq = ConvexSequence.log_reciprocal()
-    E = IntervalUnion.parse("-0.4,-0.3;0.1,0.3")
-    G, j_max = 4096, 20000
-    r = residual_l1(seq, 64, E, j_max=j_max, grid_size=G)
-    vals, pending = quadrature._cached_reference(seq, G, j_max)
-    assert pending == []
-    tail_int = quadrature._cached_tail_integral(seq, G, j_max, E)
-    assert quadrature._cached_reference.cache_info().hits == 2
-    assert quadrature._cached_tail_integral.cache_info().hits == 1
-    assert isinstance(vals, np.ndarray) and vals.shape == (G // 2 + 1,)
-    assert isinstance(tail_int, float)
-    f_vals, tails = reference_function_grid(seq, G, j_max)
-    assert np.array_equal(vals, f_vals)
-    assert tail_int == _grid_trapezoid(tails, E, G, 1)[0] > 0.0
-    s = partial_sum_grid(seq, 64, G)
-    fine = _grid_trapezoid(np.abs(f_vals - s), E, G, 1)
-    coarse = _grid_trapezoid(np.abs(f_vals - s), E, G, 2)[0]
-    assert r.value == fine[0]
-    assert r.error_estimate == (abs(fine[0] - coarse) + tail_int + fine[1]
-                                + 64.0 * np.finfo(float).eps * abs(fine[0]))
-    E2 = IntervalUnion.parse("-0.2,-0.05")
-    residual_l1(seq, 64, E2, j_max=j_max, grid_size=G)
-    assert quadrature._cached_reference.cache_info().misses == 1
-    assert (quadrature._cached_tail_integral(seq, G, j_max, E2)
-            == _grid_trapezoid(tails, E2, G, 1)[0])
-    for grid in (G, G + 1):
-        rebuilt = partial_sums._reference_tail_grid(seq, grid, j_max)
-        assert np.array_equal(rebuilt, reference_function_grid(seq, grid, j_max)[1])
-    _clear_residual_caches()
-
-
-def test_residual_working_set():
-    # the residual benchmark's log2 run (G = 2^22, j_max = 4e6), traced
-    # from an empty cache.  h = 8 (G/2 + 1) bytes is one half-grid array
-    # and B = _BLOCK_BYTES one lattice block (h = B here).  The reference
-    # peaks at 2 h + B in the lattice (the folded coefficients, the half
-    # grid, a block) and 3 h + h/8 at the tail bounds (f, sin^2, the
-    # bounds, the sin^2 > 0 mask); an order holds f, its own half grid and
-    # a block, and a new set adds the rebuilt tail bounds' 2 h + h/8
-    # beside f.  Holding the lattice rows, a copy of the weights and the
-    # tail array took the reference to 4.3 h and an order to 3.1 h + B
-    _clear_residual_caches()
+def test_residual_working_set(monkeypatch):
+    # the residual benchmark's log2 sweep (G = 2^22, j_max = 4e6), traced
+    # in one trace of two orders.  h = 8 (G/2 + 1) bytes is one half-grid
+    # array and B = _BLOCK_BYTES one lattice block (h = B here).  The
+    # reference stage, up to the first S_N grid, peaks at 2 h + B in the
+    # lattice (the folded coefficients, the half grid, a block) and
+    # 3 h + h/8 at the tail bounds (f, sin^2, the bounds, the sin^2 > 0
+    # mask); an order holds f, its own half grid and a block.  Holding the
+    # lattice rows, a copy of the weights and the tail array took the
+    # reference to 4.3 h and an order to 3.1 h + B
     seq = ConvexSequence.log_squared_reciprocal()
     G, j_max = 2 ** 22, 4_000_000
     h, B = 8 * (G // 2 + 1), trigsum._BLOCK_BYTES
     peaks = []
+
+    def staged(*args, **kwargs):
+        if not peaks:  # the first order ends the reference stage
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return partial_sum_grid(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "partial_sum_grid", staged)
     tracemalloc.start()
     try:
-        for N, E in ((16, "0.1,0.3"), (65536, "0.1,0.3"), (16, "-0.3,-0.1")):
-            tracemalloc.reset_peak()
-            residual_l1(seq, N, IntervalUnion.parse(E), j_max=j_max, grid_size=G)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+        norm_trace(seq, [16, 65536], IntervalUnion.parse("0.1,0.3"),
+                   kind="residual", j_max=j_max, grid_size=G)
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-        _clear_residual_caches()
     assert peaks[0] <= 2.25 * h + B, peaks
     assert peaks[1] <= 2.1 * h + B, peaks
-    assert peaks[2] <= 2.25 * h + B, peaks
 
 
 def test_residual_constant_tail_exact():
