@@ -330,6 +330,8 @@ def _config_from_args(args):
                 or not 2 <= args.nodes_per_panel <= 64):
             raise ValueError("quadrature settings must be positive, with "
                              "2..64 nodes per panel")
+        if not math.isfinite(args.eta):
+            raise ValueError(f"--eta must be finite, got {args.eta!r}")
         return RunConfig(command=cmd, sequence=args.sequence, Ns=ns,
                          set_spec=args.set_spec, kind=args.kind, eta=args.eta,
                          panels_per_cell=args.panels_per_cell,

@@ -6,25 +6,24 @@ the undefined entries a_0, a_1 filled by linear extension (which forces
 the first two second differences to vanish and keeps convexity).  A
 "constant" tail rule freezes the last head value, which turns the
 underlying cosine series into a trigonometric polynomial plus a constant;
-those sequences are the cheap exact test cases.
+those sequences are the cheap exact test cases.  Every sequence is
+nonincreasing and convex up to rounding when it is built, so the bounds
+that rest on that hypothesis hold for any ConvexSequence.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ConvexSequence",
-    "ConvexityReport",
-    "verify_convex",
 ]
 
 _TAIL_RULES = ("log_reciprocal", "log_squared_reciprocal", "constant")
 # subnormal heads lose relative precision that no error bar accounts for
 _SMALLEST_NORMAL = 2.0 ** -1022
-# 1/(8 eps): a file's sequence may rise or bend by 8 eps a_j, for rounding
+# 1/(8 eps): a sequence may rise or bend by 8 eps a_j, for rounding
 _INV_SLACK = 2.0 ** 49
 _DIFF_CHUNK = 2 ** 20  # second differences per chunk of _second_difference_chunks
 
@@ -37,11 +36,17 @@ class ConvexSequence:
         tuple of floats.
     tail_rule: one of "log_reciprocal" (a_n = 1/ln n), "log_squared_reciprocal"
         (a_n = 1/ln^2 n), or "constant" (a_n = head[-1]) for n >= len(head).
+
+    Through the first two tail terms the sequence must be nonincreasing and
+    convex up to rounding, else ValueError: with d_j = a_j - a_{j+1},
+    neither the rise -d_j nor the bend d_{j+1} - d_j may exceed 8 eps a_j.
+    The test multiplies them by 2^49 = 1/(8 eps), which rounds nothing, so
+    scaling a head by 2^k never changes its verdict; a rise or bend that
+    overflows is one that fails.  Beyond that the tail rules are convex.
     """
 
     head: tuple
     tail_rule: str = "constant"
-    label: str = ""
 
     def __post_init__(self):
         if self.tail_rule not in _TAIL_RULES:
@@ -55,64 +60,63 @@ class ConvexSequence:
         if self.tail_rule != "constant" and len(head) < 2:
             raise ValueError("log tail rules need the two undefined leading values in the head")
         object.__setattr__(self, "head", head)
+        a = self._window(0, len(head) + 2)
+        d = a[:-1] - a[1:]
+        with np.errstate(over="ignore"):
+            bad = -d * _INV_SLACK > a[:-1]
+            bad[:-1] |= (d[1:] - d[:-1]) * _INV_SLACK > a[:-2]
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise _NotConvex(f"a_{j}, a_{j + 1}, a_{j + 2} are not "
+                             "nonincreasing and convex")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def log_reciprocal(cls):
         """a_n = 1/ln n for n >= 2; a_1, a_0 by linear extension."""
-        a2 = 1.0 / math.log(2.0)
-        a3 = 1.0 / math.log(3.0)
-        a1 = 2.0 * a2 - a3
-        a0 = 2.0 * a1 - a2
-        return cls(head=(a0, a1), tail_rule="log_reciprocal", label="log")
+        return cls._log_family("log_reciprocal", 1)
 
     @classmethod
     def log_squared_reciprocal(cls):
         """a_n = 1/ln^2 n for n >= 2; a_1, a_0 by linear extension."""
-        a2 = 1.0 / math.log(2.0) ** 2
-        a3 = 1.0 / math.log(3.0) ** 2
+        return cls._log_family("log_squared_reciprocal", 2)
+
+    @classmethod
+    def _log_family(cls, rule, power):
+        a2 = 1.0 / math.log(2.0) ** power
+        a3 = 1.0 / math.log(3.0) ** power
         a1 = 2.0 * a2 - a3
-        a0 = 2.0 * a1 - a2
-        return cls(head=(a0, a1), tail_rule="log_squared_reciprocal", label="log2")
+        return cls(head=(2.0 * a1 - a2, a1), tail_rule=rule)
 
     @classmethod
     def from_file(cls, path):
         """Load a sequence from a text file.
 
-        One positive real per line (the head, in order).  A line holding one
-        of the tail rule keywords declares the tail; absent that, the last
-        head value continues forever.  '#' starts a comment.  Through the
-        first two tail terms the sequence must be nonincreasing and convex
-        up to rounding, else ValueError: with d_j = a_j - a_{j+1}, neither
-        the rise -d_j nor the bend d_{j+1} - d_j (_bends) may exceed
-        8 eps a_j.  The test multiplies them by 2^49 = 1/(8 eps), which
-        rounds nothing, so scaling a file by 2^k never changes its verdict;
-        a rise or bend that overflows is one that fails.
+        One positive real per line (the head, in order).  A last line holding
+        one of the tail rule keywords declares the tail; absent that, the
+        last head value continues forever.  A keyword anywhere else is an
+        error.  '#' starts a comment.  The constructor checks the sequence;
+        a file that is not nonincreasing and convex names its path.
         """
         head = []
-        rule = "constant"
+        rule = None
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                if rule is not None:
+                    raise ValueError(f"sequence file {path}: tail keyword "
+                                     f"{rule!r} must be the last entry")
                 if line in _TAIL_RULES:
                     rule = line
-                    continue
-                head.append(float(line))
-        seq = cls(head=tuple(head), tail_rule=rule,
-                  label=os.path.basename(str(path)))
-        a = seq.values(len(seq.head) + 2)
-        with np.errstate(over="ignore"):
-            rises = (a[1:] - a[:-1]) * _INV_SLACK > a[:-1]
-        rises[:-1] |= _bends(a)
-        bad = np.flatnonzero(rises)
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"sequence file {path}: a_{j}, a_{j + 1}, "
-                             f"a_{j + 2} are not nonincreasing and convex")
-        return seq
+                else:
+                    head.append(float(line))
+        try:
+            return cls(head=tuple(head), tail_rule=rule or "constant")
+        except _NotConvex as exc:
+            raise ValueError(f"sequence file {path}: {exc}") from None
 
     # -- values and differences ---------------------------------------
 
@@ -134,11 +138,7 @@ class ConvexSequence:
         if n != int(n) or n < 0:
             raise ValueError("index must be a nonnegative integer")
         n = int(n)
-        if n < len(self.head):
-            return self.head[n]
-        out = np.empty(1)
-        self._tail(n, out)
-        return float(out[0])
+        return float(self._window(n, n + 1)[0])
 
     def values(self, count):
         """Array of a_0 .. a_{count-1}."""
@@ -162,10 +162,6 @@ class ConvexSequence:
     def first_difference(self, j):
         """a_j - a_{j+1}."""
         return self.value(j) - self.value(j + 1)
-
-    def second_difference(self, j):
-        """a_j + a_{j+2} - 2 a_{j+1}."""
-        return self.value(j) + self.value(j + 2) - 2.0 * self.value(j + 1)
 
     def second_differences(self, count):
         """Array of second differences for j = 0 .. count-1.
@@ -197,17 +193,18 @@ class ConvexSequence:
             del d2
 
     def weighted_tail_beyond(self, J):
-        """sum_{j>J} (j+1) * second_difference(j), in closed telescoped form.
+        """sum_{j>J} (j+1) d2_j, d2_j = a_j + a_{j+2} - 2 a_{j+1}, telescoped.
 
-        Equals a_{J+1} + (J+1)(a_{J+1} - a_{J+2}) - lim a_n; valid because the
-        tails here are convex with n*(a_n - a_{n+1}) -> 0.
+        Equals a_{J+1} + (J+1)(a_{J+1} - a_{J+2}) - lim a_n; valid because
+        every sequence is convex (the constructor enforces it) and the tails
+        here have n*(a_n - a_{n+1}) -> 0.
         """
         J = int(J)
         return (self.value(J + 1) + (J + 1) * self.first_difference(J + 1)
                 - self.tail_limit())
 
     def squared_weighted_tail_beyond(self, J):
-        """sum_{j>J} (j+1)^2 * second_difference(j), or +inf when divergent.
+        """sum_{j>J} (j+1)^2 d2_j, or +inf when divergent.
 
         For both log-rule families the summand behaves like a power of
         1/log j, so the series diverges and +inf is returned; for constant
@@ -224,42 +221,5 @@ class ConvexSequence:
         return float(np.sum((j + 1) ** 2 * d2))
 
 
-def _bends(a):
-    """Where a_j, a_{j+1}, a_{j+2} bend concave beyond rounding: with
-    d_j = a_j - a_{j+1}, d_{j+1} - d_j > 8 eps a_j.  The bend is multiplied
-    by 2^49 = 1/(8 eps), which rounds nothing, so scaling a by 2^k never
-    changes the verdict; a bend that overflows is one that fails."""
-    d = a[:-1] - a[1:]
-    with np.errstate(over="ignore"):
-        return (d[1:] - d[:-1]) * _INV_SLACK > a[:-2]
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    min_second_difference: float
-    argmin: int
-    min_value: float
-    horizon: int
-    passed: bool
-
-
-def verify_convex(seq, horizon):
-    """Scan a_n > 0 and convexity for 0 <= j <= horizon.
-
-    Convexity is from_file's rule (_bends): a_j, a_{j+1}, a_{j+2} may bend
-    concave by at most 8 eps a_j, relative to the sequence, so a head and
-    its scalings by 2^k get one verdict.  The report also gives the
-    smallest second difference a_j + a_{j+2} - 2 a_{j+1} and its j.
-    """
-    horizon = int(horizon)
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    a = seq.values(horizon + 3)
-    d2 = a[:-2] + a[2:] - 2.0 * a[1:-1]
-    d2 = d2[: horizon + 1]
-    argmin = int(np.argmin(d2))
-    min_d2 = float(d2[argmin])
-    min_a = float(np.min(a))
-    passed = not _bends(a)[:horizon + 1].any() and min_a > 0.0
-    return ConvexityReport(min_d2, argmin, min_a, horizon, passed)
-
+class _NotConvex(ValueError):
+    """A head that is not nonincreasing and convex; from_file adds its path."""

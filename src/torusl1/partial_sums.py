@@ -7,8 +7,10 @@ nonnegative-kernel representation
 
 truncated at a caller-chosen order with a rigorous per-point tail bound
 (min of a global weighted-tail sum and the off-origin envelope
-d a_{J+1} / sin^2(pi t)).  f is never obtained as a limit of S_M, which
-need not converge in L1.  At points, each term (j+1) F_j(t) is
+d a_{J+1} / sin^2(pi t)).  Its terms are nonnegative and the bounds hold
+because every ConvexSequence is nonincreasing and convex: the constructor
+enforces it.  f is never obtained as a limit of S_M, which need not
+converge in L1.  At points, each term (j+1) F_j(t) is
 sin^2(pi (j+1) t) / sin^2(pi t), and the sum over j is three matrix
 products of split angle tables with a table of the d2 (_fejer_sum); on a
 uniform grid it is a cosine polynomial (reference_function_grid).  f and
@@ -88,9 +90,10 @@ def _fejer_sum(d2, j_lo, j_hi, u):
     So for S points the numerator is three products of S x B tables of the
     b-parts with the B x Q table of d2 (one stacked matrix product), each
     weighted by an S x Q table of a-parts and summed over q: about three
-    multiply-adds per term and 2 sqrt(M) sines and cosines per point.  For
-    convex sequences d2 >= 0, and while both angles lie below pi/2 all
-    three parts are nonnegative, so small u keeps its relative accuracy.
+    multiply-adds per term and 2 sqrt(M) sines and cosines per point.  The
+    constructor keeps every sequence convex, so d2 >= 0, and while both
+    angles lie below pi/2 all three parts are nonnegative, so small u keeps
+    its relative accuracy.
     Points are taken in chunks so that the work arrays hold about
     _SUM_BLOCK values, whatever M and S.
     """
@@ -134,7 +137,8 @@ def _sin2(u, out=None):
 
 def _tail_bounds(seq, j_max, sin2):
     """Per-point rigorous bound on the dropped tail beyond j_max, given
-    sin^2(pi u) at the points: the off-origin envelope divided into one
+    sin^2(pi u) at the points, for the nonincreasing convex sequences the
+    constructor enforces: the off-origin envelope divided into one
     inf-filled array where sin^2 > 0, then the global bound in place, so
     the points take one output array and one mask."""
     out = np.full(np.shape(sin2), np.inf)
@@ -314,6 +318,7 @@ def residual_identity_check(seq, N, t, j_max=100000):
 class UniformConvergenceReport:
     Ns: tuple
     sup_deviations: tuple
+    abel_bounds: tuple
     probe_count: int
     max_f_tail_bound: float
     trend_nonincreasing: bool
@@ -323,9 +328,14 @@ def uniform_convergence_check(seq, interval, Ns, probe_count=200,
                               j_max=100000, seed=0):
     """sup_t |S_N(t) - f(t)| over probe points in a set away from 0.
 
-    The set must have positive distance from the origin.  Probes are drawn
+    The set must have positive distance d from the origin.  Probes are drawn
     uniformly from the set with a seeded generator, so runs are
-    reproducible.
+    reproducible.  Beside each probe maximum stands the bound over the
+    whole set, 2 a_{N+1} / sin(pi d): summed by parts, f - S_N is
+    sum_{n>N} (a_n - a_{n+1}) D_n - a_{N+1} D_N, |D_n| <= 1 / sin(pi d) on
+    the set, and the a_n are nonincreasing to a limit c >= 0 (the
+    constructor enforces it).  The probes compare S_N with f truncated at
+    j_max, so they may exceed it by max_f_tail_bound.
     """
     if interval.is_empty:
         raise ValueError("probe set is empty")
@@ -343,12 +353,15 @@ def uniform_convergence_check(seq, interval, Ns, probe_count=200,
     probes = lows[idx] + (x - cum[idx])
 
     f_vals, f_tails = fejer_representation(seq, j_max, probes)
+    sin_d = math.sin(math.pi * interval.distance_from_zero())
     sups = []
     for N in Ns:
         s = cosine_poly_points(seq.values(N + 1), probes)
         sups.append(float(np.max(np.abs(s - f_vals))))
     trend = all(b <= 1.1 * a for a, b in zip(sups, sups[1:])) and sups[-1] <= sups[0]
     return UniformConvergenceReport(Ns=tuple(Ns), sup_deviations=tuple(sups),
+                                    abel_bounds=tuple(2.0 * seq.value(N + 1) / sin_d
+                                                      for N in Ns),
                                     probe_count=int(probe_count),
                                     max_f_tail_bound=float(np.max(f_tails)),
                                     trend_nonincreasing=bool(trend))

@@ -39,10 +39,12 @@ which is all that is stored and subtracted; the trapezoid reads
 full-grid index i > G//2 at G - i.  A sweep of orders over one set builds
 f once; its per-point truncation bounds are integrated over the set and
 dropped before the first order, so each order holds f's half grid and its
-own.  The integrated bound, the grid-refinement difference, and end
-slivers are combined into the error estimate.  Sets must stay
-clear of the origin when the reference tail diverges there; the mass of
-the excluded window is bounded in closed form and reported.
+own.  Those bounds, like the closed-form origin window bound, hold because
+the coefficients are nonincreasing and convex, which the ConvexSequence
+constructor enforces.  The integrated bound, the grid-refinement
+difference, and end slivers are combined into the error estimate.  Sets
+must stay clear of the origin when the reference tail diverges there; the
+mass of the excluded window is bounded in closed form and reported.
 """
 
 import math
@@ -656,7 +658,8 @@ def origin_window_bound(seq, N, eta):
 
     Splits f at order J = round(1/(2 eta)), at least 2: the kept part is
     below sum (j+1)^2 d2_j pointwise, the dropped kernels contribute at
-    most their full-torus mass, and |S_N| is below its coefficient sum;
+    most their full-torus mass (d2_j >= 0 and F_j >= 0, since the
+    constructor enforces convexity), and |S_N| is below its coefficient sum;
     everything is then integrated over the window of width 2 eta.  A
     constant tail's second differences vanish beyond its head, so its kept
     sum stops there however small eta is.  A log tail keeps J + 1 terms,

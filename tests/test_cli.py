@@ -260,6 +260,14 @@ def test_error_exit_codes(capsys, tmp_path):
                              "--n", "4..16x2")
     assert code == 2 and out == "" and err.count("\n") == 1
     assert "not nonincreasing and convex" in err
+    # a tail keyword before the last value is refused with the file path
+    early = tmp_path / "early.txt"
+    early.write_text("3\n2\nconstant\n1.5\n1.2\n")
+    code, out, err = run_cli(capsys, "norms", "--sequence", str(early),
+                             "--n", "4")
+    assert code == 2 and out == ""
+    assert err == (f"error: sequence file {early}: tail keyword 'constant' "
+                   "must be the last entry\n")
     code, _, err = run_cli(capsys, "norms", "--kind", "residual", "--n", "8",
                            "--grid-size", "16", "--set", "0.1,0.3")
     assert code == 2 and "below Nyquist" in err
@@ -275,6 +283,16 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "norms", "--n", "4",
                            "--nodes-per-panel", "100000")
     assert code == 2 and "2..64 nodes per panel" in err
+    # a non-finite --eta is refused in both kinds, before any output; -inf
+    # is not positive and keeps that message
+    for eta in ("nan", "inf"):
+        for kind in ("abs", "residual"):
+            code, out, err = run_cli(capsys, "norms", "--n", "16", "--kind", kind,
+                                     f"--eta={eta}", "--format", "json")
+            assert code == 2 and out == ""
+            assert err == f"error: --eta must be finite, got {eta}\n"
+    code, _, err = run_cli(capsys, "norms", "--n", "16", "--eta=-inf")
+    assert code == 2 and "must be positive" in err
     # a head near the float64 limit overflows the grid arithmetic: one
     # error line instead of nan rows; the second head keeps f at 0 and
     # overflows S_N alone

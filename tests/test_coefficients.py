@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusl1 import ConvexSequence, verify_convex
+from torusl1 import ConvexSequence
 
 
 def test_log_family_head_and_tail_values():
@@ -13,8 +13,7 @@ def test_log_family_head_and_tail_values():
     assert seq.value(2) == 1.0 / math.log(2.0)
     assert seq.value(3) == 1.0 / math.log(3.0)
     # head extrapolated so the second differences vanish at j = 0, 1
-    assert abs(seq.second_difference(0)) < 1e-15
-    assert abs(seq.second_difference(1)) < 1e-15
+    assert np.all(np.abs(seq.second_differences(2)) < 1e-15)
     assert seq.value(0) == pytest.approx(2.5076066694132155, rel=1e-15)
     assert seq.value(1) == pytest.approx(1.9751508551510895, rel=1e-15)
 
@@ -22,7 +21,7 @@ def test_log_family_head_and_tail_values():
 def test_log_squared_family_values():
     seq = ConvexSequence.log_squared_reciprocal()
     assert seq.value(5) == 1.0 / math.log(5.0) ** 2
-    assert abs(seq.second_difference(0)) < 1e-15
+    assert abs(seq.second_differences(1)[0]) < 1e-15
     assert seq.tail_limit() == 0.0
 
 
@@ -48,11 +47,15 @@ def test_value_is_values_bit_for_bit():
 
 
 def test_both_families_are_convex_positive_null():
+    # the constructor checks the head and two tail terms; the float values
+    # of the tail rules neither rise nor bend beyond 8 eps a_j to j = 2e4
     for seq in (ConvexSequence.log_reciprocal(),
                 ConvexSequence.log_squared_reciprocal()):
-        rep = verify_convex(seq, 20000)
-        assert rep.passed
-        assert rep.min_value > 0.0
+        a = seq.values(20003)
+        d = a[:-1] - a[1:]
+        assert not np.any(-d * 2.0 ** 49 > a[:-1])
+        assert not np.any((d[1:] - d[:-1]) * 2.0 ** 49 > a[:-2])
+        assert a.min() > 0.0
         assert seq.values(50000)[-1] < seq.value(10)
 
 
@@ -68,31 +71,27 @@ def test_head_must_be_normal_floats():
             ConvexSequence(head)
 
 
-def test_verify_convex_flags_concave_head():
-    seq = ConvexSequence((1.0, 3.0, 1.0, 1.0))
-    rep = verify_convex(seq, 10)
-    assert not rep.passed
-    assert rep.min_second_difference < -1.0
-
-
-def test_verify_convex_is_scale_free():
-    # the verdict is from_file's relative rule, so a head and its scalings
-    # by 2^+-600 and 1e+-20 get one verdict.  The absolute -1e-12 it
-    # replaced failed 1, 3, 1, 1 but passed the same head times 1e-20
+def test_constructor_checks_convexity_scale_free():
+    # every sequence is checked when built, by a rule relative to the
+    # sequence, so a head and its scalings by 2^+-600 and 1e+-20 get one
+    # verdict
     heads = {(3.0, 2.0, 1.5, 1.2, 1.0): True,
              (1.0, 0.9, 0.8, 0.7): True,  # linear up to decimal rounding
              (1.0, 3.0, 1.0, 1.0): False,
              (3.0, 2.0, 1.5, 1.4, 1.0): False,
-             (1.0, 1.0, 1.0 - 1e-6): False}  # bends 1e-6 at a_0 = 1
+             (1.0, 1.0, 1.0 - 1e-6): False,  # bends 1e-6 at a_0 = 1
+             (1.0, 1.0, 1.0, 1.0, 3.0): False}  # rises at its end
     for head, convex in heads.items():
         for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 1e20, 1e-20):
-            seq = ConvexSequence(tuple(v * scale for v in head))
-            rep = verify_convex(seq, 10)
-            assert rep.passed is convex, (head, scale)
-            assert rep.min_value == min(seq.head)
-    # the report keeps the smallest second difference and where it lies
-    rep = verify_convex(ConvexSequence((1.0, 3.0, 1.0, 1.0)), 10)
-    assert (rep.min_second_difference, rep.argmin, rep.horizon) == (-4.0, 0, 10)
+            scaled = tuple(v * scale for v in head)
+            if convex:
+                assert ConvexSequence(scaled).head == scaled
+            else:
+                with pytest.raises(ValueError, match="not nonincreasing and convex"):
+                    ConvexSequence(scaled)
+    # the first index of the three that fail is named
+    with pytest.raises(ValueError, match=r"^a_3, a_4, a_5 are not"):
+        ConvexSequence((1.0, 1.0, 1.0, 1.0, 3.0))
 
 
 def test_second_differences_match_brute_force():
@@ -198,8 +197,13 @@ def test_from_file_refuses_heads_that_are_not_convex(tmp_path):
                  "3\n1\nlog_reciprocal\n", "3\n2.9\nlog_reciprocal\n"):
         with pytest.raises(ValueError, match="not nonincreasing and convex"):
             load(text)
-        # the constructor does not check, so verify_convex can report
-        assert not verify_convex(ConvexSequence(*_parse(text)), 10).passed
+        # the constructor refuses the same sequence, without a path
+        with pytest.raises(ValueError, match="^a_"):
+            ConvexSequence(*_parse(text))
+    with pytest.raises(ValueError) as exc:
+        load("1\n3\n1\n1\n")
+    assert str(exc.value) == (f"sequence file {p}: a_0, a_1, a_2 are not "
+                              "nonincreasing and convex")
     # the shipped files, an arithmetic progression whose decimal
     # differences round apart, and the log families written out
     fams = (ConvexSequence.log_reciprocal(), ConvexSequence.log_squared_reciprocal())
@@ -228,6 +232,23 @@ def test_from_file_refuses_heads_that_are_not_convex(tmp_path):
         assert len(verdicts) == 1, text
 
 
+def test_from_file_tail_keyword_comes_last(tmp_path):
+    # a keyword before the last value, or two keywords, is refused with the
+    # path, not read as a tail rule with the values after it in the head
+    p = tmp_path / "seq.txt"
+    for text, rule in (("3\n2\nconstant\n1.5\n1.2\n", "constant"),
+                       ("3\nlog_reciprocal\n2\nconstant\n", "log_reciprocal"),
+                       ("3\n2\nconstant\nconstant\n", "constant")):
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            ConvexSequence.from_file(p)
+        assert str(exc.value) == (f"sequence file {p}: tail keyword "
+                                  f"{rule!r} must be the last entry")
+    # comments and blank lines after the keyword are not entries
+    p.write_text("3\n2\nlog_reciprocal  # tail\n\n# end\n")
+    assert ConvexSequence.from_file(p).tail_rule == "log_reciprocal"
+
+
 def _parse(text):
     """(head, tail rule) of a sequence file's text."""
     lines = text.split()
@@ -245,10 +266,16 @@ def test_construction_validation():
         ConvexSequence((1.0, 0.5), tail_rule="bogus")
     with pytest.raises(ValueError):
         ConvexSequence((), tail_rule="constant")
+    with pytest.raises(ValueError, match="not nonincreasing and convex"):
+        ConvexSequence((2.0, 1.0, 3.0))  # unsorted
 
 
-@given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8))
-def test_constant_tail_sequenergy_is_eventually_flat(head):
+@given(st.floats(0.1, 10.0), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=7))
+def test_constant_tail_sequenergy_is_eventually_flat(last, steps):
+    # a convex head: its steps a_j - a_{j+1} shrink toward the last value
+    head = [last]
+    for d in sorted(steps):
+        head.insert(0, head[0] + d)
     seq = ConvexSequence(head, tail_rule="constant")
     tail = seq.values(len(head) + 20)[len(head):]
     assert np.all(tail == head[-1])

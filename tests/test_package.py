@@ -9,7 +9,7 @@ MODULES = ("kernels", "coefficients", "intervals", "partial_sums",
 
 EXPORTED = {
     "CertificateReport", "ConvergenceVerdict", "ConvexSequence",
-    "ConvexityReport", "CrossingReport", "ExtremaTable",
+    "CrossingReport", "ExtremaTable",
     "IdentityCheck", "IntervalLimitDemo", "IntervalUnion",
     "NormTrace", "QuadResult", "ResidualResult",
     "UniformConvergenceReport", "WitnessSet", "analyze_trace",
@@ -23,7 +23,6 @@ EXPORTED = {
     "origin_window_bound", "partial_sum", "partial_sum_grid",
     "reference_function_grid", "residual_identity_check", "residual_l1",
     "uniform_convergence_check", "uniform_integrability_certificate",
-    "verify_convex",
 }
 
 

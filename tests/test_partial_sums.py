@@ -394,3 +394,26 @@ def test_restricted_sup_validation(log_seq):
         uniform_convergence_check(log_seq, IntervalUnion.parse("-0.01,0.01"), Ns)
     with pytest.raises(ValueError):
         uniform_convergence_check(log_seq, IntervalUnion.parse("0.1,0.2"), [64, 16])
+
+
+@pytest.mark.parametrize("name", ["log", "log2", "log-tail", "constant-tail"])
+def test_restricted_sup_within_abel_bound(name, tmp_path):
+    # sup |f - S_N| on a set at distance d from 0 is at most 2 a_{N+1} /
+    # sin(pi d) for nonincreasing a_n with a limit >= 0; the probes see f
+    # truncated at j_max, so they may add its tail bound
+    files = {"log-tail": "3\n2\nlog_reciprocal\n",
+             "constant-tail": "3\n2\n1.5\n1.2\n1\nconstant\n"}
+    if name in files:
+        path = tmp_path / "seq.txt"
+        path.write_text(files[name])
+        seq = ConvexSequence.from_file(path)
+    else:
+        seq = (ConvexSequence.log_reciprocal() if name == "log"
+               else ConvexSequence.log_squared_reciprocal())
+    Ns = [16, 64, 256, 1024, 4096]
+    rep = uniform_convergence_check(seq, IntervalUnion.parse("0.1,0.4"), Ns,
+                                    probe_count=10 ** 4)
+    bounds = [2.0 * seq.value(N + 1) / np.sin(0.1 * np.pi) for N in Ns]
+    assert rep.abel_bounds == pytest.approx(bounds, rel=1e-15)
+    for sup, bound in zip(rep.sup_deviations, rep.abel_bounds):
+        assert sup <= bound + rep.max_f_tail_bound, (sup, bound)
