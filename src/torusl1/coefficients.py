@@ -179,16 +179,19 @@ class ConvexSequence:
 
         Yields (lo, d2), d2 holding j = lo .. lo + d2.size - 1 bit for bit as
         second_differences(count) does.  Each chunk is built from a window
-        of the values (_window) that is freed before the chunk is yielded,
-        so a caller that drops d2 before the next chunk holds about three
-        chunks of arrays at most, whatever count.
+        of the values (_window), its middle doubled in place, that is freed
+        before the chunk is yielded, so a caller that drops d2 before the
+        next chunk holds two chunks of arrays at most (the window with its
+        index array, then with d2), whatever count.
         """
         count = int(count)
         for lo in range(0, count, _DIFF_CHUNK):
             a = self._window(lo, min(lo + _DIFF_CHUNK, count) + 2)
             d2 = a[:-2] + a[2:]
-            d2 -= 2.0 * a[1:-1]
-            del a
+            mid = a[1:-1]  # a is this chunk's own window
+            mid *= 2.0
+            d2 -= mid
+            del a, mid
             yield lo, d2
             del d2
 

@@ -17,9 +17,10 @@ uniform grid it is a cosine polynomial (reference_function_grid).  f and
 S_N are even, so the grid functions return only the half grid t <= 0,
 k = 0..G//2, as trigsum.cosine_poly_grid does.  The reference reads the
 d2 a chunk of 2^20 at a time and folds each onto the grid's G//2 + 1
-bins, so its working set follows G and the lattice budget, not j_max;
-the grid arithmetic then runs in place on the half grid, with the
-folded vector freed first.  The term index goes through product_frac,
+bins in one plain loop, each bin taking its terms in increasing index
+(trigsum._fold_into), so its working set follows G and the lattice
+budget, not j_max; the grid arithmetic then runs in place on the half
+grid, with the folded vector freed first.  The term index goes through product_frac,
 so j_max + 2 <= 2^25.
 
 residual_identity_check probes the twice-summed-by-parts form of
@@ -35,7 +36,7 @@ import numpy as np
 
 from .kernels import (canonical, check_index, dirichlet_eval, fejer_eval,
                       product_frac)
-from .trigsum import _fold_to_grid, cosine_poly_grid, cosine_poly_points
+from .trigsum import _fold_into, cosine_poly_grid, cosine_poly_points
 
 __all__ = [
     "partial_sum",
@@ -178,14 +179,15 @@ def reference_function_grid(seq, grid_size, j_max):
     reads off the lattice.  The d2 are read a chunk at a time
     (ConvexSequence._second_difference_chunks): each chunk adds to W and,
     for an even G, to sum (j+1)^2 d2 = f(0), since F_j(0) = j+1 and an
-    even G ends at t = 0; then it is folded onto the grid's bins G//2 + 1
-    (trigsum._fold_to_grid) and freed.  So no array of j_max terms is
-    built, and up to one chunk the values are those of the whole vector
-    bit for bit.  The grid arithmetic then runs in place on the half
-    grid, and sin^2(pi t_k) is built in place in one more, so with the
-    tail bounds and their mask the last stage holds about 3 1/8 half-grid
-    arrays.  The term index goes through product_frac, so
-    j_max + 2 <= 2^25.
+    even G ends at t = 0; then it is folded onto the grid's G//2 + 1 bins
+    (trigsum._fold_into) and freed.  Every bin takes its terms in
+    increasing index however they are cut, so no array of j_max terms is
+    built, the bins are those of the whole vector bit for bit, and up to
+    one chunk (W and f(0) add chunk by chunk) so are the values.  The
+    grid arithmetic then runs in place on the half grid, and
+    sin^2(pi t_k) is built in place in one more, so with the tail bounds
+    and their mask the last stage holds about 3 1/8 half-grid arrays.
+    The term index goes through product_frac, so j_max + 2 <= 2^25.
     """
     G = int(grid_size)
     if G < 2:
@@ -194,25 +196,20 @@ def reference_function_grid(seq, grid_size, j_max):
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
     _check_term_range(j_max)
-    sums = [0.0, 0.0]  # W = sum d2_j and, for even G, sum (j+1)^2 d2_j
-
-    def terms():
-        yield np.zeros(1)  # c_0
-        for lo, d2 in seq._second_difference_chunks(j_max + 1):
-            sums[0] += float(np.sum(d2))
-            if G % 2 == 0:
-                m2 = np.arange(lo + 1, lo + d2.size + 1, dtype=float)
-                m2 *= m2
-                m2 *= d2
-                sums[1] += float(np.sum(m2))
-                del m2
-            yield d2
-            del d2
-
-    coeffs = _fold_to_grid(terms(), j_max + 2, G)
+    coeffs = np.zeros(min(j_max + 2, G // 2 + 1))  # c_0 = 0, c_m = d2_{m-1}
+    W = at_zero = 0.0  # sum d2_j and, for even G, sum (j+1)^2 d2_j
+    for lo, d2 in seq._second_difference_chunks(j_max + 1):
+        W += float(np.sum(d2))
+        if G % 2 == 0:
+            m2 = np.arange(lo + 1, lo + d2.size + 1, dtype=float)
+            m2 *= m2
+            m2 *= d2
+            at_zero += float(np.sum(m2))
+            del m2
+        _fold_into(coeffs, d2, lo + 1, G)
+        del d2
     values = cosine_poly_grid(coeffs, G)
     del coeffs
-    W, at_zero = sums
     values *= 0.5  # sum_j d2_j cos(2 pi (j+1) t)
     np.subtract(W, values, out=values)
     values *= 0.5
@@ -277,7 +274,9 @@ def residual_identity_check(seq, N, t, j_max=100000):
         raise ValueError(f"t must be finite, got {t!r}")
     u = canonical(t)
     if u == 0.0:
-        raise ValueError("t = 0 is excluded (f may diverge there)")
+        raise ValueError("t = 0 is excluded (f may diverge there)" if t == 0 else
+                         f"t = {t!r} reduces to 0, which is excluded "
+                         "(f may diverge there)")
 
     d2 = _cached_second_differences(seq, j_max)
     u_arr = np.atleast_1d(u)
@@ -344,10 +343,13 @@ def uniform_convergence_check(seq, interval, Ns, probe_count=200,
     Ns = [int(n) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
+    probe_count = int(probe_count)
+    if probe_count < 1:
+        raise ValueError(f"probe_count must be >= 1, got {probe_count}")
     rng = np.random.default_rng(seed)
     lengths = np.array([hi - lo for lo, hi in interval.intervals])
     cum = np.concatenate(([0.0], np.cumsum(lengths)))
-    x = rng.uniform(0.0, cum[-1], int(probe_count))
+    x = rng.uniform(0.0, cum[-1], probe_count)
     idx = np.clip(np.searchsorted(cum, x, side="right") - 1, 0, lengths.size - 1)
     lows = np.array([lo for lo, _ in interval.intervals])
     probes = lows[idx] + (x - cum[idx])
@@ -362,6 +364,6 @@ def uniform_convergence_check(seq, interval, Ns, probe_count=200,
     return UniformConvergenceReport(Ns=tuple(Ns), sup_deviations=tuple(sups),
                                     abel_bounds=tuple(2.0 * seq.value(N + 1) / sin_d
                                                       for N in Ns),
-                                    probe_count=int(probe_count),
+                                    probe_count=probe_count,
                                     max_f_tail_bound=float(np.max(f_tails)),
                                     trend_nonincreasing=bool(trend))

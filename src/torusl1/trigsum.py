@@ -24,8 +24,10 @@ of the lattice transforms of the second:
     G/P, with P raised until one complex FFT row fits the same byte
     budget.  p is even, so the whole grid is g[G-k] = g[k]: only rows
     0..P/2 are evaluated and only the half is returned.  Coefficients
-    running past degree G//2 are first folded onto it, from pieces of the
-    vector if the caller has no whole one (_fold_to_grid).  It transforms
+    running past degree G//2 are first folded onto it by one in-order
+    rule (_fold_into): each bin takes its terms in increasing m, so a
+    caller with no whole vector may fold it piece by piece and get the
+    same bits; a coarse grid folds one period per step.  It transforms
     nothing itself: it copies each block of _cell_blocks into the half
     grid as it comes, so beside the coefficients and the half grid only
     one block is alive.  An odd G has P = 1, whose row is paired with a
@@ -53,12 +55,11 @@ __all__ = [
 ]
 
 
-_POINTS_BLOCK = 2048  # terms and points per block in cosine_poly_points
+_POINTS_BLOCK = 2048  # terms per block in cosine_poly_points
 # working set of one offset block in cosine_poly_on_cells; numpy's FFT plan
 # and work buffers come on top (about 14 MB at L = 2^19)
 _BLOCK_BYTES = 2 ** 24
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
-_FOLD_TERMS = 2 ** 20  # most terms summed at once in _fold_to_grid
 _TILE = 1024  # lattice columns per tile of cosine_poly_grid's copies
 _EPS = float(np.finfo(float).eps)
 
@@ -82,13 +83,18 @@ def _weights(coeffs, lo=0, hi=None):
 def cosine_poly_points(coeffs, ts):
     """Direct evaluation at arbitrary points; scalar in, scalar out.
 
-    Chunked over both terms and points so temporaries stay bounded.
+    Chunked over terms, _POINTS_BLOCK at a time, and over points, 128 at
+    a time, so that a block's temporaries (about 8 doubles per term and
+    point) fit _BLOCK_BYTES.  A point's sum takes the same term blocks in
+    the same order in any point block; blocks of a multiple of 4 points
+    also keep the matrix product's column groups, so the bits too.
     """
     w = _weights(coeffs)
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
     out = np.empty(ts_arr.shape)
-    for p0 in range(0, ts_arr.size, _POINTS_BLOCK):
-        blk = ts_arr[p0:p0 + _POINTS_BLOCK]
+    step = max(1, _BLOCK_BYTES // (64 * _POINTS_BLOCK))  # points per block
+    for p0 in range(0, ts_arr.size, step):
+        blk = ts_arr[p0:p0 + step]
         acc = np.full(blk.shape, w[0])
         for lo in range(1, w.size, _POINTS_BLOCK):
             m = np.arange(lo, min(lo + _POINTS_BLOCK, w.size), dtype=float)
@@ -100,67 +106,36 @@ def cosine_poly_points(coeffs, ts):
     return out.reshape(np.shape(ts))
 
 
-def _fold_to_grid(pieces, size, G):
-    """Coefficients of degree <= G//2 with the same values on the G-grid.
+def _fold_into(out, part, m, G):
+    """Fold the coefficients c_m, c_{m+1}, ... (part) onto the bins out.
 
-    pieces yields the coefficient vector c in order, c_0 first, in pieces
-    of any length and size terms in all.  At t_k = -1/2 + k/G,
-    cos(2 pi (m + G) t_k) and cos(2 pi (G - m) t_k) are both
-    (-1)^G cos(2 pi m t_k).  So the whole periods of G terms are summed in
-    order, even and odd periods apart, the odd sum added with sign (-1)^G,
-    then the last partial period with sign (-1)^(G whole); bin G - r is
-    added to bin r last.  An aliased term keeps its weight 2 on bin 0,
-    where c_0 has weight 1: once a period has been summed, bin 0 is
-    2 acc - c_0.  Every bin takes its terms in that order however c is
-    cut, so the pieces do not change the bits.  Two periods are held
-    while whole periods are summed, up to _FOLD_TERMS of them added in
-    one call; without any, only bins 0..G//2 are,
-    and a term past them goes onto bin G - m as it arrives.  So size <=
-    G//2 + 1 gives c back unfolded.
+    out holds coefficients of degree <= G//2 with the same values on the
+    G-grid.  At t_k = -1/2 + k/G and m = pG + r, cos(2 pi m t_k) is
+    (-1)^(Gp) cos(2 pi r t_k) and (-1)^(Gp + G) cos(2 pi (G - r) t_k).
+    So term m goes to bin r with sign (-1)^(Gp), or, for r > G//2, to bin
+    G - r with one more (-1)^G; a term aliased onto bin 0 (p >= 1) keeps
+    its weight 2 there, where c_0 has weight 1, and counts twice.  Each
+    stretch of a period goes on whole, added or subtracted in place, so
+    every bin takes its terms in increasing m however the vector is cut,
+    and a coarse grid costs one step per period.  A vector of at most
+    G//2 + 1 terms needs only that many bins.
     """
     h = G // 2 + 1
-    sign = -1.0 if G % 2 else 1.0
-    whole = size // G
-    acc = np.zeros(G if whole else min(size, h))  # even periods, then all
-    odd = np.zeros(G) if whole > 1 else None
-    m = 0  # index of the next term
-    for piece in pieces:
-        if m == 0 and piece.size:
-            c0 = float(piece[0])
-        while piece.size:
-            p, r = divmod(m, G)
-            k = min(piece.size // G, whole - p, _FOLD_TERMS // G) if r == 0 else 0
-            if k > 1:
-                # k whole periods at once: each parity's sum still takes
-                # its periods in order, after what it holds
-                rows = piece[:k * G].reshape(k, G)
-                for i, total in ((p % 2, acc), (1 - p % 2, odd)):
-                    np.add.reduce(np.concatenate((total[None], rows[i::2])),
-                                  axis=0, out=total)
-                piece, m = piece[k * G:], m + k * G
-                continue
-            n = min(piece.size, G - r)
-            part, piece = piece[:n], piece[n:]
-            m += n
-            if p < whole:
-                (odd if p % 2 else acc)[r:r + n] += part
-                continue
-            if odd is not None:
-                acc += sign * odd
-                odd = None
-            # terms kept in place; without whole periods, those past bin
-            # G//2 go onto bin G - i at once
-            k = n if whole else max(min(n, h - r), 0)
-            acc[r:r + k] += sign ** whole * part[:k]
-            acc[G - r - n + 1:G - r - k + 1] += sign * part[k:][::-1]
-    if odd is not None:
-        acc += sign * odd
-    if not whole:
-        return acc  # bin 0 holds c_0 alone
-    out = acc[:h].copy()
-    out[1:G - h + 1] += sign * acc[:h - 1:-1]
-    out[0] = 2.0 * out[0] - c0
-    return out
+    ops = (np.add, np.subtract)
+    while part.size:
+        p, r = divmod(m, G)
+        n = min(part.size, G - r)  # the rest of period p
+        s = G * p % 2  # 1 where the period's sign is -1
+        i = int(r == 0 and p > 0)
+        if i:
+            out[0] = ops[s](out[0], 2.0 * part[0])
+        k = max(min(n, h - r), 0)  # part[:k] lies on bins r..r+k-1
+        dst = out[r + i:r + k]
+        ops[s](dst, part[i:k], dst)
+        # part[k:n] lands on bins G - r - k down to G - r - n + 1
+        dst = out[G - r - n + 1:G - r - k + 1]
+        ops[s ^ G % 2](dst, part[k:n][::-1], dst)
+        part, m = part[n:], m + n
 
 
 def cosine_poly_grid(coeffs, grid_size):
@@ -168,11 +143,12 @@ def cosine_poly_grid(coeffs, grid_size):
 
     That is the half t_k <= 0 of the uniform grid, G//2 + 1 values; the
     whole grid is their mirror (below).  Coefficients past degree G//2 are
-    first folded onto it (_fold_to_grid), which leaves the grid values
-    alone; shorter ones go to the lattice as they are.  For P dividing G,
-    t_{kP+j} = k/L + 1/2 + j/G (mod 1) with L = G/P, so the grid is P
-    interleaved lattices: the lattice row at offset 1/2 + j/G
-    (cosine_poly_on_cells) holds grid values j, j + P, ...  P is the
+    first folded onto G//2 + 1 bins term by term in increasing m
+    (_fold_into), which leaves the grid values alone; shorter ones go to
+    the lattice as they are.  For P dividing G, t_{kP+j} = k/L + 1/2 + j/G
+    (mod 1) with L = G/P, so the grid is P interleaved lattices: the
+    lattice row at offset 1/2 + j/G (cosine_poly_on_cells) holds grid
+    values j, j + P, ...  P is the
     largest power of two that divides G, is at most _GRID_ROWS and keeps
     len(coeffs) <= L, and at least 2 for even G, whose two rows then share
     one complex FFT of length G/2.  It is raised further, as far as G's factors of two
@@ -198,7 +174,9 @@ def cosine_poly_grid(coeffs, grid_size):
         raise ValueError("grid_size must be >= 1")
     c = np.asarray(coeffs, dtype=float)
     if c.ndim == 1 and c.size > G // 2 + 1:
-        c = _fold_to_grid((c,), c.size, G)
+        folded = np.zeros(G // 2 + 1)
+        _fold_into(folded, c, 0, G)
+        c = folded
     P = math.gcd(G, 2)
     # one complex FFT row, two offsets of 16 L bytes each (_block_size),
     # must fit the budget

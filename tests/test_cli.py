@@ -280,6 +280,11 @@ def test_error_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, "identity", "--n", "8", f"--t={t}")
         assert code == 2 and out == ""
         assert err == f"error: t must be finite, got {t}\n"
+    # a t that reduces to 0 names itself
+    code, out, err = run_cli(capsys, "identity", "--n", "8", "--t", "1e300")
+    assert code == 2 and out == ""
+    assert err == ("error: t = 1e+300 reduces to 0, which is excluded "
+                   "(f may diverge there)\n")
     code, _, err = run_cli(capsys, "norms", "--n", "4",
                            "--nodes-per-panel", "100000")
     assert code == 2 and "2..64 nodes per panel" in err

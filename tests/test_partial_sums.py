@@ -84,10 +84,13 @@ def test_representation_origin_tail(log_seq, log2_seq):
     assert tail == 0.0
 
 
-def test_reference_grid_matches_representation(log_seq, log2_seq):
+@pytest.mark.parametrize("G, J", [(4096, 5000), (4096, 3 * 4096 + 5),
+                                  (4097, 3 * 4097 + 5)])
+def test_reference_grid_matches_representation(log_seq, log2_seq, G, J):
     # the half k = 0..G//2: points up to t = 0 and the mirrors of the
-    # whole grid's points G - 1096 = 3000 and above
-    G, J = 4096, 5000
+    # whole grid's points G - 1096 = 3000 and above; past 3 G terms the
+    # fold's signs over several periods, even and odd, and its doubled
+    # bin 0 meet the independent _fejer_sum
     for seq in (log_seq, log2_seq):
         vals, tails = reference_function_grid(seq, G, J)
         assert vals.shape == tails.shape == (G // 2 + 1,)
@@ -98,8 +101,9 @@ def test_reference_grid_matches_representation(log_seq, log2_seq):
         assert np.max(rel) < 1e-9
         assert np.allclose(tails[pick][np.isfinite(t2)],
                            t2[np.isfinite(t2)], rtol=1e-12, atol=0)
-        assert vals[G // 2] == pytest.approx(
-            fejer_representation(seq, J, 0.0)[0], rel=1e-12)
+        if G % 2 == 0:  # an even grid ends at t = 0
+            assert vals[G // 2] == pytest.approx(
+                fejer_representation(seq, J, 0.0)[0], rel=1e-12)
 
 
 def _dense_reference(seq, G, j_max):
@@ -394,6 +398,11 @@ def test_restricted_sup_validation(log_seq):
         uniform_convergence_check(log_seq, IntervalUnion.parse("-0.01,0.01"), Ns)
     with pytest.raises(ValueError):
         uniform_convergence_check(log_seq, IntervalUnion.parse("0.1,0.2"), [64, 16])
+    # no probes: a message of its own, not numpy's empty or negative array
+    for count in (0, -3):
+        with pytest.raises(ValueError, match=f"probe_count must be >= 1, got {count}"):
+            uniform_convergence_check(log_seq, IntervalUnion.parse("0.1,0.2"), Ns,
+                                      probe_count=count)
 
 
 @pytest.mark.parametrize("name", ["log", "log2", "log-tail", "constant-tail"])

@@ -45,8 +45,10 @@ def test_points_chunking_consistency(monkeypatch):
     coeffs = rng.normal(size=5000)
     ts = rng.uniform(-0.5, 0.5, 100)
     b = cosine_poly_points(coeffs, ts)
-    # blocks that split both the terms and the points unevenly
+    # blocks that split both the terms and the points unevenly: 37 terms
+    # and 13 points
     monkeypatch.setattr(trigsum, "_POINTS_BLOCK", 37)
+    monkeypatch.setattr(trigsum, "_BLOCK_BYTES", 64 * 37 * 13)
     a = cosine_poly_points(coeffs, ts)
     assert np.allclose(a, b, rtol=0, atol=1e-9)
 
@@ -111,47 +113,41 @@ def test_half_grid_is_the_first_half(G):
         assert np.max(np.abs(whole - direct)) <= bar, (G, M)
 
 
-def _dense_fold(c, G):
-    # the whole-vector fold that _fold_to_grid's pieces replaced, kept as
-    # its oracle
-    h = G // 2 + 1
-    sign = -1.0 if G % 2 else 1.0
-    whole = c.size // G
-    periods = c[:whole * G].reshape(whole, G)
-    acc = periods[0::2].sum(axis=0)
-    acc += sign * periods[1::2].sum(axis=0)
-    rest = c[whole * G:]
-    acc[:rest.size] += sign ** whole * rest
-    out = acc[:h].copy()
-    out[1:G - h + 1] += sign * acc[:h - 1:-1]
-    out[0] = 2.0 * out[0] - c[0]
+def _oracle_fold(c, G):
+    # every term m = pG + r added on its own, in increasing m, to bin r or,
+    # for r > G//2, to bin G - r, times (-1)^(Gp), one more (-1)^G when
+    # reflected and 2 when aliased onto bin 0
+    m = np.arange(c.size)
+    p, r = np.divmod(m, G)
+    up = r > G // 2
+    factor = np.where(G * p % 2, -1.0, 1.0)
+    factor[up & (G % 2 == 1)] *= -1.0
+    factor[(r == 0) & (p > 0)] *= 2.0
+    out = np.zeros(min(c.size, G // 2 + 1))
+    np.add.at(out, np.where(up, G - r, r), factor * c)
     return out
 
 
 @pytest.mark.parametrize("G", [1, 2, 3, 16, 17, 4096, 4097])
-def test_fold_pieces_keep_the_bits(G, monkeypatch):
-    # _fold_to_grid reads the coefficients in pieces of any length, cut
-    # inside and across periods: its bins are the dense fold's bit for bit,
-    # with and without whole periods and many of them, whether a piece's
-    # periods are added one or several at a time, and up to G//2 + 1
-    # terms it gives the coefficients back unfolded.  G = 1 agrees to
-    # rounding
+def test_fold_pieces_keep_the_bits(G):
+    # _fold_into folds the coefficients in pieces of any length, cut
+    # inside and across periods, onto the bins of the in-order oracle bit
+    # for bit: without whole periods, with one and with many, and up to
+    # G//2 + 1 terms it gives the coefficients back unfolded
     rng = np.random.default_rng(G + 5)
     for M in (1, G // 2 + 1, G // 2 + 2, G, G + 1, 2 * G + 3,
               7 * G + G // 2, 300 * G + 5):
         c = rng.normal(size=M) * 10.0 ** rng.integers(-6, 6, M)
-        want = _dense_fold(c, G) if M > G // 2 + 1 else c
-        for terms in (2 ** 20, 5 * G):
-            monkeypatch.setattr(trigsum, "_FOLD_TERMS", terms)
-            for cuts in (0, 1, 5):
-                pieces = np.split(c, np.sort(rng.integers(0, M + 1, cuts)))
-                got = trigsum._fold_to_grid(iter(pieces), M, G)
-                if G == 1:
-                    # numpy sums a single column pairwise, not row by row
-                    bar = 1e-14 * np.abs(c).sum()
-                    assert np.allclose(got, want, rtol=0, atol=bar)
-                else:
-                    assert np.array_equal(got, want), (G, M, terms, cuts)
+        want = _oracle_fold(c, G)
+        if M <= G // 2 + 1:
+            assert np.array_equal(want, c)
+        for cuts in (0, 1, 5):
+            got = np.zeros(want.size)
+            m = 0
+            for piece in np.split(c, np.sort(rng.integers(0, M + 1, cuts))):
+                trigsum._fold_into(got, piece, m, G)
+                m += piece.size
+            assert np.array_equal(got, want), (G, M, cuts)
 
 
 @pytest.mark.parametrize("G, M, P", [
@@ -182,7 +178,9 @@ def _grid_from_rows(coeffs, G, L):
     P = G // L
     K = G // 2 // P + 1
     if coeffs.size > G // 2 + 1:
-        coeffs = trigsum._fold_to_grid((coeffs,), coeffs.size, G)
+        folded = np.zeros(G // 2 + 1)
+        trigsum._fold_into(folded, coeffs, 0, G)
+        coeffs = folded
     rows = cosine_poly_on_cells(coeffs, L, 0.5 + np.arange(P // 2 + 1) / G)
     out = np.empty((K, P))
     out[:, :P // 2 + 1] = rows[:, :K].T
