@@ -9,7 +9,7 @@ t = (2i-1)/(4N+2), where |D_N| equals 1/sin(pi t) exactly under this
 normalization (some sources carry an extra factor 2 from a different
 kernel convention; the product check below pins the factor at 1).
 
-Interior locations are solved to rounding by safeguarded Newton on the
+Interior locations are solved to rounding by bracketed Newton on the
 closed form of D_N'(t) = 0.
 """
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import dirichlet_eval
+from .quadrature import _newton
 
 __all__ = [
     "ExtremaTable",
@@ -59,32 +60,25 @@ def _interior(N):
     this is D_N'(t) = 0 times sin^2(pi t) (-1)^k / pi.  phi falls strictly
     from phi(0) > 0 to phi(1) < 0, with
     phi'(s) = -pi (L - 1/L) sin(pi s) sin(pi t), so each bracket holds one
-    root.  All roots are solved at once by Newton from s = 1/2, bisecting
-    whenever a step leaves the bracket known so far; a step onto a bracket
-    end counts as inside.  The loop ends once every step repeats the
-    current or the previous iterate, which leaves each s within rounding of
-    its root.  Bisection alone reaches one ulp of (0, 1) within the
-    64-step cap.
+    root.  All roots are solved at once by the bracketed Newton of the
+    |.| engine's root step (quadrature._newton) from s = 1/2, with the
+    brackets [0, 1]; it stops once every step repeats the current or the
+    previous iterate, which leaves each s within rounding of its root.
     """
     if N != int(N) or N < 1:
         raise ValueError("N must be a positive integer")
     N = int(N)
     L = 2 * N + 1
     k = np.arange(1, N, dtype=float)
-    s = prev = np.full(k.shape, 0.5)
-    lo, hi = np.zeros(k.shape), np.ones(k.shape)
-    for _ in range(64):
+
+    def phi(s):
         ps, pt = np.pi * s, np.pi * ((k + s) / L)
         sin_t = np.sin(pt)
-        phi = L * np.cos(ps) * sin_t - np.sin(ps) * np.cos(pt)
-        lo = np.where(phi > 0.0, s, lo)
-        hi = np.where(phi < 0.0, s, hi)
-        step = s + phi / (np.pi * (L - 1.0 / L) * np.sin(ps) * sin_t)
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        settled = np.all((step == s) | (step == prev))
-        prev, s = s, step
-        if settled:
-            break
+        return (L * np.cos(ps) * sin_t - np.sin(ps) * np.cos(pt),
+                -(np.pi * (L - 1.0 / L) * np.sin(ps) * sin_t))
+
+    s = _newton(phi, np.zeros(k.shape), np.ones(k.shape),
+                np.full(k.shape, 0.5))
     t = (k + s) / L
     return N, t, dirichlet_eval(N, t)
 

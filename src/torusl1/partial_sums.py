@@ -55,7 +55,11 @@ _EPS = float(np.finfo(float).eps)
 
 
 def partial_sum(seq, N, t):
-    """S_N(t) = a_0 + 2 sum_{n<=N} a_n cos(2 pi n t)."""
+    """S_N(t) = a_0 + 2 sum_{n<=N} a_n cos(2 pi n t).
+
+    At a scalar t and on an array holding t the values agree to rounding,
+    not bit for bit (trigsum.cosine_poly_points).
+    """
     N = check_index(N, "N")
     return cosine_poly_points(seq.values(N + 1), canonical(t))
 

@@ -9,19 +9,24 @@ is evaluated at the composite Gauss offsets through the lattice FFT
 cell centre and the integrand is even, so only the first half of the
 offsets is evaluated; each other row is a reversed view of its mirror.
 Each interval contributes one contiguous range of full cells and at most
-two partial remnants.  Every panel's Gauss sum and a sign certificate,
-from the Legendre coefficients of its interpolant and derivative bounds,
-are computed a block of lattice columns at a time, for the first half of
-the panels only, and mirrored.  Certified panels of full cells count
+two partial remnants.  The Gauss sum and a sign certificate (from the
+Legendre coefficients of its interpolant and derivative bounds) of a
+panel of a full cell are computed only on the lattice columns that the
+full cells read, for the first half of the panels, whose mirrors stand
+for the rest; each block of columns is added into the integral as it is
+done, weighted by how many full cells read it.  Certified panels count
 their Gauss sums.  The other panels of full cells and the partial
 remnants are integrated from the same values: on each panel they fix a
 Legendre interpolant, which is split at its real roots and integrated
-with Gauss rules exact for its degree.  This path works on arrays: the
-roots of all panels of one degree come from one stacked eigenvalue solve
-of their companion matrices, and one legval call (Clenshaw on arrays)
-evaluates every root-free range.  Remnants are placed on the panels
-from their torus ends, so a thin sliver keeps its width.  The lattice is
-evaluated once per call.  The error estimate is an a priori bound
+with Gauss rules exact for its degree.  This path works on arrays: a
+panel whose every gap is clear of zero or monotone has one root in each
+gap whose ends differ in sign, and one bracketed Newton iteration on q
+and q' finds all of them at once; the roots of the other panels of one
+degree come from one stacked eigenvalue solve of their companion
+matrices; and one legval call (Clenshaw on arrays) evaluates every
+root-free range.  Remnants are placed on the panels from their torus
+ends, so a thin sliver keeps its width.  The lattice is evaluated once
+per call.  The error estimate is an a priori bound
 (Bernstein-ellipse bounds on the Gauss sums and the panel interpolants,
 plus the interpolated rounding of the lattice values, and a charge for
 panels whose certificate reads a kernel zero on a panel end) with a
@@ -151,9 +156,9 @@ def _unit_composite(panels, nodes):
 def _decompose(E, L):
     """Split E into full lattice cells [k/L, (k+1)/L) and partial remnants.
 
-    Returns (full, partial): full is an integer array holding, interval by
-    interval, the one contiguous range of cells the interval covers (cell
-    k is full when lo <= k/L and (k+1)/L <= hi; both conditions are
+    Returns (full, partial): full lists, interval by interval, the one
+    contiguous range (f0, f1) of cells f0 <= k < f1 the interval covers
+    (cell k is full when lo <= k/L and (k+1)/L <= hi; both conditions are
     monotone in k).  A remnant is (k, lo, hi): its cell index and its ends
     on the torus, k/L <= lo < hi <= (k+1)/L, however thin.  The cells
     outside the full range, one more at each end than lo * L and hi * L
@@ -171,13 +176,13 @@ def _decompose(E, L):
         f1 = k1
         while f1 > f0 and f1 / L > hi:
             f1 -= 1
-        full.append(np.arange(f0, f1))
+        full.append((f0, f1))
         for k in (*range(k0, f0), *range(f1, k1)):
             p_lo = max(lo, k / L)
             p_hi = min(hi, (k + 1) / L)
             if p_hi - p_lo > 0.0:
                 partial.append((k, p_lo, p_hi))
-    return np.concatenate(full or [np.empty(0, dtype=int)]), partial
+    return full, partial
 
 
 def _lattice(coeffs, L, panels, nodes):
@@ -213,13 +218,15 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta):
     part that cuts the panel is mapped from its torus ends: half-width
     L P (hi - lo), which keeps a sliver's width to rounding however far
     from the origin it lies, centred at its offset from the panel centre.
-    q is split at its real roots there (_real_roots), unless _certify
-    finds the panel sign-definite, and each root-free range is integrated
-    with ceil(nodes/2)-point Gauss, exact for q's degree; one legval call
-    evaluates every range of a block.  The parts go a block at a time, so
-    that a block's companion matrices hold no more values than a block of
-    the panel table.  Returns the integral, summed in part order, and the
-    edge charges of the certified panels.
+    q is split at its real roots there, unless _certify finds the panel
+    sign-definite: by bracketed Newton (_gap_roots) when every gap of the
+    panel is clear of zero (_certify's test 1) or monotone, else by the
+    stacked eigenvalue solve (_real_roots).  Each root-free range is
+    integrated with ceil(nodes/2)-point Gauss, exact for q's degree; one
+    legval call evaluates every range of a block.  The parts go a block at
+    a time, so that a block's companion matrices hold no more values than
+    a block of lattice columns.  Returns the integral, summed in part
+    order, and the edge charges of the certified panels.
     """
     LP = L * panels
     panel, col = j % panels, (j // panels) % L
@@ -229,7 +236,7 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta):
         for r in range(nodes):
             vals[at, r] = rows[i * nodes + r][col[at]]
     coeffs = vals @ _gauss(nodes)[2].T
-    certified, charge = _certify(vals.T, delta, 0.5 / LP)
+    certified, charge, simple = _certify(vals.T, delta, 0.5 / LP)
     whole = (lo == j / LP) & (hi == (j + 1) / LP)
     mid = np.where(whole, 0.0,
                    2.0 * LP * (0.5 * (lo + hi) - (2 * j + 1) / (2 * LP)))
@@ -240,9 +247,11 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta):
     for s0 in range(0, j.size, step):
         b = slice(s0, s0 + step)
         c, m, h = coeffs[b], mid[b], half[b]
-        roots = np.full((len(c), nodes - 1), np.nan)
-        todo = ~certified[b]
-        roots[todo] = _real_roots(c[todo])
+        roots = np.full((len(c), nodes + 1), np.nan)
+        newton = simple[b] & ~certified[b]
+        eigen = ~(simple[b] | certified[b])
+        roots[newton] = _gap_roots(c[newton])
+        roots[eigen, :nodes - 1] = _real_roots(c[eigen])
         inside = np.abs(roots - m[:, None]) < h[:, None]
         count = np.count_nonzero(inside, axis=1)
         cuts = np.column_stack([m - h, np.where(inside, roots, np.nan), m + h])
@@ -259,6 +268,63 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta):
         piece = np.abs(halves * (q.T @ gw))
         part[b] = np.bincount(owner, piece, len(c)) / (2 * LP)
     return float(np.cumsum(part)[-1]), float(charge.sum())
+
+
+def _newton(f, pos, neg, x):
+    """Roots of f on arrays by Newton's method inside brackets.
+
+    f(x) returns f and f' at x, and f(pos) > 0 > f(neg) bracket one root
+    per entry; every iterate where f > 0 or f < 0 replaces that end.  A
+    step that leaves the bracket known so far is replaced by the
+    bracket's midpoint; a step onto a bracket end counts as inside.  The
+    loop ends once every step repeats the current or the previous iterate,
+    which each entry reaches: an iterate strictly inside its bracket
+    shrinks it, and once none can, the iterates take only the bracket's two
+    ends.  It stops after 64 steps at most, in which bisection alone
+    narrows a bracket of width 2 to 1e-19.  Returns the last iterates.
+    """
+    prev = x
+    for _ in range(64):
+        v, d = f(x)
+        pos = np.where(v > 0.0, x, pos)
+        neg = np.where(v < 0.0, x, neg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - v / d
+        lo, hi = np.minimum(pos, neg), np.maximum(pos, neg)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (pos + neg))
+        settled = np.all((step == x) | (step == prev))
+        prev, x = x, step
+        if settled:
+            break
+    return x
+
+
+def _gap_roots(c):
+    """The roots in [-1, 1] of the Legendre series q in each row of c,
+    where every gap between its gap ends (_certificate_maps) passes
+    _certify's test 1 or is monotone, NaN-padded to one column per gap.
+
+    A gap of test 1 holds no root and a monotone gap at most one, which
+    its ends bracket; so each gap whose ends, evaluated by legval, differ
+    in sign or hold a zero gets one root by bracketed Newton (_newton) on
+    q and q' from the gap's midpoint, all gaps of all rows at once.
+    """
+    leg = np.polynomial.legendre
+    n = c.shape[1]
+    ends = np.concatenate(([-1.0], _gauss(n)[0], [1.0]))
+    roots = np.full((c.shape[0], n + 1), np.nan)
+    sign = np.sign(leg.legval(ends, c.T))
+    part, gap = np.nonzero(sign[:, :-1] * sign[:, 1:] <= 0.0)
+    if part.size:
+        q = c[part].T
+        dq = leg.legder(q)
+        a, b = ends[gap], ends[gap + 1]
+        up = sign[part, gap + 1] > sign[part, gap]
+        roots[part, gap] = _newton(
+            lambda x: (leg.legval(x, q, tensor=False),
+                       leg.legval(x, dq, tensor=False)),
+            np.where(up, b, a), np.where(up, a, b), 0.5 * (a + b))
+    return roots
 
 
 def _companions(c):
@@ -279,7 +345,8 @@ def _companions(c):
 
 def _real_roots(c):
     """The real roots legroots finds for the Legendre series in each row
-    of c, unsorted, NaN-padded to c.shape[1] - 1 columns.
+    of c, unsorted, NaN-padded to c.shape[1] - 1 columns: the root step
+    of the panels where some gap may hold several roots (_interpolated).
 
     Each row is trimmed of its trailing zero coefficients, as legroots
     does.  The rows of each trimmed degree d >= 1 share one stacked
@@ -393,10 +460,14 @@ def _certify(vals, delta, h):
     then take the wrong sign only where |q| <= delta, within 2 delta / m
     of the end, so |sum w p| errs from the integral of |p| by at most
     8 h delta^2 / m more, h the panel half-width in t.
+    A panel whose every gap passes test 1 or is monotone (test 2 without
+    its sign condition) holds at most one root of q per gap, bracketed by
+    the gap's ends (_gap_roots); simple flags those panels.
     q at the nodes is vals itself, and q(1) = sum c_j, q(-1) =
-    sum (-1)^j c_j since P_j(+-1) = (+-1)^j.  The matrix products take the
-    panels 1024 at a time (_by_columns).
-    Returns (certified, charge), one entry per panel.
+    sum (-1)^j c_j since P_j(+-1) = (+-1)^j.  Test 2 and its slopes q' are
+    worked out only on the panels where some gap fails test 1.  The matrix
+    products take the panels 1024 at a time (_by_columns).
+    Returns (certified, charge, simple), one entry per panel.
     """
     n = vals.shape[0]
     width, to_slopes, bounds = _certificate_maps(n)
@@ -405,70 +476,140 @@ def _certify(vals, delta, h):
     at[0] = (c * (-1.0) ** np.arange(n)[:, None]).sum(axis=0)
     at[1:-1] = vals
     at[-1] = c.sum(axis=0)
-    q, dq = np.abs(at), np.abs(_by_columns(to_slopes, c))
-    pos, neg = at > delta, at < -delta
+    q = np.abs(at)
     d1, d2 = _by_columns(bounds, np.abs(c))
-    zero_lo = ~(pos[0] | neg[0])
-    zero_hi = ~(pos[-1] | neg[-1])
-    agree = (pos[:-1] & pos[1:]) | (neg[:-1] & neg[1:])
-    agree[0] |= zero_lo & (pos[1] | neg[1])
-    agree[-1] |= zero_hi & (pos[-2] | neg[-2])
-    slope = np.maximum(dq[:-1], dq[1:])
-    slope -= d2 * width
+    zero_lo, zero_hi = ~(q[0] > delta), ~(q[-1] > delta)
     lipschitz = q[:-1] + q[1:]
     lipschitz -= d1 * width
     lipschitz = lipschitz > 2.0 * delta
     lipschitz[0] &= ~zero_lo
     lipschitz[-1] &= ~zero_hi
-    certified = (lipschitz | (agree & (slope > 0.0))).all(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = (np.where(zero_lo, 1.0 / slope[0], 0.0)
-               + np.where(zero_hi, 1.0 / slope[-1], 0.0))
-        # no delta^2, which overflows for heads above about 1e154
-        charge = np.where(certified, 8.0 * h * delta * (delta * inv), 0.0)
-    return certified, charge
+    certified = lipschitz.all(axis=0)  # no zero end: no charge
+    simple = certified.copy()
+    charge = np.zeros(vals.shape[1])
+    rest = np.flatnonzero(~certified)
+    if rest.size:  # test 2, where some gap fails test 1
+        t = slice(None) if rest.size == certified.size else rest
+        at, lipschitz, zero_lo, zero_hi = (at[:, t], lipschitz[:, t],
+                                           zero_lo[t], zero_hi[t])
+        pos, neg = at > delta, at < -delta
+        agree = (pos[:-1] & pos[1:]) | (neg[:-1] & neg[1:])
+        agree[0] |= zero_lo & (pos[1] | neg[1])
+        agree[-1] |= zero_hi & (pos[-2] | neg[-2])
+        dq = np.abs(_by_columns(to_slopes, c[:, t]))
+        slope = np.maximum(dq[:-1], dq[1:])
+        slope -= d2[t] * width
+        monotone = slope > 0.0
+        sure = (lipschitz | (agree & monotone)).all(axis=0)
+        certified[t] = sure
+        simple[t] = (lipschitz | monotone).all(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = (np.where(zero_lo, 1.0 / slope[0], 0.0)
+                   + np.where(zero_hi, 1.0 / slope[-1], 0.0))
+            # no delta^2, which overflows for heads above about 1e154
+            charge[t] = np.where(sure, 8.0 * h * delta * (delta * inv), 0.0)
+    return certified, charge, simple
 
 
 _COLUMN_BLOCK = 8192  # lattice columns per certificate batch
 
 
-def _panel_table(rows, wts, L, panels, nodes, delta):
-    """Gauss sum, certificate and edge charge (_certify) of every panel.
+def _runs(full, L):
+    """The lattice columns k mod L of the full cells (_decompose) as runs
+    [a, b) of 0..L, merged where they touch; a range of at most L cells
+    wraps round L at most once."""
+    runs = []
+    for f0, f1 in full:
+        a = f0 % L
+        b = a + f1 - f0
+        runs += [(a, L), (0, b - L)] if b > L else [(a, b)]
+    return _merge(runs)
 
-    Returns three (L, panels) arrays: entry (k, i) is panel i of lattice
-    column k.  Only the first ceil(panels/2) panels are computed, a block
-    of columns at a time; p is even, so panel panels-1-i of column k is
-    panel i of column L-1-k reversed, and the rest are mirrored from them.
+
+def _merge(runs):
+    """Runs [a, b) sorted, with those that overlap or touch joined."""
+    out = []
+    for a, b in sorted(r for r in runs if r[0] < r[1]):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(b, out[-1][1]))
+        else:
+            out.append((a, b))
+    return out
+
+
+def _reads(runs, c0, c1):
+    """How many full cells read each column c0..c1-1, from _runs."""
+    n = c1 - c0
+    out = np.zeros(n, dtype=int)
+    for a, b in runs:
+        out[min(max(a - c0, 0), n):min(max(b - c0, 0), n)] += 1
+    return out
+
+
+def _cells(full, L, cols):
+    """The full cells k with k mod L in cols, range by range."""
+    parts = [np.empty(0, dtype=int)]
+    for f0, f1 in full:
+        d = (cols - f0) % L
+        parts.append(f0 + d[d < f1 - f0])
+    return np.concatenate(parts)
+
+
+def _full_cells(rows, wts, full, L, panels, nodes, delta):
+    """Gauss sums, certificates and edge charges (_certify) of the panels
+    of the full cells, reduced a block of lattice columns at a time.
+
+    p is even, so panel panels-1-i of column L-1-k is panel i of column k
+    reversed: only the first ceil(panels/2) panels are computed, and panel
+    i < panels // 2 of column k also stands for that mirror, while an odd
+    count's middle panel is its own mirror and stands only for itself.
+    Each panel is computed only on the columns that a full cell reads
+    through it, _COLUMN_BLOCK at a time, and weighted by how many full
+    cells read it.  Returns the weighted sum of |sum w p| over certified
+    panels, their weighted count and edge charge, and the indices
+    j = k * panels + i of the uncertified panels of full cells, ascending.
     """
     half = (panels + 1) // 2
     w = wts[:half * nodes].reshape(half, nodes)
     h = 0.5 / (panels * L)
-    sums = np.empty((L, panels))
-    certified = np.empty((L, panels), dtype=bool)
-    charge = np.empty((L, panels))
-    for c0 in range(0, L, _COLUMN_BLOCK):
-        c1 = min(c0 + _COLUMN_BLOCK, L)
-        vals = np.stack([row[c0:c1] for row in rows[:half * nodes]])
-        for i in range(half):
-            v = vals[i * nodes:(i + 1) * nodes]
-            sums[c0:c1, i] = w[i] @ v
-            certified[c0:c1, i], charge[c0:c1, i] = _certify(v, delta, h)
-    for arr in (sums, certified, charge):
-        for i in range(panels // 2):
-            arr[:, panels - 1 - i] = arr[::-1, i]
-    return sums, certified, charge
+    own = _runs(full, L)
+    both = _merge(own + [(L - b, L - a) for a, b in own])
+    total = edge = 0.0
+    definite = 0
+    more = [np.empty(0, dtype=int)]
+    for i in range(half):
+        mirrored = i < panels // 2
+        for a, b in both if mirrored else own:
+            for c0 in range(a, b, _COLUMN_BLOCK):
+                c1 = min(c0 + _COLUMN_BLOCK, b)
+                v = np.stack([row[c0:c1]
+                              for row in rows[i * nodes:(i + 1) * nodes]])
+                sure, charge, _ = _certify(v, delta, h)
+                weight = _reads(own, c0, c1)
+                if mirrored:
+                    weight += _reads(own, L - c1, L - c0)[::-1]
+                total += float(np.abs(w[i] @ v)[sure] @ weight[sure])
+                definite += int(weight[sure].sum())
+                edge += float(charge @ weight)  # zero on uncertified panels
+                bad = c0 + np.flatnonzero(~sure)
+                more.append(_cells(full, L, bad) * panels + i)
+                if mirrored:
+                    more.append(_cells(full, L, L - 1 - bad) * panels
+                                + panels - 1 - i)
+    return total, definite, edge, np.sort(np.concatenate(more))
 
 
 def _abs(coeffs, E, L, panels, nodes):
     """The |.| integral over E from one lattice evaluation (_lattice).
 
     Every panel of the full cells that _certify finds sign-definite
-    contributes |sum w p|.  The other panels of full cells and every panel
-    part of a remnant are integrated from their interpolants
-    (_interpolated).  The error estimate is gauss per certified full-cell
-    panel, delta per unit measure interpolated and the edge charges
-    (_abs_bound, _certify), with a roundoff floor, plus 2^-1022 for values
-    that round in the subnormal range.
+    contributes |sum w p|, reduced a block of columns at a time over the
+    columns the full cells read (_full_cells).  The other panels of full
+    cells and every panel part of a remnant are integrated from their
+    interpolants (_interpolated).  The error estimate is gauss per
+    certified full-cell panel, delta per unit measure interpolated and
+    the edge charges (_abs_bound, _certify), with a roundoff floor, plus
+    2^-1022 for values that round in the subnormal range.
     """
     full, pieces = _decompose(E, L)
     gauss, delta = _abs_bound(coeffs, L, panels, nodes)
@@ -480,21 +621,11 @@ def _abs(coeffs, E, L, panels, nodes):
     hi = np.minimum(np.repeat(hi, panels), (j + 1) / LP)
     keep = lo < hi
     j, lo, hi = j[keep], lo[keep], hi[keep]
-    total = edge = 0.0
-    definite = 0
-    if full.size:
-        sums, certified, charge = _panel_table(rows, wts, L, panels, nodes,
-                                               delta)
-        cols = np.mod(full, L)
-        sure = certified[cols]
-        total = float(np.abs(sums[cols][sure]).sum())
-        edge = float(charge[cols].sum())  # zero on uncertified panels
-        definite = int(np.count_nonzero(sure))
-        cell, i = np.nonzero(~sure)
-        more = full[cell] * panels + i
-        j = np.concatenate([j, more])
-        lo = np.concatenate([lo, more / LP])
-        hi = np.concatenate([hi, (more + 1) / LP])
+    total, definite, edge, more = _full_cells(rows, wts, full, L, panels,
+                                              nodes, delta)
+    j = np.concatenate([j, more])
+    lo = np.concatenate([lo, more / LP])
+    hi = np.concatenate([hi, (more + 1) / LP])
     if j.size:
         t, e = _interpolated(rows, j, lo, hi, L, panels, nodes, delta)
         total += t
@@ -528,7 +659,8 @@ def _signed(coeffs, E, L):
     each of its three FFTs), times sqrt(cells), plus 4 eps sum |terms| per
     direct sum.
     """
-    full, pieces = _decompose(E, L)
+    ranges, pieces = _decompose(E, L)
+    full = np.concatenate([np.arange(*r) for r in ranges])
     m = np.arange(coeffs.size)
     parts = [np.empty(0)]
     rounding = 0.0

@@ -87,7 +87,11 @@ def cosine_poly_points(coeffs, ts):
     a time, so that a block's temporaries (about 8 doubles per term and
     point) fit _BLOCK_BYTES.  A point's sum takes the same term blocks in
     the same order in any point block; blocks of a multiple of 4 points
-    also keep the matrix product's column groups, so the bits too.
+    also keep the matrix product's column groups, so the bits too.  A
+    point's last bits still depend on its place in its block, since the
+    matrix product may sum the columns left over from its groups another
+    way: a scalar call and an array holding the same point agree to
+    rounding, within a few eps sum|w_m|, not bit for bit.
     """
     w = _weights(coeffs)
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()

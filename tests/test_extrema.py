@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from torusl1.extrema import crossing_check, find_extrema, growth_sweep
+from torusl1.extrema import _interior, crossing_check, find_extrema, growth_sweep
 from torusl1.kernels import dirichlet_eval
 
 
@@ -137,6 +137,37 @@ def test_interior_locations_match_mpmath_roots():
             err = float(abs(mp.mpf(t) - exact))
             assert err <= 2 * np.spacing(float(exact)), (N, k, err)
             assert err <= 1e-12
+
+
+def _interior_loop(N):
+    """The interior locations by a self-contained safeguarded Newton loop:
+    the oracle for _interior on the |.| engine's shared root step."""
+    L = 2 * N + 1
+    k = np.arange(1, N, dtype=float)
+    s = prev = np.full(k.shape, 0.5)
+    lo, hi = np.zeros(k.shape), np.ones(k.shape)
+    for _ in range(64):
+        ps, pt = np.pi * s, np.pi * ((k + s) / L)
+        sin_t = np.sin(pt)
+        phi = L * np.cos(ps) * sin_t - np.sin(ps) * np.cos(pt)
+        lo = np.where(phi > 0.0, s, lo)
+        hi = np.where(phi < 0.0, s, hi)
+        step = s + phi / (np.pi * (L - 1.0 / L) * np.sin(ps) * sin_t)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        settled = np.all((step == s) | (step == prev))
+        prev, s = s, step
+        if settled:
+            break
+    return (k + s) / L
+
+
+@pytest.mark.parametrize("N", [*range(2, 65), 77, 1024, 65536])
+def test_interior_locations_match_the_loop_bit_for_bit(N):
+    # the loop ends with some locations still swapping between two floats
+    # (13 of 76 at N = 77), so stopping one step earlier or later returns
+    # the other float there; N = 77 is the first order at which a stop on
+    # a bracket 4 ulps wide would end the loop a step early
+    assert np.array_equal(_interior(N)[1], _interior_loop(N))
 
 
 def test_sweep_sums_equal_table_sums():

@@ -22,11 +22,12 @@ from torusl1.quadrature import (
     _by_columns,
     _certify,
     _decompose,
+    _gap_roots,
     _grid_trapezoid,
     _gauss,
+    _interpolated,
     _lattice,
     _lebesgue,
-    _panel_table,
     _real_roots,
     _unit_composite,
     NormTrace,
@@ -400,6 +401,139 @@ def test_full_torus_bar_is_the_floor(family, N):
     assert q.error_estimate == 64.0 * EPS * q.value
 
 
+def _panel_table(rows, wts, L, panels, nodes, delta):
+    """Gauss sum, certificate and edge charge (_certify) of every panel in
+    three (L, panels) arrays, entry (k, i) for panel i of lattice column
+    k: the whole-table oracle for the engine's column-block reduction.
+    Only the first ceil(panels/2) panels are computed, a block of columns
+    at a time; panel panels-1-i of column k is panel i of column L-1-k
+    reversed, and the rest are mirrored."""
+    half = (panels + 1) // 2
+    w = wts[:half * nodes].reshape(half, nodes)
+    h = 0.5 / (panels * L)
+    sums = np.empty((L, panels))
+    certified = np.empty((L, panels), dtype=bool)
+    charge = np.empty((L, panels))
+    for c0 in range(0, L, quadrature._COLUMN_BLOCK):
+        c1 = min(c0 + quadrature._COLUMN_BLOCK, L)
+        vals = np.stack([row[c0:c1] for row in rows[:half * nodes]])
+        for i in range(half):
+            v = vals[i * nodes:(i + 1) * nodes]
+            sums[c0:c1, i] = w[i] @ v
+            certified[c0:c1, i], charge[c0:c1, i], _ = _certify(v, delta, h)
+    for arr in (sums, certified, charge):
+        for i in range(panels // 2):
+            arr[:, panels - 1 - i] = arr[::-1, i]
+    return sums, certified, charge
+
+
+def _oracle_abs(coeffs, E, L, panels, nodes):
+    """The |.| integral from the whole panel table, read at every full
+    cell by a gather of its column k mod L.  Returns (value, error
+    estimate, panels)."""
+    ranges, pieces = _decompose(E, L)
+    full = np.array([k for f0, f1 in ranges for k in range(f0, f1)], dtype=int)
+    gauss, delta = _abs_bound(coeffs, L, panels, nodes)
+    rows, wts = _lattice(coeffs, L, panels, nodes)
+    LP = L * panels
+    k, lo, hi = np.array(pieces, dtype=float).reshape(-1, 3).T
+    j = (k.astype(int)[:, None] * panels + np.arange(panels)).ravel()
+    lo = np.maximum(np.repeat(lo, panels), j / LP)
+    hi = np.minimum(np.repeat(hi, panels), (j + 1) / LP)
+    keep = lo < hi
+    j, lo, hi = j[keep], lo[keep], hi[keep]
+    total = edge = 0.0
+    definite = 0
+    if full.size:
+        sums, certified, charge = _panel_table(rows, wts, L, panels, nodes,
+                                               delta)
+        cols = np.mod(full, L)
+        sure = certified[cols]
+        total = float(np.abs(sums[cols][sure]).sum())
+        edge = float(charge[cols].sum())
+        definite = int(np.count_nonzero(sure))
+        cell, i = np.nonzero(~sure)
+        more = full[cell] * panels + i
+        j = np.concatenate([j, more])
+        lo = np.concatenate([lo, more / LP])
+        hi = np.concatenate([hi, (more + 1) / LP])
+    if j.size:
+        t, e = _interpolated(rows, j, lo, hi, L, panels, nodes, delta)
+        total += t
+        edge += e
+    cut = math.fsum((hi - lo).tolist())
+    bound = definite * gauss + cut * delta + edge
+    return total, max(bound, 64.0 * EPS * total) + float(np.finfo(float).tiny), \
+        definite + int(j.size)
+
+
+def _seeded_union(rng, count):
+    xs = np.sort(rng.uniform(-0.5, 0.5, 2 * count)).tolist()
+    return IntervalUnion(tuple(zip(xs[0::2], xs[1::2])))
+
+
+def _complement(E):
+    """The torus less E, as an IntervalUnion."""
+    ends = [-0.5, *(x for piece in E.intervals for x in piece), 0.5]
+    return IntervalUnion(tuple((lo, hi) for lo, hi in zip(ends[0::2], ends[1::2])
+                               if lo < hi))
+
+
+# the mirror pair reads each of its columns once directly and once as a
+# mirror; "-0.3,0.2" runs its cells across column 0 (cell -k reads column
+# L - k), and "-0.5,-0.4;0.35,0.5" holds the cells at both ends of the torus
+_REDUCTION_SETS = ("-0.5,-0.45;0.45,0.5", "-0.3,0.2", "-0.5,-0.4;0.35,0.5")
+
+
+@pytest.mark.parametrize("block", [64, 8192])
+def test_block_reduction_matches_panel_table(block, monkeypatch):
+    # the column-block reduction over the columns the full cells read
+    # against the whole panel table and its gathers: the same panel count,
+    # values within the bar and the same bar to rounding, over the full
+    # torus, seeded unions, the sets above and a sliver, 1 to 4 panels and
+    # 2 to 16 nodes; 64 columns a block splits every set into many blocks
+    monkeypatch.setattr(quadrature, "_COLUMN_BLOCK", block)
+    rng = np.random.default_rng(block)
+    families = ("log", "log2", "dirichlet")
+    for nodes in range(2, 17):
+        for panels in (1, 2, 3, 4):
+            N = int(rng.integers(1, 300))
+            coeffs = _family_coeffs(families[(nodes + panels) % 3], N)
+            lo = float(rng.uniform(-0.5, 0.49))
+            sets = (FULL, _seeded_union(rng, 3),
+                    IntervalUnion.parse(_REDUCTION_SETS[nodes % 3]),
+                    IntervalUnion(((lo, lo + 10.0 ** rng.uniform(-9, -3)),)))
+            for E in sets:
+                got = integrate_cosine_poly(coeffs, E, 2 * N + 1, panels,
+                                            nodes, absolute=True)
+                value, bar, count = _oracle_abs(coeffs, E, 2 * N + 1, panels,
+                                                nodes)
+                assert got.panels == count, (nodes, panels, N, E)
+                assert abs(got.value - value) <= got.error_estimate, \
+                    (nodes, panels, N, E)
+                assert got.error_estimate == pytest.approx(bar, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["log", "log2", "dirichlet"])
+def test_abs_is_additive_over_a_set_and_its_complement(family):
+    # integral over A plus integral over the torus less A is the integral
+    # over the torus, within the three bars
+    rng = np.random.default_rng(("log", "log2", "dirichlet").index(family))
+    sets = [IntervalUnion.parse(spec) for spec in _REDUCTION_SETS]
+    sets += [_seeded_union(rng, int(rng.integers(1, 5))) for _ in range(6)]
+    for A in sets:
+        for N in (7, 64, 1024):
+            coeffs = _family_coeffs(family, N)
+            for panels, nodes in ((2, 16), (1, 5), (3, 8)):
+                a, b, whole = (integrate_cosine_poly(coeffs, S, 2 * N + 1,
+                                                     panels, nodes,
+                                                     absolute=True)
+                               for S in (A, _complement(A), FULL))
+                assert abs(a.value + b.value - whole.value) <= \
+                    a.error_estimate + b.error_estimate + whole.error_estimate, \
+                    (A, N, panels, nodes)
+
+
 def _certified_table(coeffs, L, panels, nodes):
     delta = _abs_bound(coeffs, L, panels, nodes)[1]
     rows, wts = _lattice(coeffs, L, panels, nodes)
@@ -479,14 +613,14 @@ def test_certificate_slices_keep_the_integral(log_seq, monkeypatch):
 
 def _oracle_interpolated(rows, j, lo, hi, L, panels, nodes, delta):
     """Per-panel reference for _interpolated: one legroots and one legval
-    per part.  Returns the integral, the parts' Legendre coefficients and
-    their certificates."""
+    per part.  Returns the integral, the parts' Legendre coefficients,
+    their certificates and which of them _certify routes to Newton."""
     leg = np.polynomial.legendre
     LP = L * panels
     vals = np.array([[rows[(jj % panels) * nodes + r][(jj // panels) % L]
                       for r in range(nodes)] for jj in j.tolist()])
     coeffs = vals @ _gauss(nodes)[2].T
-    certified, _ = _certify(vals.T, delta, 0.5 / LP)
+    certified, _, simple = _certify(vals.T, delta, 0.5 / LP)
     gx, gw, _ = _gauss((nodes + 1) // 2)
     total = 0.0
     for jj, a, b, c, sure in zip(j.tolist(), lo.tolist(), hi.tolist(),
@@ -505,7 +639,7 @@ def _oracle_interpolated(rows, j, lo, hi, L, panels, nodes, delta):
             mids[0], halves[0] = mid, half
         q = leg.legval(mids[:, None] + halves[:, None] * gx, c)
         total += float(np.abs(halves * (q @ gw)).sum()) / (2 * LP)
-    return total, coeffs, certified
+    return total, coeffs, certified, simple
 
 
 def _assert_roots_match_legroots(coeffs):
@@ -531,17 +665,35 @@ def interpolated_calls(monkeypatch):
     return calls
 
 
+def _assert_gap_roots_near_legroots(coeffs):
+    # Newton's roots in [-1, 1] are legroots' real roots there, each within
+    # 8 eps, or within 8 eps sum|c_j| / |q'| where rounding in q moves an
+    # ill-conditioned root further: there legroots itself errs by up to
+    # 23 eps against 40-digit roots, Newton by 2.5 eps; a zero on a gap end
+    # may be found from both its gaps
+    leg = np.polynomial.legendre
+    for c, r in zip(coeffs, _gap_roots(coeffs)):
+        ref = leg.legroots(c)
+        ref = np.sort(ref.real[(ref.imag == 0.0) & (np.abs(ref.real) <= 1.0)])
+        got = np.unique(r[~np.isnan(r)])
+        assert got.size == ref.size, (c, got, ref)
+        slope = np.abs(leg.legval(got, leg.legder(c)))
+        tol = 8.0 * EPS * np.maximum(1.0, np.abs(c).sum() / slope)
+        assert np.all(np.abs(got - ref) <= tol), (c, got, ref)
+
+
 @pytest.mark.parametrize("family", ["log", "log2", "dirichlet"])
 def test_batched_root_step_matches_per_panel_oracle(family, monkeypatch,
                                                     interpolated_calls):
     # full cells, the remnants of a union and a thin sliver at every node
-    # count 2..16 and 1, 2 and 4 panels per cell: the batched roots of
-    # every uncertified part are legroots' bit for bit, and each integral
-    # over the interpolated parts lies within 0.1 of the bar of the oracle;
-    # a small block size splits the parts into many blocks
+    # count 2..16 and 1, 2 and 4 panels per cell: the stacked eigvals roots
+    # of every uncertified part it takes are legroots' bit for bit, the
+    # Newton roots of the others lie near legroots' (as above), and each
+    # integral over the interpolated parts lies within 0.1 of the bar of
+    # the oracle; a small block size splits the parts into many blocks
     monkeypatch.setattr(quadrature, "_COLUMN_BLOCK", 64)
     rng = np.random.default_rng(("log", "log2", "dirichlet").index(family))
-    uncertified = 0
+    newton = eigen = 0
     for nodes in range(2, 17):
         for panels in (1, 2, 4):
             N = int(rng.integers(1, 200))
@@ -555,12 +707,38 @@ def test_batched_root_step_matches_per_panel_oracle(family, monkeypatch,
                 q = integrate_cosine_poly(coeffs, E, 2 * N + 1, panels, nodes,
                                           absolute=True)
                 for args, got in interpolated_calls:
-                    want, parts, certified = _oracle_interpolated(*args)
+                    want, parts, certified, simple = _oracle_interpolated(*args)
                     assert abs(got - want) <= 0.1 * q.error_estimate, \
                         (nodes, panels, N, E)
-                    _assert_roots_match_legroots(parts[~certified])
-                    uncertified += int(np.count_nonzero(~certified))
-    assert uncertified >= 2000
+                    _assert_roots_match_legroots(parts[~certified & ~simple])
+                    _assert_gap_roots_near_legroots(parts[~certified & simple])
+                    eigen += int(np.count_nonzero(~certified & ~simple))
+                    newton += int(np.count_nonzero(~certified & simple))
+    assert newton >= 1000 and eigen >= 1000, (newton, eigen)
+
+
+def test_two_roots_in_one_gap_take_eigvals(monkeypatch):
+    # q(s) = s^2 - a^2 on one whole panel of 4 nodes (|x_i| = 0.34, 0.86):
+    # both roots lie in the middle gap, which is neither monotone nor
+    # clear of zero, so the part goes to the stacked eigvals; the ends of
+    # every gap agree in sign, so Newton would bracket no root
+    a = 0.1
+    x = _gauss(4)[0]
+    node_vals = x * x - a * a
+    certified, _, simple = _certify(node_vals[:, None], 0.0, 0.5)
+    assert not certified[0] and not simple[0]
+    assert np.isnan(_gap_roots((_gauss(4)[2] @ node_vals)[None])).all()
+    solved = []
+    real = quadrature._real_roots
+    monkeypatch.setattr(quadrature, "_real_roots",
+                        lambda c: solved.append(len(c)) or real(c))
+    rows = [np.array([v]) for v in node_vals]
+    got = _interpolated(rows, np.array([0]), np.array([0.0]), np.array([1.0]),
+                        1, 1, 4, 0.0)[0]
+    assert solved == [1]
+    # integral over t in [0, 1] of |s^2 - a^2|, s = 2t - 1
+    assert got == pytest.approx(1.0 / 3.0 - a * a + 4.0 * a ** 3 / 3.0,
+                                rel=4 * EPS)
 
 
 def test_real_roots_trim_zero_top_coefficients():
@@ -744,7 +922,8 @@ def test_decompose_matches_per_cell_loop(case):
     L, E = case
     full, partial = _decompose(E, L)
     want_full, want_partial = _decompose_per_cell(E, L)
-    assert full.tolist() == want_full
+    assert len(full) == len(E.intervals)
+    assert [k for f0, f1 in full for k in range(f0, f1)] == want_full
     assert partial == want_partial
     # an interval leaves at most one remnant at each end
     assert len(partial) <= 2 * len(E.intervals)
@@ -754,7 +933,7 @@ def test_decompose_matches_per_cell_loop(case):
 def test_decompose_full_torus(L):
     full, partial = _decompose(FULL, L)
     want_full, want_partial = _decompose_per_cell(FULL, L)
-    assert full.tolist() == want_full
+    assert [k for f0, f1 in full for k in range(f0, f1)] == want_full
     assert partial == want_partial
 
 

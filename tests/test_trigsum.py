@@ -40,6 +40,18 @@ def test_points_scalar_round_trip():
     assert v == pytest.approx(_brute(coeffs, 0.2)[0], abs=1e-12)
 
 
+def test_points_scalar_and_array_agree_to_rounding():
+    # a point's last bits depend on its place in the matrix product's
+    # column groups, so a scalar call matches the array entry to rounding
+    rng = np.random.default_rng(5000)
+    c = rng.standard_normal(5000)
+    ts = rng.uniform(-0.5, 0.5, 20)
+    w_sum = 2.0 * np.abs(c).sum() - abs(c[0])
+    eps = np.finfo(float).eps
+    for t, v in zip(ts, cosine_poly_points(c, ts)):
+        assert abs(cosine_poly_points(c, float(t)) - v) <= 4 * eps * w_sum
+
+
 def test_points_chunking_consistency(monkeypatch):
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=5000)
