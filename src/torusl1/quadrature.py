@@ -3,12 +3,17 @@
 Two engines.
 
 Cell-aligned Gauss (|.| of partial sums and kernels):
-panels follow the sign cells [k/L, (k+1)/L) of the kernel, and every cell
-is evaluated at the composite Gauss offsets through the lattice FFT
-(trigsum.cosine_poly_on_cells).  The offsets are symmetric about the
-cell centre and the integrand is even, so only the first half of the
-offsets is evaluated; each other row is a reversed view of its mirror.
-Each interval contributes one contiguous range of full cells and at most
+panels follow the cells [k/L, (k+1)/L) of a lattice of L cells, and every
+cell is evaluated at the composite Gauss offsets through the lattice FFT
+(trigsum.cosine_poly_on_cells).  The lattice is picked from the
+coefficients before any evaluation (integrate_abs_partial_sum): L = 2N+1,
+the sign cells of D_N, when S_N = a_0 D_N, whose zeros are the cell edges
+and certify there; otherwise the least 5-smooth L >= 2N+1, a fast FFT
+length, since the zeros of any other S_N fall inside cells of either
+lattice.  The offsets are symmetric about the cell centre and the
+integrand is even, so only the first half of the offsets is evaluated;
+each other row is a reversed view of its mirror.  Each interval
+contributes one contiguous range of full cells and at most
 two partial remnants.  The Gauss sum and a sign certificate (from the
 Legendre coefficients of its interpolant and derivative bounds) of a
 panel of a full cell are computed only on the lattice columns that the
@@ -60,7 +65,8 @@ import numpy as np
 
 from .kernels import check_index
 from .partial_sums import partial_sum_grid, reference_function_grid
-from .trigsum import _centre_run, cosine_poly_on_cells, cosine_poly_points
+from .trigsum import (_centre_run, _smooth, cosine_poly_on_cells,
+                      cosine_poly_points)
 
 __all__ = [
     "QuadResult",
@@ -683,9 +689,13 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
                           nodes_per_panel=16, absolute=False):
     """Integrate c_0 + sum 2 c_m cos(2 pi m t) (or its |.|) over E.
 
-    cell_count is the sign-cell modulus the pieces align to (2N+1 for a
-    partial sum of order N, j+1 for the order-j nonnegative kernel).  The
-    |.| integral evaluates the lattice once, with panels_per_cell Gauss
+    cell_count is the number L of cells [k/L, (k+1)/L) the pieces align
+    to; any L gives a valid integral and bar.  The kernel's zero spacing
+    is the natural one: 2N+1 for a partial sum of order N (the sign cells
+    of D_N, which integrate_signed keeps), j+1 for the order-j
+    nonnegative kernel.  For |S_N|, integrate_abs_partial_sum takes 2N+1
+    only when S_N = a_0 D_N and a 5-smooth L otherwise.  The |.|
+    integral evaluates the lattice once, with panels_per_cell Gauss
     panels of nodes_per_panel nodes per cell; its error estimate is an a
     priori interpolation, quadrature and rounding bound (_abs_bound,
     _certify) with a roundoff floor of 64 eps times the value, plus 2^-1022
@@ -721,10 +731,21 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
 
 
 def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
-    """integral over E of |S_N(f, t)| dt with cell-aligned panels."""
+    """integral over E of |S_N(f, t)| dt on a lattice picked for the FFT.
+
+    When a_0 = a_1 = ... = a_N, S_N = a_0 D_N, whose zeros are the edges of
+    the cells [k/L, (k+1)/L) at L = 2N+1: there the panels certify with
+    the zeros on their ends, so the call keeps that lattice.  The zeros of
+    any other S_N fall inside cells on either lattice, and the call takes
+    L = _smooth(2N+1), the least 2^a 3^b 5^c >= 2N+1: an FFT length with
+    small factors, where 2N+1 is often a Bluestein length (32769 =
+    3^2 11 331 at N = 16384).  The rule reads only the coefficients, before
+    any evaluation, and scaling them leaves it unchanged.
+    """
     N = check_index(N, "N")
-    return integrate_cosine_poly(seq.values(N + 1), E, 2 * N + 1,
-                                 panels_per_cell, nodes_per_panel,
+    a = seq.values(N + 1)
+    L = 2 * N + 1 if np.all(a == a[0]) else _smooth(2 * N + 1)
+    return integrate_cosine_poly(a, E, L, panels_per_cell, nodes_per_panel,
                                  absolute=True)
 
 

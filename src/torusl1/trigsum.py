@@ -27,8 +27,9 @@ of the lattice transforms of the second:
     running past degree G//2 are first folded onto it by one in-order
     rule (_fold_into): each bin takes its terms in increasing m, so a
     caller with no whole vector may fold it piece by piece and get the
-    same bits; a coarse grid folds one period per step.  It transforms
-    nothing itself: it copies each block of _cell_blocks into the half
+    same bits; on a coarse grid a run of whole periods goes on in one
+    running sum, one step per 2^16 terms, not one per period.  It
+    transforms nothing itself: it copies each block of _cell_blocks into the half
     grid as it comes, so beside the coefficients and the half grid only
     one block is alive.  An odd G has P = 1, whose row is paired with a
     zero row: twice the FFT work of one real inverse FFT of length G.
@@ -61,6 +62,7 @@ _POINTS_BLOCK = 2048  # terms per block in cosine_poly_points
 _BLOCK_BYTES = 2 ** 24
 _GRID_ROWS = 32  # most interleaved lattice rows in cosine_poly_grid
 _TILE = 1024  # lattice columns per tile of cosine_poly_grid's copies
+_FOLD_TERMS = 2 ** 16  # most terms of whole periods per step of _fold_into
 _EPS = float(np.finfo(float).eps)
 
 
@@ -118,28 +120,62 @@ def _fold_into(out, part, m, G):
     (-1)^(Gp) cos(2 pi r t_k) and (-1)^(Gp + G) cos(2 pi (G - r) t_k).
     So term m goes to bin r with sign (-1)^(Gp), or, for r > G//2, to bin
     G - r with one more (-1)^G; a term aliased onto bin 0 (p >= 1) keeps
-    its weight 2 there, where c_0 has weight 1, and counts twice.  Each
-    stretch of a period goes on whole, added or subtracted in place, so
-    every bin takes its terms in increasing m however the vector is cut,
-    and a coarse grid costs one step per period.  A vector of at most
-    G//2 + 1 terms needs only that many bins.
+    its weight 2 there, where c_0 has weight 1, and counts twice.  Every
+    bin takes its terms in increasing m however the vector is cut.  A
+    stretch of a period goes on whole, added or subtracted in place.  On a
+    grid of G <= _FOLD_TERMS / 2, a run of two or more whole periods goes
+    on in one step of up to _FOLD_TERMS terms (_fold_periods), so a coarse
+    grid costs one step per _FOLD_TERMS terms, not one per period.  A
+    vector of at most G//2 + 1 terms needs only that many bins.
     """
     h = G // 2 + 1
     ops = (np.add, np.subtract)
     while part.size:
         p, r = divmod(m, G)
-        n = min(part.size, G - r)  # the rest of period p
-        s = G * p % 2  # 1 where the period's sign is -1
-        i = int(r == 0 and p > 0)
-        if i:
-            out[0] = ops[s](out[0], 2.0 * part[0])
-        k = max(min(n, h - r), 0)  # part[:k] lies on bins r..r+k-1
-        dst = out[r + i:r + k]
-        ops[s](dst, part[i:k], dst)
-        # part[k:n] lands on bins G - r - k down to G - r - n + 1
-        dst = out[G - r - n + 1:G - r - k + 1]
-        ops[s ^ G % 2](dst, part[k:n][::-1], dst)
+        if r == 0 and 2 * G <= min(part.size, _FOLD_TERMS):
+            n = min(part.size, _FOLD_TERMS) // G * G
+            _fold_periods(out, part[:n], p, G)
+        else:
+            n = min(part.size, G - r)  # the rest of period p
+            s = G * p % 2  # 1 where the period's sign is -1
+            i = int(r == 0 and p > 0)
+            if i:
+                out[0] = ops[s](out[0], 2.0 * part[0])
+            k = max(min(n, h - r), 0)  # part[:k] lies on bins r..r+k-1
+            dst = out[r + i:r + k]
+            ops[s](dst, part[i:k], dst)
+            # part[k:n] lands on bins G - r - k down to G - r - n + 1
+            dst = out[G - r - n + 1:G - r - k + 1]
+            ops[s ^ G % 2](dst, part[k:n][::-1], dst)
         part, m = part[n:], m + n
+
+
+def _fold_periods(out, part, p, G):
+    """_fold_into for whole periods p, p+1, ... (part, a multiple of G).
+
+    Row 0 of one (2K + 1, G//2 + 1) table holds the bins; then each of
+    the K periods gives two rows, its terms r <= G//2 on bins r and its terms r > G//2
+    on bins G - r, each with its sign and bin 0's weight 2 taken in.  A
+    running sum down the columns (np.add.accumulate, in order by
+    definition) then adds each bin's terms in increasing m, as the stepwise
+    fold does: a - b is a + (-b) and the scaling by 2 is exact.  A bin
+    with no reflected term gets -0.0 there, which leaves any sum alone.
+    """
+    h = G // 2 + 1
+    K = part.size // G
+    v = part.reshape(K, G)
+    table = np.empty((2 * K + 1, h))
+    table[0] = out[:h]
+    direct, mirror = table[1::2], table[2::2]
+    direct[:] = v[:, :h]
+    mirror[:, 1:G - h + 1] = v[:, :h - 1:-1]
+    direct[int(p == 0):, 0] *= 2.0
+    if G % 2:  # period p + i has sign (-1)^(p + i), its mirror one more -1
+        direct[(p + 1) % 2::2] *= -1.0
+        mirror[p % 2::2] *= -1.0
+    mirror[:, 0] = mirror[:, G - h + 1:] = -0.0
+    np.add.accumulate(table, axis=0, out=table)
+    out[:h] = table[-1]
 
 
 def cosine_poly_grid(coeffs, grid_size):

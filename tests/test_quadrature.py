@@ -384,11 +384,13 @@ def test_one_panel_per_cell_bar_is_the_floor(log_seq, N):
     assert abs(two.value - four.value) <= min(two.error_estimate,
                                               four.error_estimate)
     assert two.error_estimate == 64.0 * EPS * two.value
-    # one panel per cell: the Gauss bound rises above the floor and still
-    # covers the distance to the default
+    # one panel per cell: the a priori bound (delta over the uncertified
+    # panels) rises above the floor and still covers the distance to the
+    # default; at L = _smooth(2N+1) it is 8.5e-13 (N = 512) and 1.09e-12
+    # (N = 1024)
     one = integrate_abs_partial_sum(log_seq, N, FULL, panels_per_cell=1)
     assert abs(one.value - two.value) <= one.error_estimate
-    assert 1.7e-12 <= one.error_estimate <= 2.5e-12
+    assert 7.9e-13 <= one.error_estimate <= 1.16e-12
     assert one.error_estimate > 64.0 * EPS * one.value
 
 
@@ -1358,6 +1360,64 @@ def test_power_of_two_scaling_is_exact(log_seq):
             for u, g in zip(unit, got):
                 assert (g.value, g.error_estimate) == \
                     (u.value * f, u.error_estimate * f), (N, k, u, g)
+
+
+_RULE_SEQUENCES = {
+    "log": ConvexSequence.log_reciprocal(),
+    "log2": ConvexSequence.log_squared_reciprocal(),
+    "tail": ConvexSequence((3.0, 2.0, 1.5, 1.2, 1.0)),
+    "one": ConvexSequence((1.0,)),
+    "flat-head": ConvexSequence((2.0, 2.0, 2.0)),
+}
+
+
+def _rule_sets(N, seed):
+    """The full torus, a seeded union, the mirror pair and a sliver across
+    the D_N cell edge nearest 0.3."""
+    edge = round(0.3 * (2 * N + 1)) / (2 * N + 1)
+    return (FULL, _seeded_union(np.random.default_rng(seed), 3),
+            IntervalUnion.parse("-0.5,-0.45;0.45,0.5"),
+            IntervalUnion(((edge - 1e-7, edge + 1e-7),)))
+
+
+@pytest.mark.parametrize("family,aligned", [
+    ("log", False), ("log2", False), ("tail", False), ("one", True),
+    ("flat-head", True)])
+def test_abs_partial_sum_picks_the_lattice(family, aligned):
+    # all-equal coefficients (S_N = a_0 D_N, zeros on the cell edges of
+    # 2N+1) keep L = 2N+1; any other S_N takes the least 5-smooth L >= 2N+1
+    seq = _RULE_SEQUENCES[family]
+    for N in (1, 2, 7, 64, 1000, 4096):
+        L = 2 * N + 1 if aligned else trigsum._smooth(2 * N + 1)
+        for E in _rule_sets(N, N):
+            got = integrate_abs_partial_sum(seq, N, E)
+            want = integrate_cosine_poly(seq.values(N + 1), E, L,
+                                         absolute=True)
+            assert got == want, (family, N, E)
+
+
+@pytest.mark.parametrize("family", ["log", "log2", "tail", "one"])
+def test_abs_lattices_agree_within_their_bars(family):
+    # 2N+1 and _smooth(2N+1) give the same integral within the sum of their
+    # bars; at N = 1, 2 and 7, 2N+1 is 5-smooth already and the two agree
+    seq = _RULE_SEQUENCES[family]
+    for N in (1, 2, 7, 64, 1000, 4096):
+        coeffs = seq.values(N + 1)
+        for E in _rule_sets(N, N + 1):
+            a, b = (integrate_cosine_poly(coeffs, E, L, absolute=True)
+                    for L in (2 * N + 1, trigsum._smooth(2 * N + 1)))
+            assert abs(a.value - b.value) <= \
+                a.error_estimate + b.error_estimate, (family, N, E, a, b)
+
+
+@pytest.mark.parametrize("family", ["log", "log2"])
+def test_signed_keeps_the_kernel_cells(family):
+    # the signed path reads D_n cells (witness sets): L stays 2N+1
+    seq = _RULE_SEQUENCES[family]
+    for N in (1, 7, 64, 1000, 4096):
+        for E in _rule_sets(N, N + 2):
+            assert integrate_signed(seq, N, E) == integrate_cosine_poly(
+                seq.values(N + 1), E, 2 * N + 1), (family, N, E)
 
 
 def test_norm_trace_assembly(log_seq):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusl1 import trigsum
+from torusl1 import partial_sums, trigsum
+from torusl1.coefficients import ConvexSequence
 from torusl1.trigsum import (
     cosine_poly_points,
     cosine_poly_grid,
@@ -144,11 +145,12 @@ def _oracle_fold(c, G):
 def test_fold_pieces_keep_the_bits(G):
     # _fold_into folds the coefficients in pieces of any length, cut
     # inside and across periods, onto the bins of the in-order oracle bit
-    # for bit: without whole periods, with one and with many, and up to
-    # G//2 + 1 terms it gives the coefficients back unfolded
+    # for bit: without whole periods, with one and with many, past
+    # _FOLD_TERMS, where a run of whole periods takes several tables, and
+    # up to G//2 + 1 terms it gives the coefficients back unfolded
     rng = np.random.default_rng(G + 5)
     for M in (1, G // 2 + 1, G // 2 + 2, G, G + 1, 2 * G + 3,
-              7 * G + G // 2, 300 * G + 5):
+              7 * G + G // 2, 300 * G + 5, 3 * trigsum._FOLD_TERMS + 1):
         c = rng.normal(size=M) * 10.0 ** rng.integers(-6, 6, M)
         want = _oracle_fold(c, G)
         if M <= G // 2 + 1:
@@ -160,6 +162,47 @@ def test_fold_pieces_keep_the_bits(G):
                 trigsum._fold_into(got, piece, m, G)
                 m += piece.size
             assert np.array_equal(got, want), (G, M, cuts)
+
+
+def _stepwise_fold(out, part, m, G):
+    # the fold one period, or the rest of one, per Python step: the
+    # oracle for the runs of whole periods that _fold_into takes at once
+    h = G // 2 + 1
+    ops = (np.add, np.subtract)
+    while part.size:
+        p, r = divmod(m, G)
+        n = min(part.size, G - r)
+        s = G * p % 2
+        i = int(r == 0 and p > 0)
+        if i:
+            out[0] = ops[s](out[0], 2.0 * part[0])
+        k = max(min(n, h - r), 0)
+        dst = out[r + i:r + k]
+        ops[s](dst, part[i:k], dst)
+        dst = out[G - r - n + 1:G - r - k + 1]
+        ops[s ^ G % 2](dst, part[k:n][::-1], dst)
+        part, m = part[n:], m + n
+
+
+@pytest.mark.parametrize("G", [16, 17, 4096, 4097])
+def test_reference_fold_matches_stepwise_fold(G, monkeypatch):
+    # reference_function_grid folds j_max + 1 = 2^22 + 1 second differences
+    # a chunk of 2^20 at a time onto the bins that the stepwise fold of
+    # the whole vector gives, bit for bit: each bin takes the direct term
+    # of period p, then its mirrored term, then period p + 1
+    seen = []
+
+    def spy(coeffs, grid_size):
+        seen.append(coeffs.copy())
+        return np.ones(grid_size // 2 + 1)
+
+    monkeypatch.setattr(partial_sums, "cosine_poly_grid", spy)
+    seq = ConvexSequence.log_reciprocal()
+    j_max = 2 ** 22
+    partial_sums.reference_function_grid(seq, G, j_max)
+    want = np.zeros(G // 2 + 1)
+    _stepwise_fold(want, seq.second_differences(j_max + 1), 1, G)
+    assert seen[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("G, M, P", [
