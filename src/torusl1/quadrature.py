@@ -22,23 +22,24 @@ for the rest; each block of columns is added into the integral as it is
 done, weighted by how many full cells read it.  Certified panels count
 their Gauss sums.  The other panels of full cells and the partial
 remnants are integrated from the same values: on each panel they fix a
-Legendre interpolant, which is split at its real roots and integrated
-with Gauss rules exact for its degree.  This path works on arrays: a
-panel whose every gap is clear of zero or monotone has one root in each
-gap whose ends differ in sign, and one bracketed Newton iteration on q
-and q' finds all of them at once; the roots of the other panels of one
-degree come from one stacked eigenvalue solve of their companion
-matrices; and one legval call (Clenshaw on arrays) evaluates every
-root-free range.  Remnants are placed on the panels from their torus
-ends, so a thin sliver keeps its width.  The lattice is evaluated once
-per call.  The error estimate is an a priori bound
-(Bernstein-ellipse bounds on the Gauss sums and the panel interpolants,
-plus the interpolated rounding of the lattice values, and a charge for
-panels whose certificate reads a kernel zero on a panel end) with a
-roundoff floor relative to the value.  Signed integrals need no panels:
-the full cells' integrals are values at the cell centres, read by one
-chirp-z transform over the shortest run of cells that holds them
-(trigsum._centre_run), and each partial remnant is one direct sum.
+Legendre interpolant q, which is split at its real roots and integrated
+with Gauss rules exact for its degree.  One root step serves every
+panel, on arrays: a gap between nodes that is neither clear of zero nor
+monotone is halved until it is one or the other, so each gap holds at
+most one root, bracketed by its ends, and one bracketed Newton iteration
+on q and q' finds them all; one legval call (Clenshaw on arrays)
+evaluates every root-free range.  A gap still undecided after 16
+halvings is cut only where its ends differ in sign, and charged to the
+bar.  Remnants are placed on the panels from their torus ends, so a
+thin sliver keeps its width.  The lattice is evaluated once per call.
+The error estimate is an a priori bound (Bernstein-ellipse bounds on the
+Gauss sums and the panel interpolants, plus the interpolated rounding of
+the lattice values, a charge for panels whose certificate reads a kernel
+zero on a panel end and one for undecided gaps) with a roundoff floor
+relative to the value.  Signed integrals need no panels: the full cells'
+integrals are values at the cell centres, read by one chirp-z transform
+over the shortest run of cells that holds them (trigsum._centre_run),
+and each partial remnant is one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
 are each read off a few interleaved rows of the same lattice FFT, and the
@@ -213,9 +214,10 @@ def _lattice(coeffs, L, panels, nodes):
     return rows, wts / L
 
 
-def _interpolated(rows, j, lo, hi, L, panels, nodes, delta):
+def _interpolated(rows, j, lo, hi, L, panels, nodes, delta, remnants):
     """Integrate |.| over panel parts [lo, hi] of panels j from their
-    interpolants.
+    interpolants: the first `remnants` parts cut cells, and the others are
+    whole panels of full cells, which _full_cells has found uncertified.
 
     Panel j = k * panels + i is panel i of cell k: rows i*nodes ..
     (i+1)*nodes - 1 of lattice column k % L hold its Gauss values, which
@@ -224,56 +226,60 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta):
     part that cuts the panel is mapped from its torus ends: half-width
     L P (hi - lo), which keeps a sliver's width to rounding however far
     from the origin it lies, centred at its offset from the panel centre.
-    q is split at its real roots there, unless _certify finds the panel
-    sign-definite: by bracketed Newton (_gap_roots) when every gap of the
-    panel is clear of zero (_certify's test 1) or monotone, else by the
-    stacked eigenvalue solve (_real_roots).  Each root-free range is
-    integrated with ceil(nodes/2)-point Gauss, exact for q's degree; one
-    legval call evaluates every range of a block.  The parts go a block at
-    a time, so that a block's companion matrices hold no more values than
-    a block of lattice columns.  Returns the integral, summed in part
-    order, and the edge charges of the certified panels.
+    Only remnant parts are certified (_certify); the rest are split at
+    the real roots of q in them (_roots), taken from the part's centre.
+    Each root-free range is integrated with ceil(nodes/2)-point Gauss,
+    exact for q's degree; one legval call evaluates every range of a
+    block.  The parts go _COLUMN_BLOCK at a time from the gather on: a
+    block's node values, coefficients and each row of its gaps then hold
+    about nodes + 1 values per part, as a block of lattice columns does,
+    and its ranges nodes values each.  Returns the integral, summed in
+    part order, and the edge and undecided-gap charges (_certify, _roots).
     """
     LP = L * panels
-    panel, col = j % panels, (j // panels) % L
-    vals = np.empty((j.size, nodes))
-    for i in range(panels):  # one fancy index per lattice row
-        at = np.flatnonzero(panel == i)
-        for r in range(nodes):
-            vals[at, r] = rows[i * nodes + r][col[at]]
-    coeffs = vals @ _gauss(nodes)[2].T
-    certified, charge, simple = _certify(vals.T, delta, 0.5 / LP)
-    whole = (lo == j / LP) & (hi == (j + 1) / LP)
-    mid = np.where(whole, 0.0,
-                   2.0 * LP * (0.5 * (lo + hi) - (2 * j + 1) / (2 * LP)))
-    half = np.where(whole, 1.0, LP * (hi - lo))
+    to_coeffs = _gauss(nodes)[2]
     gx, gw, _ = _gauss((nodes + 1) // 2)
-    step = max(1, _COLUMN_BLOCK * nodes // (nodes - 1) ** 2)
-    part = np.empty(j.size)
-    for s0 in range(0, j.size, step):
-        b = slice(s0, s0 + step)
-        c, m, h = coeffs[b], mid[b], half[b]
-        roots = np.full((len(c), nodes + 1), np.nan)
-        newton = simple[b] & ~certified[b]
-        eigen = ~(simple[b] | certified[b])
-        roots[newton] = _gap_roots(c[newton])
-        roots[eigen, :nodes - 1] = _real_roots(c[eigen])
-        inside = np.abs(roots - m[:, None]) < h[:, None]
-        count = np.count_nonzero(inside, axis=1)
-        cuts = np.column_stack([m - h, np.where(inside, roots, np.nan), m + h])
-        cuts = np.sort(cuts, axis=1)[:, :count.max() + 2]  # NaN sorts last
-        mids = 0.5 * (cuts[:, 1:] + cuts[:, :-1])
-        halves = 0.5 * np.diff(cuts, axis=1)
-        none = count == 0  # keep the part's own centre and width
-        mids[none, 0], halves[none, 0] = m[none], h[none]
-        keep = np.arange(mids.shape[1]) <= count[:, None]
-        owner = np.nonzero(keep)[0]
-        halves = halves[keep]
-        x = mids[keep][:, None] + halves[:, None] * gx
-        q = np.polynomial.legendre.legval(x.T, c[owner].T, tensor=False)
+    total = 0.0
+    charge = 0.0
+    for s0 in range(0, j.size, _COLUMN_BLOCK):
+        b = slice(s0, s0 + _COLUMN_BLOCK)
+        jb, lb, hb = j[b], lo[b], hi[b]
+        panel, col = jb % panels, (jb // panels) % L
+        vals = np.empty((jb.size, nodes))
+        for i in range(panels):  # one fancy index per lattice row
+            at = np.flatnonzero(panel == i)
+            for r in range(nodes):
+                vals[at, r] = rows[i * nodes + r][col[at]]
+        c = vals @ to_coeffs.T
+        cut = min(max(remnants - s0, 0), jb.size)
+        sure = np.zeros(jb.size, dtype=bool)
+        sure[:cut], edge = _certify(vals[:cut].T, delta, 0.5 / LP)
+        charge += float(edge.sum())
+        whole = (lb == jb / LP) & (hb == (jb + 1) / LP)
+        m = np.where(whole, 0.0,
+                     2.0 * LP * (0.5 * (lb + hb) - (2 * jb + 1) / (2 * LP)))
+        h = np.where(whole, 1.0, LP * (hb - lb))
+        rest = np.flatnonzero(~sure)
+        owner, x, undecided = _roots(c[rest])
+        charge += undecided / (2 * LP)
+        owner = rest[owner]
+        inside = np.abs(x - m[owner]) < h[owner]
+        owner, x = owner[inside], x[inside]
+        # each part's ends and roots, sorted within the part
+        who = np.concatenate([np.arange(jb.size), owner, np.arange(jb.size)])
+        cuts = np.concatenate([-h, x - m[owner], h])
+        order = np.lexsort((cuts, who))
+        who, cuts = who[order], cuts[order]
+        same = who[1:] == who[:-1]
+        owner = who[1:][same]
+        mids = m[owner] + (0.5 * (cuts[1:] + cuts[:-1]))[same]
+        halves = (0.5 * np.diff(cuts))[same]
+        q = np.polynomial.legendre.legval(
+            (mids[:, None] + halves[:, None] * gx).T, c[owner].T, tensor=False)
         piece = np.abs(halves * (q.T @ gw))
-        part[b] = np.bincount(owner, piece, len(c)) / (2 * LP)
-    return float(np.cumsum(part)[-1]), float(charge.sum())
+        part = np.bincount(owner, piece, jb.size) / (2 * LP)
+        total = float(np.cumsum(np.concatenate(([total], part)))[-1])
+    return total, charge
 
 
 def _newton(f, pos, neg, x):
@@ -305,71 +311,68 @@ def _newton(f, pos, neg, x):
     return x
 
 
-def _gap_roots(c):
-    """The roots in [-1, 1] of the Legendre series q in each row of c,
-    where every gap between its gap ends (_certificate_maps) passes
-    _certify's test 1 or is monotone, NaN-padded to one column per gap.
+_HALVINGS = 16  # halvings of a gap in _roots before it is charged
 
-    A gap of test 1 holds no root and a monotone gap at most one, which
-    its ends bracket; so each gap whose ends, evaluated by legval, differ
-    in sign or hold a zero gets one root by bracketed Newton (_newton) on
-    q and q' from the gap's midpoint, all gaps of all rows at once.
+
+def _roots(c):
+    """The real roots in [-1, 1] of the Legendre series q in each row of c,
+    as (row, root) pairs, and the charge of the gaps left undecided.
+
+    A gap [a, b] between the ends [-1, x_1, .., x_n, 1] (_certificate_maps),
+    of width w, is decided when one of _certify's tests holds without
+    slack: clear, |q(a)| + |q(b)| - lip w > 0 (no root), where |q'| <= lip
+    = min(D1, (|q'(a)| + |q'(b)| + D2 w) / 2) on the gap, or monotone,
+    max(|q'(a)|, |q'(b)|) - D2 w > 0 (one root at most).  An undecided gap
+    is halved at its midpoint (one legval of q and of q') and its halves
+    tested again, _HALVINGS times at most (Boyd, SIAM Review 55, 2013).
+    Each gap whose ends differ in sign or hold a zero, decided or not,
+    gets one root by bracketed Newton (_newton) from its midpoint, all
+    gaps of all rows at once.  Between two such roots q changes sign only
+    in undecided gaps, where |q| lies under a tent of slope lip, so taking
+    |q| over a range as |integral of q| errs by at most the charge, the
+    sum over them of (|q(a)| + |q(b)|) w + lip w^2 / 2 <= 3/2 lip w^2, in
+    s.  A zero row has no roots.
     """
     leg = np.polynomial.legendre
     n = c.shape[1]
-    ends = np.concatenate(([-1.0], _gauss(n)[0], [1.0]))
-    roots = np.full((c.shape[0], n + 1), np.nan)
-    sign = np.sign(leg.legval(ends, c.T))
-    part, gap = np.nonzero(sign[:, :-1] * sign[:, 1:] <= 0.0)
-    if part.size:
-        q = c[part].T
-        dq = leg.legder(q)
-        a, b = ends[gap], ends[gap + 1]
-        up = sign[part, gap + 1] > sign[part, gap]
-        roots[part, gap] = _newton(
-            lambda x: (leg.legval(x, q, tensor=False),
-                       leg.legval(x, dq, tensor=False)),
-            np.where(up, b, a), np.where(up, a, b), 0.5 * (a + b))
-    return roots
-
-
-def _companions(c):
-    """legcompanion(c)[::-1, ::-1] of every row of c, stacked: the same
-    scaled Legendre colleague matrix, built in the same operation order,
-    so eigvals returns legroots' roots bit for bit."""
-    n = c.shape[1] - 1
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    mat = np.zeros((c.shape[0], n, n))
-    i = np.arange(n - 1)
-    mat[:, i, i + 1] = off
-    mat[:, i + 1, i] = off
-    mat[:, :, -1] -= ((c[:, :-1] / c[:, -1:]) * (scl / scl[-1])
-                      * (n / (2 * n - 1)))
-    return mat[:, ::-1, ::-1]
-
-
-def _real_roots(c):
-    """The real roots legroots finds for the Legendre series in each row
-    of c, unsorted, NaN-padded to c.shape[1] - 1 columns: the root step
-    of the panels where some gap may hold several roots (_interpolated).
-
-    Each row is trimmed of its trailing zero coefficients, as legroots
-    does.  The rows of each trimmed degree d >= 1 share one stacked
-    eigvals over their companion matrices (Trefethen, ATAP, Ch. 18); for
-    d = 1 that matrix is legroots' closed form -c_0/c_1, and eigvals
-    returns it bit for bit while 1e-138 < |c_0/c_1| < 1e138, outside
-    which LAPACK rescales the matrix.
-    """
-    roots = np.full((c.shape[0], c.shape[1] - 1), np.nan)
-    deg = np.max((c != 0.0) * np.arange(c.shape[1]), axis=1, initial=0)
-    for d in range(1, c.shape[1]):
-        at = deg == d
-        if not at.any():
-            continue
-        w = np.linalg.eigvals(_companions(c[at, :d + 1]))
-        roots[at, :d] = np.where(np.imag(w) == 0.0, np.real(w), np.nan)
-    return roots
+    ends, to_slopes, bounds = _certificate_maps(n)
+    d1, d2 = bounds @ np.abs(c).T
+    dc = leg.legder(c, axis=1)
+    live = np.flatnonzero(c.any(axis=1))
+    at = np.stack([np.broadcast_to(ends, (live.size, n + 2)),
+                   leg.legval(ends, c[live].T), c[live] @ to_slopes.T])
+    gaps = np.concatenate([at[..., :-1], at[..., 1:]]).reshape(6, -1)
+    part = np.repeat(live, n + 1)
+    brackets = []  # (part, positive end, negative end) of the root gaps
+    for k in range(_HALVINGS + 1):
+        a, qa, da, b, qb, db = gaps
+        w = b - a
+        size = np.abs(qa) + np.abs(qb)
+        lip = np.minimum(d1[part],
+                         0.5 * (np.abs(da) + np.abs(db) + d2[part] * w))
+        ok = ((size - lip * w > 0.0)
+              | (np.maximum(np.abs(da), np.abs(db)) - d2[part] * w > 0.0))
+        sa, sb = np.sign(qa), np.sign(qb)
+        hit = (ok | (k == _HALVINGS)) & (sa * sb <= 0.0)
+        up = sb[hit] > sa[hit]
+        brackets.append((part[hit], np.where(up, b[hit], a[hit]),
+                         np.where(up, a[hit], b[hit])))
+        left = (size * w + 0.5 * lip * w * w)[~ok]
+        part, (a, qa, da, b, qb, db) = part[~ok], gaps[:, ~ok]
+        if k == _HALVINGS or not part.size:
+            break
+        mid = 0.5 * (a + b)
+        qm = leg.legval(mid, c[part].T, tensor=False)
+        dm = leg.legval(mid, dc[part].T, tensor=False)
+        gaps = np.concatenate([[a, qa, da, mid, qm, dm],
+                               [mid, qm, dm, b, qb, db]], axis=1)
+        part = np.tile(part, 2)
+    part, pos, neg = (np.concatenate(x) for x in zip(*brackets))
+    q, dq = c[part].T, dc[part].T
+    x = _newton(lambda x: (leg.legval(x, q, tensor=False),
+                           leg.legval(x, dq, tensor=False)),
+                pos, neg, 0.5 * (pos + neg))
+    return part, x, float(left.sum())
 
 
 def _lebesgue(n):
@@ -417,10 +420,10 @@ def _abs_bound(coeffs, L, panels, n):
 
 @lru_cache(maxsize=None)
 def _certificate_maps(n):
-    """The widths of the gaps between the ends [-1, x_1, .., x_n, 1] of an
-    n-node panel, the map from Legendre coefficients to q' at those ends,
-    and the weights of the derivative bounds max|q'| <= sum|c_j| P_j'(1)
-    and max|q''| <= sum|c_j| P_j''(1), with P_j'(1) = j(j+1)/2 and
+    """The gap ends [-1, x_1, .., x_n, 1] of an n-node panel, the map from
+    Legendre coefficients to q' at those ends, and the weights of the
+    derivative bounds max|q'| <= sum|c_j| P_j'(1) and
+    max|q''| <= sum|c_j| P_j''(1), with P_j'(1) = j(j+1)/2 and
     P_j''(1) = (j-1) j (j+1) (j+2)/8."""
     leg = np.polynomial.legendre
     ends = np.concatenate(([-1.0], _gauss(n)[0], [1.0]))
@@ -428,7 +431,7 @@ def _certificate_maps(n):
     j = np.arange(n, dtype=float)
     bounds = np.stack([j * (j + 1) / 2, (j - 1) * j * (j + 1) * (j + 2) / 8],
                       axis=1)
-    maps = (np.diff(ends)[:, None], der, bounds.T)
+    maps = (ends, der, bounds.T)
     for arr in maps:
         arr.setflags(write=False)
     return maps
@@ -466,17 +469,15 @@ def _certify(vals, delta, h):
     then take the wrong sign only where |q| <= delta, within 2 delta / m
     of the end, so |sum w p| errs from the integral of |p| by at most
     8 h delta^2 / m more, h the panel half-width in t.
-    A panel whose every gap passes test 1 or is monotone (test 2 without
-    its sign condition) holds at most one root of q per gap, bracketed by
-    the gap's ends (_gap_roots); simple flags those panels.
     q at the nodes is vals itself, and q(1) = sum c_j, q(-1) =
     sum (-1)^j c_j since P_j(+-1) = (+-1)^j.  Test 2 and its slopes q' are
     worked out only on the panels where some gap fails test 1.  The matrix
     products take the panels 1024 at a time (_by_columns).
-    Returns (certified, charge, simple), one entry per panel.
+    Returns (certified, charge), one entry per panel.
     """
     n = vals.shape[0]
-    width, to_slopes, bounds = _certificate_maps(n)
+    ends, to_slopes, bounds = _certificate_maps(n)
+    width = np.diff(ends)[:, None]
     c = _by_columns(_gauss(n)[2], vals)
     at = np.empty((n + 2, vals.shape[1]))  # q at the gap ends
     at[0] = (c * (-1.0) ** np.arange(n)[:, None]).sum(axis=0)
@@ -491,7 +492,6 @@ def _certify(vals, delta, h):
     lipschitz[0] &= ~zero_lo
     lipschitz[-1] &= ~zero_hi
     certified = lipschitz.all(axis=0)  # no zero end: no charge
-    simple = certified.copy()
     charge = np.zeros(vals.shape[1])
     rest = np.flatnonzero(~certified)
     if rest.size:  # test 2, where some gap fails test 1
@@ -505,19 +505,17 @@ def _certify(vals, delta, h):
         dq = np.abs(_by_columns(to_slopes, c[:, t]))
         slope = np.maximum(dq[:-1], dq[1:])
         slope -= d2[t] * width
-        monotone = slope > 0.0
-        sure = (lipschitz | (agree & monotone)).all(axis=0)
+        sure = (lipschitz | (agree & (slope > 0.0))).all(axis=0)
         certified[t] = sure
-        simple[t] = (lipschitz | monotone).all(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = (np.where(zero_lo, 1.0 / slope[0], 0.0)
                    + np.where(zero_hi, 1.0 / slope[-1], 0.0))
             # no delta^2, which overflows for heads above about 1e154
             charge[t] = np.where(sure, 8.0 * h * delta * (delta * inv), 0.0)
-    return certified, charge, simple
+    return certified, charge
 
 
-_COLUMN_BLOCK = 8192  # lattice columns per certificate batch
+_COLUMN_BLOCK = 8192  # lattice columns or interpolated parts per batch
 
 
 def _runs(full, L):
@@ -590,7 +588,7 @@ def _full_cells(rows, wts, full, L, panels, nodes, delta):
                 c1 = min(c0 + _COLUMN_BLOCK, b)
                 v = np.stack([row[c0:c1]
                               for row in rows[i * nodes:(i + 1) * nodes]])
-                sure, charge, _ = _certify(v, delta, h)
+                sure, charge = _certify(v, delta, h)
                 weight = _reads(own, c0, c1)
                 if mirrored:
                     weight += _reads(own, L - c1, L - c0)[::-1]
@@ -613,9 +611,10 @@ def _abs(coeffs, E, L, panels, nodes):
     columns the full cells read (_full_cells).  The other panels of full
     cells and every panel part of a remnant are integrated from their
     interpolants (_interpolated).  The error estimate is gauss per
-    certified full-cell panel, delta per unit measure interpolated and
-    the edge charges (_abs_bound, _certify), with a roundoff floor, plus
-    2^-1022 for values that round in the subnormal range.
+    certified full-cell panel, delta per unit measure interpolated, the
+    edge charges and the charge for undecided gaps (_abs_bound, _certify,
+    _roots), with a roundoff floor, plus 2^-1022 for values that round in
+    the subnormal range.
     """
     full, pieces = _decompose(E, L)
     gauss, delta = _abs_bound(coeffs, L, panels, nodes)
@@ -629,13 +628,13 @@ def _abs(coeffs, E, L, panels, nodes):
     j, lo, hi = j[keep], lo[keep], hi[keep]
     total, definite, edge, more = _full_cells(rows, wts, full, L, panels,
                                               nodes, delta)
+    remnants = j.size
     j = np.concatenate([j, more])
     lo = np.concatenate([lo, more / LP])
     hi = np.concatenate([hi, (more + 1) / LP])
-    if j.size:
-        t, e = _interpolated(rows, j, lo, hi, L, panels, nodes, delta)
-        total += t
-        edge += e
+    t, e = _interpolated(rows, j, lo, hi, L, panels, nodes, delta, remnants)
+    total += t
+    edge += e
     cut = math.fsum((hi - lo).tolist())
     bound = definite * gauss + cut * delta + edge
     return QuadResult(total, max(bound, 64.0 * _EPS * total) + _TINY,
@@ -698,8 +697,8 @@ def integrate_cosine_poly(coeffs, E, cell_count, panels_per_cell=2,
     integral evaluates the lattice once, with panels_per_cell Gauss
     panels of nodes_per_panel nodes per cell; its error estimate is an a
     priori interpolation, quadrature and rounding bound (_abs_bound,
-    _certify) with a roundoff floor of 64 eps times the value, plus 2^-1022
-    for subnormal results.  The signed
+    _certify, _roots) with a roundoff floor of 64 eps times the value,
+    plus 2^-1022 for subnormal results.  The signed
     integral uses no panels, so panels_per_cell and nodes_per_panel do not
     affect it, and its estimate is a rounding bound: 64 eps per piece, the
     chirp-z run's normwise bound for its three FFTs (_signed) and 4 eps
