@@ -25,13 +25,12 @@ remnants are integrated from the same values: on each panel they fix a
 Legendre interpolant q, which is split at its real roots and integrated
 with Gauss rules exact for its degree.  One root step serves every
 panel, on arrays: a gap between nodes that is neither clear of zero nor
-monotone is halved until it is one or the other, so each gap holds at
-most one root, bracketed by its ends, and one bracketed Newton iteration
-on q and q' finds them all; one legval call (Clenshaw on arrays)
-evaluates every root-free range.  A gap still undecided after 16
-halvings is cut only where its ends differ in sign, and charged to the
-bar.  Remnants are placed on the panels from their torus ends, so a
-thin sliver keeps its width.  The lattice is evaluated once per call.
+monotone is halved until it is one or the other (16 times at most, then
+charged to the bar), and one bracketed Newton iteration on q and q'
+finds a root in every gap whose ends differ in sign; one legval call
+(Clenshaw on arrays) evaluates every root-free range.  Remnants are
+placed on the panels from their torus ends, so a thin sliver keeps its
+width.  The lattice is evaluated once per call.
 The error estimate is an a priori bound (Bernstein-ellipse bounds on the
 Gauss sums and the panel interpolants, plus the interpolated rounding of
 the lattice values, a charge for panels whose certificate reads a kernel
@@ -239,8 +238,7 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta, remnants):
     LP = L * panels
     to_coeffs = _gauss(nodes)[2]
     gx, gw, _ = _gauss((nodes + 1) // 2)
-    total = 0.0
-    charge = 0.0
+    total = charge = 0.0
     for s0 in range(0, j.size, _COLUMN_BLOCK):
         b = slice(s0, s0 + _COLUMN_BLOCK)
         jb, lb, hb = j[b], lo[b], hi[b]
@@ -318,27 +316,29 @@ def _roots(c):
     """The real roots in [-1, 1] of the Legendre series q in each row of c,
     as (row, root) pairs, and the charge of the gaps left undecided.
 
-    A gap [a, b] between the ends [-1, x_1, .., x_n, 1] (_certificate_maps),
-    of width w, is decided when one of _certify's tests holds without
-    slack: clear, |q(a)| + |q(b)| - lip w > 0 (no root), where |q'| <= lip
-    = min(D1, (|q'(a)| + |q'(b)| + D2 w) / 2) on the gap, or monotone,
-    max(|q'(a)|, |q'(b)|) - D2 w > 0 (one root at most).  An undecided gap
-    is halved at its midpoint (one legval of q and of q') and its halves
-    tested again, _HALVINGS times at most (Boyd, SIAM Review 55, 2013).
-    Each gap whose ends differ in sign or hold a zero, decided or not,
-    gets one root by bracketed Newton (_newton) from its midpoint, all
-    gaps of all rows at once.  Between two such roots q changes sign only
-    in undecided gaps, where |q| lies under a tent of slope lip, so taking
-    |q| over a range as |integral of q| errs by at most the charge, the
-    sum over them of (|q(a)| + |q(b)|) w + lip w^2 / 2 <= 3/2 lip w^2, in
-    s.  A zero row has no roots.
+    A gap [a, b] of width w between the ends [-1, x_1, .., x_n, 1]
+    (_certificate_maps) is decided by _certify's tests without slack:
+    clear, |q(a)| + |q(b)| - lip w > 0, with |q'| <= lip = min(D1,
+    (|q'(a)| + |q'(b)| + D2 w) / 2) there, or monotone, max(|q'(a)|,
+    |q'(b)|) - D2 w > 0.  An undecided gap is halved (one legval of q and
+    of q' at its midpoint), _HALVINGS times at most (Boyd, SIAM Review
+    55, 2013).  Each gap whose ends differ in sign or hold a zero, decided
+    or not, gets one root by bracketed Newton (_newton), all at once.
+    Between roots q changes sign only in undecided gaps, under a tent of
+    slope lip, so a range taken as |integral of q| errs by at most the
+    charge: (|q(a)| + |q(b)|) w + lip w^2 / 2 <= 3/2 lip w^2 summed over
+    them, in s.  Rows are scaled to max|c_j| in [1/2, 1) by powers of
+    two, which change no test, root or sign.  A row that is zero or not
+    finite has no roots.
     """
     leg = np.polynomial.legendre
     n = c.shape[1]
     ends, to_slopes, bounds = _certificate_maps(n)
+    scale = np.frexp(np.abs(c).max(axis=1, initial=0.0))[1]
+    c = np.ldexp(c, -scale[:, None])  # exact: the bounds stay finite
     d1, d2 = bounds @ np.abs(c).T
     dc = leg.legder(c, axis=1)
-    live = np.flatnonzero(c.any(axis=1))
+    live = np.flatnonzero(c.any(axis=1) & np.isfinite(c).all(axis=1))
     at = np.stack([np.broadcast_to(ends, (live.size, n + 2)),
                    leg.legval(ends, c[live].T), c[live] @ to_slopes.T])
     gaps = np.concatenate([at[..., :-1], at[..., 1:]]).reshape(6, -1)
@@ -357,7 +357,7 @@ def _roots(c):
         up = sb[hit] > sa[hit]
         brackets.append((part[hit], np.where(up, b[hit], a[hit]),
                          np.where(up, a[hit], b[hit])))
-        left = (size * w + 0.5 * lip * w * w)[~ok]
+        left = np.ldexp(size * w + 0.5 * lip * w * w, scale[part])[~ok]
         part, (a, qa, da, b, qb, db) = part[~ok], gaps[:, ~ok]
         if k == _HALVINGS or not part.size:
             break

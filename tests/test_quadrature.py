@@ -1072,6 +1072,24 @@ def test_overflowing_coefficients_are_refused(absolute, E):
         q = integrate_cosine_poly(coeffs * scale, E, 33, absolute=absolute)
         assert math.isfinite(q.value) and math.isfinite(q.error_estimate)
         assert 0.0 < q.error_estimate < 1e-12 * abs(q.value)
+    if not absolute:
+        return
+    # on one cell of one panel the values of 2 a cos(2 pi t) stay finite,
+    # but at a = 5e307 the derivative bounds of their interpolant overflow,
+    # and at 8e307 its Legendre coefficients do; the root step scales each
+    # row by a power of two and skips rows that are not finite, so the bar
+    # is refused without halving gaps against infinite bounds (which
+    # traced 500 MB)
+    for a in (5e307, 8e307):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overflow float64"):
+                integrate_cosine_poly(np.array([0.0, a]), E, 1, 1,
+                                      absolute=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24, a
 
 
 def test_residual_reads_the_public_grid_functions(monkeypatch):
