@@ -2,43 +2,29 @@
 
 Two engines.
 
-Cell-aligned Gauss (|.| of partial sums and kernels):
-panels follow the cells [k/L, (k+1)/L) of a lattice of L cells, and every
-cell is evaluated at the composite Gauss offsets through the lattice FFT
-(trigsum.cosine_poly_on_cells).  The lattice is picked from the
-coefficients before any evaluation (integrate_abs_partial_sum): L = 2N+1,
-the sign cells of D_N, when S_N = a_0 D_N, whose zeros are the cell edges
-and certify there; otherwise the least 5-smooth L >= 2N+1, a fast FFT
-length, since the zeros of any other S_N fall inside cells of either
-lattice.  The offsets are symmetric about the cell centre and the
-integrand is even, so only the first half of the offsets is evaluated;
-each other row is a reversed view of its mirror.  Each interval
-contributes one contiguous range of full cells and at most
-two partial remnants.  The Gauss sum and a sign certificate (from the
-Legendre coefficients of its interpolant and derivative bounds) of a
-panel of a full cell are computed only on the lattice columns that the
-full cells read, for the first half of the panels, whose mirrors stand
-for the rest; each block of columns is added into the integral as it is
-done, weighted by how many full cells read it.  Certified panels count
-their Gauss sums.  The other panels of full cells and the partial
-remnants are integrated from the same values: on each panel they fix a
-Legendre interpolant q, which is split at its real roots and integrated
-with Gauss rules exact for its degree.  One root step serves every
-panel, on arrays: a gap between nodes that is neither clear of zero nor
-monotone is halved until it is one or the other (16 times at most, then
-charged to the bar), and one bracketed Newton iteration on q and q'
-finds a root in every gap whose ends differ in sign; one legval call
-(Clenshaw on arrays) evaluates every root-free range.  Remnants are
-placed on the panels from their torus ends, so a thin sliver keeps its
-width.  The lattice is evaluated once per call.
-The error estimate is an a priori bound (Bernstein-ellipse bounds on the
-Gauss sums and the panel interpolants, plus the interpolated rounding of
-the lattice values, a charge for panels whose certificate reads a kernel
-zero on a panel end and one for undecided gaps) with a roundoff floor
-relative to the value.  Signed integrals need no panels: the full cells'
-integrals are values at the cell centres, read by one chirp-z transform
-over the shortest run of cells that holds them (trigsum._centre_run),
-and each partial remnant is one direct sum.
+Cell-aligned Gauss (|.| of partial sums and kernels): panels follow the
+cells [k/L, (k+1)/L) of a lattice picked from the coefficients
+(integrate_abs_partial_sum), and every cell is evaluated once, at the
+composite Gauss offsets, through the lattice FFT (_lattice).  Each
+interval contributes one contiguous range of full cells and at most two
+partial remnants (_decompose).  A panel of a full cell whose sign
+certificate holds (_certify) counts its Gauss sum, a block of lattice
+columns at a time (_full_cells).  Every other panel part is integrated
+from the Legendre interpolant q of its Gauss values, split at its real
+roots by one root step on arrays (_interpolated, _roots): a gap between
+nodes that is neither clear of zero nor monotone is halved until it is
+one or the other, 16 times at most, after which it is charged to the bar
+(at most (3/4) D1 w^2 / (L P) in t for a gap of width w in the panel
+coordinate, D1 bounding |q'|); then one bracketed Newton iteration finds
+a root in every gap whose ends differ in sign.  The error estimate is an
+a priori bound (Bernstein-ellipse bounds on the Gauss sums and the panel
+interpolants, the interpolated rounding of the lattice values, a charge
+for panels whose certificate reads a kernel zero on a panel end and one
+for undecided gaps) with a roundoff floor relative to the value.  Signed
+integrals need no panels: the full cells' integrals are values at the
+cell centres, read by one chirp-z transform over the shortest run of
+cells that holds them (trigsum._centre_run), and each partial remnant is
+one direct sum.
 
 Uniform-grid trapezoid (residuals |f - S_N|): S_N and the reference f
 are each read off a few interleaved rows of the same lattice FFT, and the
@@ -226,21 +212,24 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta, remnants):
     L P (hi - lo), which keeps a sliver's width to rounding however far
     from the origin it lies, centred at its offset from the panel centre.
     Only remnant parts are certified (_certify); the rest are split at
-    the real roots of q in them (_roots), taken from the part's centre.
+    the real roots of q in them (_roots, which takes a certified part as a
+    zero row), taken from the part's centre.
     Each root-free range is integrated with ceil(nodes/2)-point Gauss,
     exact for q's degree; one legval call evaluates every range of a
-    block.  The parts go _COLUMN_BLOCK at a time from the gather on: a
-    block's node values, coefficients and each row of its gaps then hold
-    about nodes + 1 values per part, as a block of lattice columns does,
-    and its ranges nodes values each.  Returns the integral, summed in
-    part order, and the edge and undecided-gap charges (_certify, _roots).
+    block.  The parts go _COLUMN_BLOCK // nodes at a time from the gather
+    on: a part's nodes + 1 gaps each read its nodes coefficients in the
+    root step, so a block reads about as many values as a block of
+    _COLUMN_BLOCK lattice columns holds (nodes rows each).
+    Returns the integral, summed in part order, and the edge and
+    undecided-gap charges (_certify, _roots).
     """
     LP = L * panels
     to_coeffs = _gauss(nodes)[2]
     gx, gw, _ = _gauss((nodes + 1) // 2)
     total = charge = 0.0
-    for s0 in range(0, j.size, _COLUMN_BLOCK):
-        b = slice(s0, s0 + _COLUMN_BLOCK)
+    step = _COLUMN_BLOCK // nodes
+    for s0 in range(0, j.size, step):
+        b = slice(s0, s0 + step)
         jb, lb, hb = j[b], lo[b], hi[b]
         panel, col = jb % panels, (jb // panels) % L
         vals = np.empty((jb.size, nodes))
@@ -257,10 +246,8 @@ def _interpolated(rows, j, lo, hi, L, panels, nodes, delta, remnants):
         m = np.where(whole, 0.0,
                      2.0 * LP * (0.5 * (lb + hb) - (2 * jb + 1) / (2 * LP)))
         h = np.where(whole, 1.0, LP * (hb - lb))
-        rest = np.flatnonzero(~sure)
-        owner, x, undecided = _roots(c[rest])
+        owner, x, undecided = _roots(np.where(sure[:, None], 0.0, c))
         charge += undecided / (2 * LP)
-        owner = rest[owner]
         inside = np.abs(x - m[owner]) < h[owner]
         owner, x = owner[inside], x[inside]
         # each part's ends and roots, sorted within the part
@@ -515,7 +502,7 @@ def _certify(vals, delta, h):
     return certified, charge
 
 
-_COLUMN_BLOCK = 8192  # lattice columns or interpolated parts per batch
+_COLUMN_BLOCK = 8192  # lattice columns per block (_full_cells, _interpolated)
 
 
 def _runs(full, L):
