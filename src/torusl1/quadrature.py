@@ -315,14 +315,15 @@ def _roots(c):
     slope lip, so a range taken as |integral of q| errs by at most the
     charge: (|q(a)| + |q(b)|) w + lip w^2 / 2 <= 3/2 lip w^2 summed over
     them, in s.  Rows are scaled to max|c_j| in [1/2, 1) by powers of
-    two, which change no test, root or sign.  A row that is zero or not
-    finite has no roots.
+    two, exactly unless a coefficient falls below 2^-1022: it then rounds
+    by at most 2^-1075, which moves q by at most n 2^-1074 max|c_j|.  A
+    row that is zero or not finite has no roots.
     """
     leg = np.polynomial.legendre
     n = c.shape[1]
     ends, to_slopes, bounds = _certificate_maps(n)
     scale = np.frexp(np.abs(c).max(axis=1, initial=0.0))[1]
-    c = np.ldexp(c, -scale[:, None])  # exact: the bounds stay finite
+    c = np.ldexp(c, -scale[:, None])  # the bounds stay finite
     d1, d2 = bounds @ np.abs(c).T
     dc = leg.legder(c, axis=1)
     live = np.flatnonzero(c.any(axis=1) & np.isfinite(c).all(axis=1))
