@@ -12,9 +12,12 @@ branch.  The *_oracle functions are independent slow sums used as
 cross-checks; they reduce each angle n*t mod 1 with an exact split
 product so agreement stays near machine level up to N ~ 1e4.
 product_frac, that split product, also serves the evaluators of trigsum
-and partial_sums, and check_index the order checks of partial_sums and
-quadrature; neither is exported.
+and partial_sums, check_index the order checks of partial_sums and
+quadrature, and dirichlet_on_cells, D_N on the cells of its own lattice
+2N+1 without an FFT, the lattice rows of quadrature; none is exported.
 """
+
+import math
 
 import numpy as np
 
@@ -88,6 +91,94 @@ def dirichlet_eval(N, t):
     if val.ndim == 0:
         return float(val)
     return val
+
+
+def dirichlet_on_cells(N, offsets):
+    """D_N at t = (k + u)/L on the lattice L = 2N+1, for every residue k
+    and unit offset u in [0, 1]: shape (len(offsets), L), column k at
+    k/L + u/L as in trigsum.cosine_poly_on_cells.
+
+    With k' the one of k and k - L in (-L/2, L/2], L odd gives
+    sin(pi (k + u)) = (-1)^k' sin(pi u), so
+
+        D_N((k + u)/L) = (-1)^k' sin(pi r) / sin(pi (k' + u)/L),
+
+    r = min(u, 1 - u), which is exact.  The angles come from the integer
+    k' and from u, never from a rounded t = (k + u)/L, whose rounding
+    would cost about eps L^2.  Rounding, u_r = 2^-53, to first order and
+    with sin within 1 ulp (2 u_r): the numerator's angle errs by
+    1.35 u_r (fl(pi) and one product) and the denominator's by 3.35 u_r
+    (k' + u, fl(pi/L) and one product); a relative error d of an angle b,
+    |b| <= pi/2 + pi/2L, moves sin b by at most |d b cot b| <= |d|
+    relatively, so with the two sines and the division a value errs by
+    at most 10 u_r |D_N|.  Where |k' + u| >= 3, s = min(|k' + u|, L -
+    |k' + u|) >= 3 too and |D_N| <= 1/sin(pi s/L) <= L/(2s) <= L/6, so
+    that is at most (10/6) u_r L, and a product by a coefficient c keeps
+    it under (11/6) u_r L |c| < eps L |c|.  The six columns round the
+    peak, k' = -3..2, where |D_N| may reach L, are instead evaluated in
+    40-digit decimal arithmetic (_dirichlet_exact) and rounded once: half
+    an ulp of D_N, at most u_r (L - 1) as L is odd, and with the product
+    by c under u_r (2L - 1) |c| < eps L |c|.
+    Subnormal angles add at most 2^-1074 L.
+    """
+    N = check_index(N, "N")
+    L = 2 * N + 1
+    u = np.atleast_1d(np.asarray(offsets, dtype=float))
+    k = np.arange(L, dtype=float)
+    k[N + 1:] -= L
+    sign = 1.0 - 2.0 * (k % 2)
+    c = math.pi / L
+    out = np.empty((u.size, L))
+    with np.errstate(divide="ignore", invalid="ignore"):  # k' + u = 0
+        for row, x in zip(out, u.tolist()):
+            np.add(k, x, out=row)
+            row *= c
+            np.sin(row, out=row)
+            row *= sign
+            np.divide(math.sin(math.pi * min(x, 1.0 - x)), row, out=row)
+    near = range(max(-3, -N), min(3, N + 1))
+    for row, x in zip(out, u.tolist()):
+        row[[j % L for j in near]] = _dirichlet_exact(L, near, x)
+    return out
+
+
+_PI = "3.14159265358979323846264338327950288419716939937511"  # pi to 50 places
+
+
+def _sin(x):
+    """sin x of a Decimal |x| <= pi by its Taylor series, to the precision
+    of the current decimal context."""
+    total = term = x
+    x2 = x * x
+    j = 1
+    while True:
+        term = -term * x2 / ((j + 1) * (j + 2))
+        j += 2
+        if total + term == total:
+            return total
+        total += term
+
+
+def _dirichlet_exact(L, near, x):
+    """D_N((j + x)/L) for each j of near, L = 2N+1, |j| <= N, x in [0, 1],
+    by the closed form of dirichlet_on_cells in 40-digit decimals, each
+    rounded once to float."""
+    # imported here: only D_N's lattice rows need it, and at the top it
+    # raised the peak RSS of every CLI process by about 0.3 MB
+    import decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        pi = decimal.Decimal(_PI)
+        num = _sin(pi * decimal.Decimal(min(x, 1.0 - x)))
+        out = []
+        for j in near:
+            v = j + decimal.Decimal(x)
+            if v % L == 0:  # t = v/L is a whole number
+                out.append(float(L))
+            else:
+                d = (num if j % 2 == 0 else -num) / _sin(pi * v / L)
+                out.append(float(d))
+        return out
 
 
 def fejer_eval(j, t):

@@ -5,7 +5,8 @@ Two engines.
 Cell-aligned Gauss (|.| of partial sums and kernels): panels follow the
 cells [k/L, (k+1)/L) of a lattice picked from the coefficients
 (integrate_abs_partial_sum), and every cell is evaluated once, at the
-composite Gauss offsets, through the lattice FFT (_lattice).  Each
+composite Gauss offsets (_lattice): through the lattice FFT, or, for
+a_0 D_N on its own lattice 2N+1, from the closed form.  Each
 interval contributes one contiguous range of full cells and at most two
 partial remnants (_decompose).  A panel of a full cell whose sign
 certificate holds (_certify) counts its Gauss sum, a block of lattice
@@ -49,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import check_index
+from .kernels import check_index, dirichlet_on_cells
 from .partial_sums import partial_sum_grid, reference_function_grid
 from .trigsum import (_centre_run, _smooth, cosine_poly_on_cells,
                       cosine_poly_points)
@@ -177,6 +178,11 @@ def _decompose(E, L):
     return full, partial
 
 
+def _dirichlet_multiple(coeffs):
+    """Whether c_0 = c_1 = ... = c_N, so that the polynomial is c_0 D_N."""
+    return bool(np.all(coeffs == coeffs[0]))
+
+
 def _lattice(coeffs, L, panels, nodes):
     """The n = panels * nodes composite Gauss rows of the cell lattice and
     their weights: row i holds every cell's value at offset x_i / L.
@@ -184,13 +190,23 @@ def _lattice(coeffs, L, panels, nodes):
     p is even, so the row at offset 1/L - x is the row at x reversed:
     p((k + 1)/L - x) = p((L - 1 - k)/L + x).  The offsets are symmetric
     (x_{n-1-i} = 1 - x_i), so only the first ceil(n/2) rows are evaluated
-    and the others are reversed views of them.  Values that are not
-    finite (coefficients whose lattice arithmetic overflows) raise
+    and the others are reversed views of them.  When p = c_0 D_N and L =
+    2N+1, the rows are c_0 times the closed form of D_N on its own cells
+    (kernels.dirichlet_on_cells: one sine per value, no FFT), whose
+    rounding, with the product by c_0, stays under the eps sum|w_m| =
+    eps L |c_0| per value that _abs_bound charges; every other p or L
+    takes the lattice FFT (trigsum.cosine_poly_on_cells).  Values that
+    are not finite (coefficients whose lattice arithmetic overflows) raise
     ValueError before any root solve sees them.
     """
     offs, wts = _unit_composite(panels, nodes)
     n = offs.size
-    vals = cosine_poly_on_cells(coeffs, L, offs[:n - n // 2] / L)
+    half = offs[:n - n // 2]
+    if L == 2 * coeffs.size - 1 and _dirichlet_multiple(coeffs):
+        vals = dirichlet_on_cells(coeffs.size - 1, half)
+        vals *= coeffs[0]
+    else:
+        vals = cosine_poly_on_cells(coeffs, L, half / L)
     # nan propagates through min and max, which need no temporary array
     if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
         raise ValueError("the cell lattice values are not finite: "
@@ -296,6 +312,27 @@ def _newton(f, pos, neg, x):
     return x
 
 
+def _clear(size, lip, w, slack):
+    """The gap rule of _certify and _roots, for gaps [a, b] of width w
+    between a panel's gap ends: a gap is decided when it is clear, size -
+    lip w > slack with size = |q(a)| + |q(b)| and lip bounding |q'| on it,
+    so that |q| > slack / 2 there, or monotone, _rise > 0.  _certify takes
+    slack 2 delta and lip its global D1, _roots no slack and its local
+    Lambda."""
+    margin = lip * w
+    np.subtract(size, margin, out=margin)
+    return margin > slack
+
+
+def _rise(da, db, d2, w):
+    """The monotone test's margin max(da, db) - d2 w, with da = |q'(a)|,
+    db = |q'(b)| and d2 bounding |q''|: where it is positive, q' keeps its
+    sign on the gap."""
+    rise = np.maximum(da, db)
+    rise -= d2 * w
+    return rise
+
+
 _HALVINGS = 16  # halvings of a gap in _roots before it is charged
 
 
@@ -304,8 +341,8 @@ def _roots(c):
     as (row, root) pairs, and the charge of the gaps left undecided.
 
     A gap [a, b] of width w between the ends [-1, x_1, .., x_n, 1]
-    (_certificate_maps) is decided by _certify's tests without slack:
-    clear, |q(a)| + |q(b)| - lip w > 0, with |q'| <= lip = min(D1,
+    (_certificate_maps) is decided by the gap rule without slack (_clear,
+    _rise): clear, |q(a)| + |q(b)| - lip w > 0, with |q'| <= lip = min(D1,
     (|q'(a)| + |q'(b)| + D2 w) / 2) there, or monotone, max(|q'(a)|,
     |q'(b)|) - D2 w > 0.  An undecided gap is halved (one legval of q and
     of q' at its midpoint), _HALVINGS times at most (Boyd, SIAM Review
@@ -336,10 +373,9 @@ def _roots(c):
         a, qa, da, b, qb, db = gaps
         w = b - a
         size = np.abs(qa) + np.abs(qb)
-        lip = np.minimum(d1[part],
-                         0.5 * (np.abs(da) + np.abs(db) + d2[part] * w))
-        ok = ((size - lip * w > 0.0)
-              | (np.maximum(np.abs(da), np.abs(db)) - d2[part] * w > 0.0))
+        ada, adb = np.abs(da), np.abs(db)
+        lip = np.minimum(d1[part], 0.5 * (ada + adb + d2[part] * w))
+        ok = _clear(size, lip, w, 0.0) | (_rise(ada, adb, d2[part], w) > 0.0)
         sa, sb = np.sign(qa), np.sign(qb)
         hit = (ok | (k == _HALVINGS)) & (sa * sb <= 0.0)
         up = sb[hit] > sa[hit]
@@ -446,7 +482,8 @@ def _certify(vals, delta, h):
     Column t of vals holds the n node values of panel t; q is their
     Legendre interpolant with coefficients c, and |p - q| <= delta on the
     panel.  Every gap between neighbouring gap ends (_certificate_maps)
-    must pass one of two tests, which keep p's sign on it:
+    must pass one of two tests of the gap rule (_clear, _rise), which keep
+    p's sign on it:
       1. |q(a)| + |q(b)| - D1 (b - a) > 2 delta, D1 = sum|c_j| P_j'(1)
          bounding |q'|: then |q| > delta on [a, b];
       2. q is monotone there, m = max(|q'(a)|, |q'(b)|) - D2 (b - a) > 0
@@ -474,9 +511,7 @@ def _certify(vals, delta, h):
     q = np.abs(at)
     d1, d2 = _by_columns(bounds, np.abs(c))
     zero_lo, zero_hi = ~(q[0] > delta), ~(q[-1] > delta)
-    lipschitz = q[:-1] + q[1:]
-    lipschitz -= d1 * width
-    lipschitz = lipschitz > 2.0 * delta
+    lipschitz = _clear(q[:-1] + q[1:], d1, width, 2.0 * delta)
     lipschitz[0] &= ~zero_lo
     lipschitz[-1] &= ~zero_hi
     certified = lipschitz.all(axis=0)  # no zero end: no charge
@@ -491,8 +526,7 @@ def _certify(vals, delta, h):
         agree[0] |= zero_lo & (pos[1] | neg[1])
         agree[-1] |= zero_hi & (pos[-2] | neg[-2])
         dq = np.abs(_by_columns(to_slopes, c[:, t]))
-        slope = np.maximum(dq[:-1], dq[1:])
-        slope -= d2[t] * width
+        slope = _rise(dq[:-1], dq[1:], d2[t], width)
         sure = (lipschitz | (agree & (slope > 0.0))).all(axis=0)
         certified[t] = sure
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -722,16 +756,18 @@ def integrate_abs_partial_sum(seq, N, E, panels_per_cell=2, nodes_per_panel=16):
 
     When a_0 = a_1 = ... = a_N, S_N = a_0 D_N, whose zeros are the edges of
     the cells [k/L, (k+1)/L) at L = 2N+1: there the panels certify with
-    the zeros on their ends, so the call keeps that lattice.  The zeros of
+    the zeros on their ends, so the call keeps that lattice, and _lattice
+    builds its rows from D_N's closed form, with no FFT.  The zeros of
     any other S_N fall inside cells on either lattice, and the call takes
     L = _smooth(2N+1), the least 2^a 3^b 5^c >= 2N+1: an FFT length with
     small factors, where 2N+1 is often a Bluestein length (32769 =
     3^2 11 331 at N = 16384).  The rule reads only the coefficients, before
-    any evaluation, and scaling them leaves it unchanged.
+    any evaluation (_dirichlet_multiple, which also picks _lattice's
+    rows), and scaling them leaves it unchanged.
     """
     N = check_index(N, "N")
     a = seq.values(N + 1)
-    L = 2 * N + 1 if np.all(a == a[0]) else _smooth(2 * N + 1)
+    L = 2 * N + 1 if _dirichlet_multiple(a) else _smooth(2 * N + 1)
     return integrate_cosine_poly(a, E, L, panels_per_cell, nodes_per_panel,
                                  absolute=True)
 

@@ -312,14 +312,19 @@ def test_error_exit_codes(capsys, tmp_path):
         assert err.startswith(f"error: {what} ") and err.count("\n") == 1
         assert "is not finite on the grid" in err
     # the same head overflows the cell engine (the signed cells of witness
-    # and the |.| lattice), and a subnormal head is refused as it is read;
-    # numpy warnings would fail here, not reach stderr
+    # and the |.| lattice), so does 1e308 D_N in its closed-form rows, and a
+    # subnormal head is refused as it is read; numpy warnings would fail
+    # here, not reach stderr
     huge, tiny = tmp_path / "huge.txt", tmp_path / "tiny.txt"
+    flat = tmp_path / "flat308.txt"
     tiny.write_text("1e-310\n5e-311\n")
+    flat.write_text("1e308\n")
     for argv, what in ((("witness", "--n0", "8", "--format", "csv",
                          "--sequence", str(huge)), "overflow float64"),
                        (("norms", "--kind", "abs", "--n", "16",
                          "--sequence", str(huge)), "overflow float64"),
+                       (("norms", "--kind", "abs", "--n", "16",
+                         "--sequence", str(flat)), "overflow float64"),
                        (("norms", "--kind", "abs", "--n", "16",
                          "--sequence", str(tiny)), "at least 2^-1022")):
         with warnings.catch_warnings():

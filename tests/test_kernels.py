@@ -1,6 +1,7 @@
 import fractions
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,8 @@ from torusl1 import (
     dirichlet_coefficients,
     fejer_coefficients,
 )
-from torusl1.kernels import product_frac
+from torusl1.kernels import dirichlet_on_cells, product_frac
+from torusl1.quadrature import _unit_composite
 
 reals = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
@@ -155,3 +157,62 @@ def test_index_validation():
         fejer_eval(2.5, 0.1)
     with pytest.raises(ValueError):
         dirichlet_oracle_sweep(-3, 0.1)
+
+
+_U_R = 2.0 ** -53  # unit roundoff
+
+
+def _dirichlet_mp(N, k, u):
+    """D_N((k + u)/L), L = 2N+1, 0 <= k < L, in mpmath at 40 digits; the
+    numerator sin(pi (k + u)) is taken as (-1)^k sin(pi u), since k + u
+    at 40 digits would lose a subnormal u."""
+    L = 2 * N + 1
+    with mpmath.workdps(40):
+        u = mpmath.mpf(u)
+        if (k, u) in ((0, 0), (L - 1, 1)):
+            return mpmath.mpf(L)
+        return (-1) ** k * mpmath.sinpi(u) / mpmath.sinpi((k + u) / L)
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 1024, 2 ** 17])
+def test_dirichlet_on_cells_within_its_rounding_bound(N):
+    # the engine's offsets (2 panels of 16 nodes, and 1 of 2), the cell
+    # edges and offsets a few ulps from them, against mpmath: the six
+    # columns k' = -3..2 round the peak are rounded once from decimals
+    # (half an ulp), the others err by at most 10 u_r |D_N| (and 2^-1074 L
+    # at subnormal offsets); every bound lies under eps L, the charge of
+    # _abs_bound's delta per lattice value
+    L = 2 * N + 1
+    tiny = 5e-324
+    offsets = np.concatenate([
+        _unit_composite(2, 16)[0], _unit_composite(1, 2)[0],
+        [0.0, tiny, 3 * tiny, 2.0 ** -1022, 2.0 ** -52, 3 * 2.0 ** -52,
+         1.0 - 2.0 ** -53, 1.0 - 3 * 2.0 ** -53, 1.0 - 2.0 ** -50, 0.5,
+         1.0]])
+    rows = dirichlet_on_cells(N, offsets)
+    assert rows.shape == (offsets.size, L)
+    cols = set(range(min(L, 10))) | set(range(max(L - 10, 0), L))
+    cols |= set(range(max(N - 4, 0), min(N + 6, L)))
+    cols |= set(np.random.default_rng(N).integers(0, L, 30).tolist())
+    for k in sorted(cols):
+        kp = k if k <= N else k - L
+        for x, got in zip(offsets.tolist(), rows[:, k].tolist()):
+            exact = _dirichlet_mp(N, k, x)
+            size = abs(exact)
+            if -3 <= kp <= 2:  # half an ulp, 2^-1075 below 2^-1022
+                bound = _U_R * size * (1 + 1e-20) + mpmath.mpf(2) ** -1075
+            else:
+                bound = 10 * _U_R * size + mpmath.mpf(2) ** -1074 * L
+            assert bound <= 2.0 * _U_R * L, (k, x)
+            assert abs(mpmath.mpf(got) - exact) <= bound, (k, x, got)
+
+
+@pytest.mark.parametrize("N", [1, 7, 1024])
+def test_dirichlet_on_cells_signs_round_the_middle(N):
+    # L is odd, so past k = N the sign is (-1)^(k - L), not (-1)^k: cell N
+    # holds t = 1/2 and has the sign (-1)^N, and its neighbours N - 1 and
+    # N + 1, mirror images across t = 1/2, both have the other sign
+    rows = dirichlet_on_cells(N, _unit_composite(2, 16)[0])
+    s = (-1) ** N
+    for k, sign in ((N - 1, -s), (N, s), (N + 1, -s), (N + 2, s))[:2 * N + 1]:
+        assert np.all(np.sign(rows[:, k]) == sign), k

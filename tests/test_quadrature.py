@@ -15,6 +15,7 @@ from torusl1.intervals import IntervalUnion
 from torusl1 import quadrature, trigsum
 from torusl1.kernels import (
     dirichlet_coefficients,
+    dirichlet_on_cells,
     fejer_coefficients,
     product_frac,
 )
@@ -23,12 +24,14 @@ from torusl1.quadrature import (
     _by_columns,
     _certify,
     _certificate_maps,
+    _clear,
     _decompose,
     _grid_trapezoid,
     _gauss,
     _interpolated,
     _lattice,
     _lebesgue,
+    _rise,
     _roots,
     _unit_composite,
     NormTrace,
@@ -113,7 +116,8 @@ def _lebesgue_constant(N):
     return math.fsum(terms)
 
 
-@pytest.mark.parametrize("N", [1, 7, 256, 4096, 16384, 65536, 131072])
+@pytest.mark.parametrize("N", [0, 1, 7, 256, 4096, 16384, 65536, 131072,
+                               262144])
 def test_dirichlet_mass_matches_lebesgue_constant(N):
     q = integrate_cosine_poly(dirichlet_coefficients(N), FULL, 2 * N + 1,
                               absolute=True)
@@ -147,6 +151,47 @@ def test_lattice_mirrored_rows_match_direct(L, panels, nodes):
     bar = 1e-13 * (1.0 + 2.0 * np.abs(coeffs).sum())
     for j in range(n // 2):
         assert np.max(np.abs(rows[n - 1 - j] - direct[j])) <= bar, j
+
+
+def test_closed_form_rows_only_for_dirichlet_multiples(monkeypatch):
+    # _lattice builds a_0 D_N's rows on L = 2N+1 from the closed form, with
+    # no FFT, and takes the lattice FFT for every other lattice or vector
+    ffts = []
+
+    def spy(coeffs, cell_count, offsets):
+        ffts.append(cell_count)
+        return cosine_poly_on_cells(coeffs, cell_count, offsets)
+
+    monkeypatch.setattr(quadrature, "cosine_poly_on_cells", spy)
+    N = 300
+    L = 2 * N + 1
+    rows, _ = _lattice(np.full(N + 1, 3.0), L, 2, 16)
+    assert ffts == []
+    direct = 3.0 * dirichlet_on_cells(N, _unit_composite(2, 16)[0][:16])
+    assert all(np.array_equal(r, d) for r, d in zip(rows, direct))
+    # a_0 scaled by 2^600 scales every row exactly; a negative a_0 negates
+    for a0, f in ((3.0 * 2.0 ** 600, 2.0 ** 600), (-3.0, -1.0)):
+        scaled, _ = _lattice(np.full(N + 1, a0), L, 2, 16)
+        assert ffts == []
+        assert all(np.array_equal(r, f * d) for r, d in zip(scaled, rows))
+    q = integrate_cosine_poly(np.full(N + 1, -3.0), FULL, L, absolute=True)
+    assert q == integrate_cosine_poly(np.full(N + 1, 3.0), FULL, L,
+                                      absolute=True)
+    for coeffs, cells in ((np.ones(N + 1), trigsum._smooth(L)),
+                          (np.ones(N + 1), L + 2),
+                          (np.r_[2.0, np.ones(N)], L)):
+        _lattice(coeffs, cells, 2, 16)
+        assert ffts.pop() == cells
+
+
+def test_closed_form_overflow_is_refused():
+    # the head 1e308 of a constant tail is 1e308 D_N, whose closed-form rows
+    # overflow: _lattice's finiteness check refuses them, without warnings
+    seq = ConvexSequence((1e308,), "constant")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cell lattice values are not"):
+            integrate_abs_partial_sum(seq, 8, FULL)
 
 
 def _signed_exact(coeffs, lo, hi):
@@ -702,8 +747,9 @@ def _assert_roots_near_legroots(coeffs, refs=None):
 
 
 def _needs_halving(coeffs):
-    """Which rows of coeffs have a gap that passes neither of _roots'
-    tests, worked out here from the gap ends and the derivative bounds."""
+    """Which rows of coeffs have a gap that passes neither test of _roots'
+    gap rule (_clear, _rise), worked out here from the gap ends and the
+    derivative bounds."""
     leg = np.polynomial.legendre
     ends, _, bounds = _certificate_maps(coeffs.shape[1])
     d1, d2 = (bounds @ np.abs(coeffs).T)[:, :, None]
@@ -711,8 +757,8 @@ def _needs_halving(coeffs):
     dq = np.abs(leg.legval(ends, leg.legder(coeffs.T)))
     w = np.diff(ends)
     lip = np.minimum(d1, 0.5 * (dq[:, :-1] + dq[:, 1:] + d2 * w))
-    clear = q[:, :-1] + q[:, 1:] - lip * w > 0.0
-    monotone = np.maximum(dq[:, :-1], dq[:, 1:]) - d2 * w > 0.0
+    clear = _clear(q[:, :-1] + q[:, 1:], lip, w, 0.0)
+    monotone = _rise(dq[:, :-1], dq[:, 1:], d2, w) > 0.0
     return ~(clear | monotone).all(axis=1) & coeffs.any(axis=1)
 
 
@@ -1508,7 +1554,9 @@ def test_abs_partial_sum_picks_the_lattice(family, aligned):
 @pytest.mark.parametrize("family", ["log", "log2", "tail", "one"])
 def test_abs_lattices_agree_within_their_bars(family):
     # 2N+1 and _smooth(2N+1) give the same integral within the sum of their
-    # bars; at N = 1, 2 and 7, 2N+1 is 5-smooth already and the two agree
+    # bars; at N = 1, 2 and 7, 2N+1 is 5-smooth already and the two agree.
+    # For D_N ("one") this sets the closed-form rows of 2N+1 against the
+    # lattice FFT of _smooth(2N+1)
     seq = _RULE_SEQUENCES[family]
     for N in (1, 2, 7, 64, 1000, 4096):
         coeffs = seq.values(N + 1)
